@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -341,27 +342,44 @@ class SimNetwork:
 
     def advance(self, ticks: int) -> None:
         """Process everything due within `ticks`, sweeping eviction at each
-        maintenance boundary, then move the clock to the target."""
+        maintenance boundary, then move the clock to the target. A boundary
+        where no event lands and no store is due would sweep for nothing,
+        so the loop jumps straight to the next one that can."""
         target = self.clock + ticks
         interval = self.config.maintenance_interval
-        boundary = (self.clock // interval + 1) * interval
-        while True:
-            horizon = min(boundary, target)
-            while self._queue and self._queue[0][0] <= horizon:
+        boundary = self._next_sweep((self.clock // interval + 1) * interval)
+        while boundary <= target:
+            while self._queue and self._queue[0][0] <= boundary:
                 self._step()
-            if boundary > target:
-                break
             if self.clock < boundary:
                 self.clock = boundary
             self.sweep_eviction()
-            boundary += interval
+            boundary = self._next_sweep(boundary + interval)
+        while self._queue and self._queue[0][0] <= target:
+            self._step()
         if self.clock < target:
             self.clock = target
 
+    def _next_sweep(self, earliest: int) -> float:
+        """The first maintenance boundary at or after both `earliest` and the
+        time the next queued event lands or a live store falls due to evict;
+        inf when neither will happen."""
+        due = min((node.store.due_at() for node in self.nodes.values()
+                   if node.status is NodeStatus.LIVE), default=math.inf)
+        if self._queue:
+            due = min(due, self._queue[0][0])
+        if due == math.inf:
+            return due
+        interval = self.config.maintenance_interval
+        return max(earliest, -(-due // interval) * interval)
+
     def sweep_eviction(self) -> int:
+        """Evict on every live store that is due; the others would evict nothing."""
+        now = self.clock
         evicted = 0
-        for node_id in self.live_ids():
-            evicted += len(self.nodes[node_id].store.evict(self.clock))
+        for node in self.nodes.values():
+            if node.status is NodeStatus.LIVE and node.store.due_at() <= now:
+                evicted += len(node.store.evict(now))
         self.metrics.evictions += evicted
         return evicted
 

@@ -10,7 +10,9 @@ components accumulate replicas.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -122,11 +124,31 @@ class RemovalReport:
 
 
 class NodeStore:
-    """One node's entries, keyed by the 128-bit component key."""
+    """One node's entries, keyed by the 128-bit component key.
+
+    Two marks let the maintenance sweep pass over a store that cannot evict
+    anything: `_oldest` is at most the last_access of every non-pinned entry
+    (None when there is none), and `_overflow` is set once an insert may have
+    pushed the non-pinned count past cache_capacity. evict() resets both.
+    Simulated time only moves forward, so the program's direct writes of
+    `last_access` only raise it and leave `_oldest` a valid, if early, bound.
+    """
 
     def __init__(self, config: StoreConfig | None = None):
-        self.config = config or StoreConfig()
+        self._config = config or StoreConfig()
         self.entries: dict[int, StoreEntry] = {}
+        self._oldest: Optional[int] = None
+        self._overflow = False
+
+    @property
+    def config(self) -> StoreConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: StoreConfig) -> None:
+        # A smaller capacity can leave the store over it without an insert.
+        self._config = config
+        self._overflow = True
 
     def get(self, key: int) -> Optional[StoreEntry]:
         return self.entries.get(key)
@@ -144,17 +166,18 @@ class NodeStore:
                                origin=origin, root_hint=root_hint,
                                deposited_at=now, last_access=now)
             self.entries[key] = entry
-            return entry
+            return self._watch(entry, inserted=True)
         entry.name = name
         entry.payload = payload
-        entry.role = role
+        if role in PINNED_ROLES or not entry.pinned:
+            entry.role = role
         if origin is not None:
             entry.origin = origin
         if root_hint is not None:
             entry.root_hint = root_hint
         entry.deposited_at = now
         entry.last_access = now
-        return entry
+        return self._watch(entry, inserted=False)
 
     def put_trail(self, key: int, name: str, origin: Optional[int],
                   root_hint: Optional[int], now: int) -> StoreEntry:
@@ -165,14 +188,32 @@ class NodeStore:
                                origin=origin, root_hint=root_hint,
                                deposited_at=now, last_access=now)
             self.entries[key] = entry
-            return entry
+            return self._watch(entry, inserted=True)
         if origin is not None:
             entry.origin = origin
         if root_hint is not None:
             entry.root_hint = root_hint
         entry.deposited_at = now
         entry.last_access = now
+        return self._watch(entry, inserted=False)
+
+    def _watch(self, entry: StoreEntry, inserted: bool) -> StoreEntry:
+        """Keep the eviction marks valid after a put wrote `entry`."""
+        if not entry.pinned:
+            if self._oldest is None or entry.last_access < self._oldest:
+                self._oldest = entry.last_access
+            if inserted and len(self.entries) > self._config.cache_capacity:
+                self._overflow = True
         return entry
+
+    def due_at(self) -> float:
+        """Earliest time at which evict() can remove anything: 0 when the
+        cache may be over capacity, inf when nothing is evictable."""
+        if self._overflow:
+            return 0
+        if self._oldest is None:
+            return math.inf
+        return self._oldest + self._config.ttl + 1
 
     def non_pinned_count(self) -> int:
         return sum(1 for e in self.entries.values() if not e.pinned)
@@ -182,28 +223,19 @@ class NodeStore:
 
     def evict(self, now: int) -> list[int]:
         """TTL pass over untouched TRAIL/CACHE entries, then LRU down to
-        capacity. Pinned roles are structurally excluded from both passes."""
-        ttl = self.config.ttl
-        evicted: list[int] = []
-        expired = sorted(
-            (e for e in self.entries.values()
-             if not e.pinned and now - e.last_access > ttl),
-            key=lambda e: (e.last_access, e.key),
-        )
-        for entry in expired:
-            assert not entry.pinned
-            del self.entries[entry.key]
-            evicted.append(entry.key)
-        overflow = self.non_pinned_count() - self.config.cache_capacity
-        if overflow > 0:
-            victims = sorted(
-                (e for e in self.entries.values() if not e.pinned),
-                key=lambda e: (e.last_access, e.key),
-            )[:overflow]
-            for entry in victims:
-                assert not entry.pinned
-                del self.entries[entry.key]
-                evicted.append(entry.key)
+        capacity. Pinned roles are structurally excluded from both passes.
+        Both passes take the least recently used first, so together they
+        remove a prefix of the transient entries in (last_access, key) order."""
+        transient = sorted((e for e in self.entries.values() if not e.pinned),
+                           key=lambda e: (e.last_access, e.key))
+        expired = bisect.bisect_left(transient, now - self._config.ttl,
+                                     key=lambda e: e.last_access)
+        cut = max(expired, len(transient) - self._config.cache_capacity)
+        evicted = [entry.key for entry in transient[:cut]]
+        for key in evicted:
+            del self.entries[key]
+        self._oldest = transient[cut].last_access if cut < len(transient) else None
+        self._overflow = False
         return evicted
 
 

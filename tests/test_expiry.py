@@ -1,0 +1,230 @@
+"""Event-driven expiry: `advance` skips the maintenance boundaries at which no
+store can evict, and evicts exactly what a sweep at every boundary would."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from peerdeploy import build_network, leave, lookup, publish, serialize_metrics
+from peerdeploy import store
+from peerdeploy.errors import PeerDeployError
+from peerdeploy.ids import derive_key
+from peerdeploy.simnet import SimNetwork
+from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig
+from oracles import oracle_root
+
+
+def payload_of(text: str) -> ComponentPayload:
+    return ComponentPayload.from_bytes(text.encode() * 20)
+
+
+# -- the reference schedule: every live store's evict at every boundary
+
+
+def reference_sweep(net) -> None:
+    for node_id in net.live_ids():
+        net.metrics.evictions += len(net.nodes[node_id].store.evict(net.clock))
+
+
+def reference_advance(net, ticks: int) -> None:
+    target = net.clock + ticks
+    interval = net.config.maintenance_interval
+    boundary = (net.clock // interval + 1) * interval
+    while True:
+        horizon = min(boundary, target)
+        while net._queue and net._queue[0][0] <= horizon:
+            net._step()
+        if boundary > target:
+            break
+        if net.clock < boundary:
+            net.clock = boundary
+        reference_sweep(net)
+        boundary += interval
+    if net.clock < target:
+        net.clock = target
+
+
+def reference_evict(store_, now: int) -> list[int]:
+    """The two-pass eviction: expired TRAIL/CACHE entries, then LRU down to
+    capacity, each pass in (last_access, key) order."""
+    ttl = store_.config.ttl
+    transient = [e for e in store_.entries.values() if not e.pinned]
+    expired = sorted((e for e in transient if now - e.last_access > ttl),
+                     key=lambda e: (e.last_access, e.key))
+    kept = sorted((e for e in transient if now - e.last_access <= ttl),
+                  key=lambda e: (e.last_access, e.key))
+    victims = expired + kept[:max(0, len(kept) - store_.config.cache_capacity)]
+    for entry in victims:
+        del store_.entries[entry.key]
+    return [entry.key for entry in victims]
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(st.sampled_from(list(Role)), st.integers(0, 30)),
+                        max_size=12),
+       capacity=st.integers(0, 5), ttl=st.integers(1, 20), now=st.integers(0, 60))
+def test_evict_matches_the_two_pass_reference(entries, capacity, ttl, now):
+    stores = [NodeStore(StoreConfig(cache_capacity=capacity, ttl=ttl)) for _ in range(2)]
+    for node_store in stores:
+        for key, (role, last_access) in enumerate(entries):
+            node_store.entries[key] = store.StoreEntry(
+                key=key, name=f"k{key}", role=role, payload=None, origin=None,
+                root_hint=None, deposited_at=last_access, last_access=last_access)
+    assert stores[0].evict(now) == reference_evict(stores[1], now)
+    assert stores[0].entries.keys() == stores[1].entries.keys()
+
+
+def start_lookup(net, client: int, name: str) -> None:
+    """Leave a lookup in flight, so that the next advance carries it and its
+    reply path caches the payload between boundaries."""
+    op = net.new_op(store.LookupOp(derive_key(name), name, client))
+    store._lookup_advance(net, net.nodes[client], op)
+
+
+def script(seed: int, nodes: int, names: int, steps: int) -> list[tuple]:
+    rng = random.Random(seed)
+
+    def ticks() -> int:
+        # 0, a part of an interval, whole intervals, and long idle stretches
+        return rng.choice([0, rng.randrange(1, 100), 100 * rng.randrange(1, 5),
+                           rng.randrange(100, 1500), rng.randrange(1500, 6000)])
+
+    actions: list[tuple] = []
+    for _ in range(steps):
+        draw = rng.random()
+        if draw < 0.4:
+            actions.append(("lookup", rng.randrange(nodes), rng.randrange(names)))
+        elif draw < 0.55:
+            actions.append(("in_flight", rng.randrange(nodes), rng.randrange(names), ticks()))
+        elif draw < 0.8:
+            actions.append(("advance", ticks()))
+        elif draw < 0.86:
+            actions.append(("sweep",))
+        elif draw < 0.92:
+            actions.append(("put", rng.randrange(nodes), rng.randrange(names)))
+        elif draw < 0.96:
+            actions.append(("leave", rng.randrange(nodes)))
+        else:
+            actions.append(("swap", rng.choice([300, 2500, 20_000]), rng.choice([0, 2, 64])))
+    return actions
+
+
+def apply(net, action: tuple, names: list[str], advance, sweep) -> str:
+    live = net.live_ids()
+    kind = action[0]
+    try:
+        if kind == "lookup":
+            lookup(net, live[action[1] % len(live)], names[action[2]])
+        elif kind == "in_flight":
+            start_lookup(net, live[action[1] % len(live)], names[action[2]])
+            advance(net, action[3])
+        elif kind == "advance":
+            advance(net, action[1])
+        elif kind == "sweep":
+            sweep(net)
+        elif kind == "put":
+            # inserts that no insert-pressure eviction follows
+            node_store = net.nodes[live[action[1] % len(live)]].store
+            for i in range(action[2], action[2] + 3):
+                name = names[i % len(names)]
+                node_store.put_payload(derive_key(name), name, Role.CACHE, payload_of(name),
+                                       origin=None, root_hint=None, now=net.clock)
+        elif kind == "leave" and len(live) > 8:
+            leave(net, live[action[1] % len(live)], graceful=True)
+        elif kind == "swap":
+            config = StoreConfig(ttl=action[1], cache_capacity=action[2],
+                                 cache_on_lookup=net.nodes[live[0]].store.config.cache_on_lookup)
+            for node_id in live:
+                net.nodes[node_id].store.config = config
+    except PeerDeployError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def state(net) -> tuple:
+    stores = {node_id: sorted((key, entry.role.value)
+                              for key, entry in net.nodes[node_id].store.entries.items())
+              for node_id in net.live_ids()}
+    return net.clock, net.metrics.evictions, stores
+
+
+@pytest.mark.parametrize("config", [
+    StoreConfig(cache_capacity=2),
+    StoreConfig(),
+    StoreConfig(cache_on_lookup=False),
+], ids=["capacity2", "default", "no_cache"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_advance_evicts_like_a_sweep_at_every_boundary(config, seed):
+    nets = [build_network(64, seed=seed, store_config=config)[0] for _ in range(2)]
+    names = [f"e{i}.jar" for i in range(24)]
+    for net in nets:
+        rng = random.Random(seed)
+        live = net.live_ids()
+        for name in names:
+            publish(net, live[rng.randrange(len(live))], name, payload_of(name))
+    for action in script(seed, 64, len(names), 150):
+        outcomes = [
+            apply(nets[0], action, names, SimNetwork.advance, SimNetwork.sweep_eviction),
+            apply(nets[1], action, names, reference_advance, reference_sweep),
+        ]
+        assert outcomes[0] == outcomes[1], action
+        assert state(nets[0]) == state(nets[1]), action
+    assert nets[0].metrics.evictions > 0
+    documents = [serialize_metrics(net.metrics.to_document(net)) for net in nets]
+    assert documents[0] == documents[1]
+
+
+# -- work, counted rather than timed
+
+
+@pytest.fixture
+def evict_calls(monkeypatch):
+    calls: list[tuple[int, list[int]]] = []
+    original = NodeStore.evict
+
+    def counted(self, now):
+        evicted = original(self, now)
+        calls.append((now, evicted))
+        return evicted
+
+    monkeypatch.setattr(NodeStore, "evict", counted)
+    return calls
+
+
+def pinned_only_network():
+    net, _ = build_network(16, seed=4)
+    live = net.live_ids()
+    for i in range(8):
+        name = f"pin{i}.jar"
+        # published from its own root, so no trail is left on the way
+        publish(net, oracle_root(live, derive_key(name)), name, payload_of(name))
+    entries = [e for node in net.nodes.values() for e in node.store.entries.values()]
+    assert len(entries) == 8 and all(e.pinned for e in entries)
+    return net
+
+
+def test_idle_advance_over_pinned_entries_calls_no_evict(evict_calls):
+    net = pinned_only_network()
+    evict_calls.clear()
+    net.advance(1_000_000)
+    assert evict_calls == []
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_one_cached_entry_expires_in_one_sweep(evict_calls, lag):
+    net = pinned_only_network()
+    node = net.nodes[net.live_ids()[3]]
+    key = derive_key("brief.jar")
+    ttl, interval = node.store.config.ttl, net.config.maintenance_interval
+    # Insert so that last_access + ttl + lag falls on a boundary: with lag 0
+    # the entry is still a tick too young there, with lag 1 it just expired.
+    net.advance(-(net.clock + ttl + lag) % interval)
+    node.store.put_payload(key, "brief.jar", Role.CACHE, payload_of("brief"),
+                           origin=None, root_hint=None, now=net.clock)
+    first_past_ttl = ((net.clock + ttl) // interval + 1) * interval
+    evict_calls.clear()
+    net.advance(1_000_000)
+    assert evict_calls == [(first_past_ttl, [key])]
+    assert node.store.get(key) is None
+    assert net.metrics.evictions == 1

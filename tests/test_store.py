@@ -297,6 +297,19 @@ def test_evict_never_removes_pinned_fuzz(now):
     assert node.store.get(derive_key("keep.jar")) is not None
 
 
+def test_cache_put_never_unpins_an_authoritative_entry():
+    net = SimNetwork(seed=0)
+    join(net, 5, None, name="solo")
+    publish(net, 5, "held.jar", payload_of("held"))
+    store = net.nodes[5].store
+    key = derive_key("held.jar")
+    store.put_payload(key, "held.jar", Role.CACHE, payload_of("held"),
+                      origin=None, root_hint=None, now=net.clock)
+    net.advance(store.config.ttl + 2 * net.config.maintenance_interval)
+    entry = store.get(key)
+    assert entry is not None and entry.role is Role.ROOT
+
+
 # -- handoff on join
 
 
