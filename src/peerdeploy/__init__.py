@@ -28,7 +28,7 @@ from .errors import (
     VersionConflictError,
 )
 from .ids import circular_distance, derive_key, digit, root_of, shared_prefix_len, to_hex
-from .overlay import JoinReport, LeaveReport, OverlayNode, join, leave, next_hop, route, stabilize
+from .overlay import JoinReport, LeaveReport, OverlayNode, join, leave, route, stabilize
 from .repo import (
     ComponentDescriptor,
     GatewayState,
@@ -93,7 +93,6 @@ __all__ = [
     "join",
     "leave",
     "lookup",
-    "next_hop",
     "parse_scenario",
     "parse_uri",
     "publish",

@@ -16,7 +16,7 @@ import sys
 from typing import Any, Optional
 
 from .errors import ScenarioParseError
-from .scenario import DEFAULT_PAYLOAD_SIZE, run_scenario
+from .scenario import DEFAULT_PAYLOAD_SIZE, MAX_PAYLOAD_SIZE, run_scenario
 
 SEED_ENV = "PEERDEPLOY_SEED"
 
@@ -40,7 +40,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="draw node ids from the seeded RNG instead of "
                             "hashing node names")
     run_p.add_argument("--payload-size", type=int, default=DEFAULT_PAYLOAD_SIZE,
-                       metavar="BYTES", help="size of synthesized bundle payloads")
+                       metavar="BYTES", help="size of synthesized bundle payloads "
+                                             f"(at most {MAX_PAYLOAD_SIZE})")
 
     stats_p = sub.add_parser("stats", help="summarize a metrics document")
     stats_p.add_argument("metrics", help="path to a metrics JSON document")
@@ -65,8 +66,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 seed = int(env)
             except ValueError:
                 return _fail(f"{SEED_ENV} must be an integer, got {env!r}", 2)
-    if args.payload_size < 1:
-        return _fail("--payload-size must be positive", 2)
+    if not 1 <= args.payload_size <= MAX_PAYLOAD_SIZE:
+        return _fail(f"--payload-size must be between 1 and {MAX_PAYLOAD_SIZE}", 2)
 
     try:
         result = run_scenario(args.scenario, seed=seed,

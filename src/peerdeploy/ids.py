@@ -35,17 +35,6 @@ def digit(value: int, position: int) -> int:
     return (value >> shift) & (RADIX - 1)
 
 
-def digits_of(value: int) -> tuple[int, ...]:
-    return tuple(digit(value, i) for i in range(DIGITS))
-
-
-def from_digits(ds: Iterable[int]) -> int:
-    value = 0
-    for d in ds:
-        value = (value << DIGIT_BITS) | (d & (RADIX - 1))
-    return value
-
-
 def to_hex(value: int) -> str:
     return f"{value:032x}"
 

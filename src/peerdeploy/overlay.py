@@ -10,19 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ids
-from .errors import (
-    BootstrapUnreachableError,
-    LivelockSuspectedError,
-    NoSuchNodeError,
-    RoutingFailureError,
-)
+from .errors import BootstrapUnreachableError, LivelockSuspectedError
 from .ids import shared_prefix_len
 from .routing import LeafSet, RoutingTable, next_hop_from_state
 from .simnet import (
     Message,
     MessageKind,
     NodeStatus,
-    Operation,
+    RoutedOp,
     SimNetwork,
     on_deliver,
     on_timeout,
@@ -58,17 +53,26 @@ class OverlayNode:
         in_table = self.routing_table.insert(candidate)
         return in_leaf or in_table
 
+    def learn_live(self, net: SimNetwork, candidates) -> bool:
+        """Learn every candidate that is a live node other than this one;
+        True when that changed the routing state."""
+        changed = False
+        for cand in candidates:
+            peer = net.nodes.get(cand)
+            if cand != self.id and peer is not None and peer.status is NodeStatus.LIVE:
+                changed = self.learn(cand) or changed
+        return changed
+
     def forget(self, dead_id: int) -> bool:
         in_leaf = self.leaf_set.remove(dead_id)
         in_table = self.routing_table.remove(dead_id)
         return in_leaf or in_table
 
     def observe(self, net: SimNetwork, sender_id: int) -> None:
-        """Passive learning: every delivered message advertises its sender."""
-        if sender_id == self.id:
-            return
+        """Passive learning: every delivered message advertises its sender.
+        The same test as learn_live, written out for the hot path."""
         peer = net.nodes.get(sender_id)
-        if peer is not None and peer.status is NodeStatus.LIVE:
+        if sender_id != self.id and peer is not None and peer.status is NodeStatus.LIVE:
             self.learn(sender_id)
 
     def repair(self, net: SimNetwork, dead_id: int) -> None:
@@ -86,71 +90,32 @@ class OverlayNode:
             net.post(self.id, target, MessageKind.REPAIR)
 
 
-def next_hop(node: OverlayNode, k: int) -> int:
-    return node.next_hop(k)
-
-
-def _require_live(net: SimNetwork, node_id: int) -> OverlayNode:
-    node = net.node(node_id)
-    if node.status is not NodeStatus.LIVE:
-        raise NoSuchNodeError(f"node {ids.to_hex(node_id)} is not live")
-    return node
-
-
 # --------------------------------------------------------------------------
 # route
 
 
-class RouteOp(Operation):
+class RouteOp(RoutedOp):
     kind = "route"
+    message = MessageKind.ROUTE_STEP
+    RETRIES = 0  # the caller decides whether to retry
 
-    def __init__(self, key: int):
-        super().__init__()
-        self.key = key
-        self.path: list[int] = []
+    def forward(self, net: SimNetwork, node: OverlayNode, nh: int) -> None:
+        if nh in self.path:
+            net.fail_op(self, self.failure(f"revisited {ids.to_hex(nh)}"))
+        else:
+            super().forward(net, node, nh)
+
+    def at_root(self, net: SimNetwork, node: OverlayNode) -> None:
+        net.complete_op(self, list(self.path))
 
 
 def route(net: SimNetwork, start: int, k: int) -> list[int]:
     """Follow next_hop from start until some node names itself. The endpoint
-    is the key's root. A mid-route timeout raises with the partial path; the
-    caller decides whether to retry."""
-    node = _require_live(net, start)
+    is the key's root. A mid-route timeout raises with the partial path."""
+    node = net.live_node(start)
     op = net.new_op(RouteOp(k))
-    _route_advance(net, node, op)
-    path: list[int] = net.drive(op)
-    net.metrics.record_op("route", hops=len(path) - 1)
-    return path
-
-
-def _route_advance(net: SimNetwork, node: OverlayNode, op: RouteOp) -> None:
-    if not op.path or op.path[-1] != node.id:
-        op.path.append(node.id)
-    nh = node.next_hop(op.key)
-    if nh == node.id:
-        net.complete_op(op, list(op.path))
-        return
-    if nh in op.path:
-        net.fail_op(op, RoutingFailureError(
-            f"route for {ids.to_hex(op.key)} revisited {ids.to_hex(nh)}",
-            partial_path=list(op.path)))
-        return
-    net.post(node.id, nh, MessageKind.ROUTE_STEP, op=op)
-
-
-@on_deliver(MessageKind.ROUTE_STEP)
-def _route_step_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if isinstance(op, RouteOp) and not op.done:
-        _route_advance(net, node, op)
-
-
-@on_timeout(MessageKind.ROUTE_STEP)
-def _route_step_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, RouteOp) or op.done:
-        return
-    net.fail_op(op, RoutingFailureError(
-        f"hop {ids.to_hex(msg.to_id)} unresponsive", partial_path=list(op.path)))
+    op.advance(net, node)
+    return net.drive(op)
 
 
 # --------------------------------------------------------------------------
@@ -167,17 +132,61 @@ class JoinReport:
     unresolved: list[int]  # keys whose handoff never completed
 
 
-class JoinOp(Operation):
+class JoinOp(RoutedOp):
+    """Routes toward the joiner's own id; the key is the joiner."""
+
     kind = "join"
+    message = MessageKind.JOIN
 
     def __init__(self, new_id: int, bootstrap: int):
-        super().__init__()
-        self.new_id = new_id
+        super().__init__(new_id)
         self.bootstrap = bootstrap
-        self.path: list[int] = []
         self.candidates: set[int] = set()
         self.pending_acks = 0
         self.announced: list[int] = []
+
+    def arrive(self, net: SimNetwork, node: OverlayNode) -> bool:
+        self.candidates.add(node.id)
+        # Rows 0..r of this node's table all hold ids agreeing with the joiner
+        # on at least their row's prefix, so they seed the joiner's own rows.
+        r = shared_prefix_len(node.id, self.key)
+        for row in range(min(r + 1, ids.DIGITS)):
+            self.candidates.update(node.routing_table.row_entries(row))
+        return True
+
+    def next_hop(self, node: OverlayNode) -> int:
+        nh = node.next_hop(self.key)
+        if nh == self.key:
+            # Stale reference from an earlier life of this id; the joiner
+            # cannot be its own terminal.
+            node.forget(self.key)
+            nh = node.next_hop(self.key)
+        return nh
+
+    def at_root(self, net: SimNetwork, node: OverlayNode) -> None:
+        self.candidates.update(node.leaf_set.members())
+        net.post(node.id, self.key, MessageKind.JOIN_REPLY, op=self)
+
+    def retry(self, net: SimNetwork, sender: OverlayNode) -> None:
+        if sender.id == self.key:
+            # First hop: the joiner itself re-contacts the bootstrap.
+            net.post(self.key, self.bootstrap, MessageKind.JOIN, op=self)
+        else:
+            self.advance(net, sender)
+
+    def failure(self, reason: str) -> Exception:
+        if not self.path:
+            return BootstrapUnreachableError(
+                f"bootstrap {ids.to_hex(self.bootstrap)} never answered: {reason}")
+        return super().failure(reason)
+
+    def hops(self) -> int:
+        return len(self.path)
+
+    def acknowledged(self, net: SimNetwork) -> None:
+        self.pending_acks -= 1
+        if self.pending_acks <= 0:
+            net.complete_op(self, None)
 
 
 def join(net: SimNetwork, new_id: int, bootstrap: int | None,
@@ -215,76 +224,14 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
         raise
     node.status = NodeStatus.LIVE
     transferred, unresolved = handoff_on_join(net, new_id)
-    net.metrics.record_op("join", hops=len(op.path))
     return JoinReport(new_id, bootstrap, list(op.path), list(op.announced),
                       transferred, unresolved)
 
 
-def _join_advance(net: SimNetwork, node: OverlayNode, op: JoinOp) -> None:
-    if not op.path or op.path[-1] != node.id:
-        op.path.append(node.id)
-    op.candidates.add(node.id)
-    # Rows 0..r of this node's table all hold ids agreeing with the joiner on
-    # at least their row's prefix, so they seed the joiner's own rows.
-    r = shared_prefix_len(node.id, op.new_id)
-    for row in range(min(r + 1, ids.DIGITS)):
-        op.candidates.update(node.routing_table.row_entries(row))
-    nh = node.next_hop(op.new_id)
-    if nh == op.new_id:
-        # Stale reference from an earlier life of this id; the joiner cannot
-        # be its own terminal.
-        node.forget(op.new_id)
-        nh = node.next_hop(op.new_id)
-    if nh == node.id:
-        op.candidates.update(node.leaf_set.members())
-        net.post(node.id, op.new_id, MessageKind.JOIN_REPLY, op=op)
-        return
-    net.post(node.id, nh, MessageKind.JOIN, op=op)
-
-
-@on_deliver(MessageKind.JOIN)
-def _join_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if isinstance(op, JoinOp) and not op.done:
-        _join_advance(net, node, op)
-
-
-@on_timeout(MessageKind.JOIN)
-def _join_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, JoinOp) or op.done:
-        return
-    sender = net.nodes.get(msg.from_id)
-    if sender is None or sender.status is NodeStatus.DEPARTED:
-        net.fail_op(op, RoutingFailureError(
-            "join path node died", partial_path=list(op.path)))
-        return
-    op.retries += 1
-    if op.retries > net.config.retries:
-        if not op.path:
-            net.fail_op(op, BootstrapUnreachableError(
-                f"bootstrap {ids.to_hex(op.bootstrap)} never answered"))
-        else:
-            net.fail_op(op, RoutingFailureError(
-                "join routing exhausted retries", partial_path=list(op.path)))
-        return
-    if sender.id == op.new_id:
-        # First hop: the joiner itself re-contacts the bootstrap.
-        net.post(op.new_id, op.bootstrap, MessageKind.JOIN, op=op)
-    else:
-        _join_advance(net, sender, op)
-
-
 @on_deliver(MessageKind.JOIN_REPLY)
-def _join_reply_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, JoinOp) or op.done:
-        return
-    joiner: OverlayNode = node
-    for cand in sorted(op.candidates):
-        peer = net.nodes.get(cand)
-        if cand != joiner.id and peer is not None and peer.status is NodeStatus.LIVE:
-            joiner.learn(cand)
+def _join_reply_deliver(net: SimNetwork, joiner: OverlayNode, msg: Message,
+                        op: JoinOp) -> None:
+    joiner.learn_live(net, sorted(op.candidates))
     targets = joiner.known_contacts()
     op.announced = targets
     op.pending_acks = len(targets)
@@ -296,40 +243,22 @@ def _join_reply_deliver(net: SimNetwork, node, msg: Message) -> None:
 
 
 @on_timeout(MessageKind.JOIN_REPLY)
-def _join_reply_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if isinstance(op, JoinOp) and not op.done:
-        net.fail_op(op, RoutingFailureError(
-            "joiner unreachable for its join reply", partial_path=list(op.path)))
+def _join_reply_timeout(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
+    net.fail_op(op, op.failure("lost the joiner before its join reply"))
 
 
 @on_deliver(MessageKind.ANNOUNCE)
-def _announce_deliver(net: SimNetwork, node, msg: Message) -> None:
+def _announce_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: JoinOp) -> None:
     # The sender is still JOINING, so passive observation skipped it; an
     # announcement is the explicit instruction to adopt it.
     node.learn(msg.from_id)
-    net.post(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK,
-             op=net.ops.get(msg.op_id))
+    net.post(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK, op=op)
 
 
-@on_timeout(MessageKind.ANNOUNCE)
-def _announce_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, JoinOp) or op.done:
-        return
-    op.pending_acks -= 1
-    if op.pending_acks <= 0:
-        net.complete_op(op, None)
-
-
+@on_timeout(MessageKind.ANNOUNCE)  # an announcement that times out counts as answered
 @on_deliver(MessageKind.ANNOUNCE_ACK)
-def _announce_ack_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, JoinOp) or op.done:
-        return
-    op.pending_acks -= 1
-    if op.pending_acks <= 0:
-        net.complete_op(op, None)
+def _announce_answered(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
+    op.acknowledged(net)
 
 
 # --------------------------------------------------------------------------
@@ -352,9 +281,7 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
     leaf sets mend immediately. An abrupt departure just goes silent and
     leaves repair to timeouts.
     """
-    node = net.nodes.get(node_id)
-    if node is None or node.status is not NodeStatus.LIVE:
-        raise NoSuchNodeError(f"no live node {ids.to_hex(node_id)}")
+    node = net.live_node(node_id)
     if not graceful:
         net.fail(node_id)
         net.metrics.record_op("leave")
@@ -370,12 +297,9 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
 
 
 @on_deliver(MessageKind.GOODBYE)
-def _goodbye_deliver(net: SimNetwork, node, msg: Message) -> None:
+def _goodbye_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: None) -> None:
     node.forget(msg.from_id)
-    for member in msg.data.get("members", []):
-        peer = net.nodes.get(member)
-        if member != node.id and peer is not None and peer.status is NodeStatus.LIVE:
-            node.learn(member)
+    node.learn_live(net, msg.data["members"])
 
 
 # --------------------------------------------------------------------------
@@ -383,17 +307,15 @@ def _goodbye_deliver(net: SimNetwork, node, msg: Message) -> None:
 
 
 @on_deliver(MessageKind.REPAIR)
-def _repair_deliver(net: SimNetwork, node, msg: Message) -> None:
+def _repair_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: None) -> None:
     net.post(node.id, msg.from_id, MessageKind.REPAIR_REPLY,
              {"members": node.leaf_set.members()})
 
 
 @on_deliver(MessageKind.REPAIR_REPLY)
-def _repair_reply_deliver(net: SimNetwork, node, msg: Message) -> None:
-    for member in msg.data.get("members", []):
-        peer = net.nodes.get(member)
-        if member != node.id and peer is not None and peer.status is NodeStatus.LIVE:
-            node.learn(member)
+def _repair_reply_deliver(net: SimNetwork, node: OverlayNode, msg: Message,
+                          op: None) -> None:
+    node.learn_live(net, msg.data["members"])
 
 
 def stabilize(net: SimNetwork, max_rounds: int | None = None) -> int:
@@ -417,14 +339,8 @@ def stabilize(net: SimNetwork, max_rounds: int | None = None) -> int:
                         changed = True
             for member in node.leaf_set.members():
                 peer = net.nodes.get(member)
-                if peer is None:
-                    continue
-                for second in peer.leaf_set.members():
-                    second_node = net.nodes.get(second)
-                    if second != nid and second_node is not None \
-                            and second_node.status is NodeStatus.LIVE:
-                        if node.learn(second):
-                            changed = True
+                if peer is not None and node.learn_live(net, peer.leaf_set.members()):
+                    changed = True
         rounds += 1
         if not changed:
             return rounds

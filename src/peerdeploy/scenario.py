@@ -43,6 +43,12 @@ from .store import ComponentPayload, StoreConfig
 
 DEFAULT_PAYLOAD_SIZE = 4096
 
+# Input bounds, checked at parse time before anything is allocated.
+MAX_NODES = 4096  # create, and workload nodes
+MAX_BUNDLES = 10_000  # workload bundles
+MAX_REQUESTS = 1_000_000  # workload requests
+MAX_PAYLOAD_SIZE = 1 << 20  # --payload-size
+
 LOOKUP_STATUSES = ("ok", "not-found", "unavailable", "failed")
 
 _NAME_RE = re.compile(r"^[^\s/]+$")
@@ -79,13 +85,16 @@ class Scenario:
     commands: list[Command]
 
 
-def _parse_int(token: str, lineno: int, what: str, minimum: int = 0) -> int:
+def _parse_int(token: str, lineno: int, what: str, minimum: int = 0,
+               maximum: int | None = None) -> int:
     try:
         value = int(token)
     except ValueError:
         raise ScenarioParseError(f"{what} must be an integer, got {token!r}", line=lineno)
     if value < minimum:
         raise ScenarioParseError(f"{what} must be >= {minimum}", line=lineno)
+    if maximum is not None and value > maximum:
+        raise ScenarioParseError(f"{what} must be <= {maximum}", line=lineno)
     return value
 
 
@@ -204,7 +213,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError("usage: create <count>", line=lineno)
             if created:
                 raise ScenarioParseError("create may appear only once", line=lineno)
-            count = _parse_int(tokens[1], lineno, "node count", minimum=1)
+            count = _parse_int(tokens[1], lineno, "node count", minimum=1, maximum=MAX_NODES)
             for i in range(count):
                 name = f"n{i}"
                 if name in live:
@@ -280,9 +289,12 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError(
                     "usage: workload zipf <nodes> <bundles> <requests> <exponent>",
                     line=lineno)
-            nodes = _parse_int(tokens[2], lineno, "workload node count", minimum=1)
-            bundles = _parse_int(tokens[3], lineno, "workload bundle count", minimum=1)
-            requests = _parse_int(tokens[4], lineno, "workload request count")
+            nodes = _parse_int(tokens[2], lineno, "workload node count", minimum=1,
+                               maximum=MAX_NODES)
+            bundles = _parse_int(tokens[3], lineno, "workload bundle count", minimum=1,
+                                 maximum=MAX_BUNDLES)
+            requests = _parse_int(tokens[4], lineno, "workload request count",
+                                  maximum=MAX_REQUESTS)
             try:
                 exponent = float(tokens[5])
             except ValueError:

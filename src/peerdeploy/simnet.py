@@ -21,6 +21,7 @@ from .errors import (
     DuplicateNodeError,
     LivelockSuspectedError,
     NoSuchNodeError,
+    RoutingFailureError,
 )
 
 
@@ -91,18 +92,121 @@ class Operation:
         self.done = False
         self.result: Any = None
         self.error: Exception | None = None
+
+    def record(self, metrics: "Metrics") -> None:
+        """Count the finished op in the metrics document. Handoff and
+        relinquish are steps of a join or a leave, which count themselves."""
+
+
+class RoutedOp(Operation):
+    """A request carried hop by hop toward the root of `key`.
+
+    Every node the request reaches is appended to `path` and runs `arrive`,
+    which may take the op over (a lookup that finds an entry). Otherwise the
+    node forwards `message` to its next hop, or, when it names itself, runs
+    `at_root`. A reply walks `path` backwards as `reply` messages, skipping
+    nodes that died; `reply_at` runs on each node it passes and `reply_home`
+    on path[0]. A forward timeout re-routes from the sender, whose repair
+    has already dropped the dead contact, until RETRIES retries are spent
+    (None: SimConfig.retries).
+    """
+
+    message: MessageKind
+    reply: MessageKind
+    RETRIES: int | None = None
+
+    def __init__(self, key: int):
+        super().__init__()
+        self.key = key
+        self.path: list[int] = []
         self.retries = 0
 
+    def advance(self, net: "SimNetwork", node) -> None:
+        if not self.path or self.path[-1] != node.id:
+            self.path.append(node.id)
+        if self.arrive(net, node):
+            self.route_on(net, node)
 
-DeliverHandler = Callable[["SimNetwork", Any, Message], None]
-TimeoutHandler = Callable[["SimNetwork", Message], None]
+    def route_on(self, net: "SimNetwork", node) -> None:
+        nh = self.next_hop(node)
+        if nh == node.id:
+            self.at_root(net, node)
+        else:
+            self.forward(net, node, nh)
 
-_DELIVER: dict[MessageKind, DeliverHandler] = {}
-_TIMEOUT: dict[MessageKind, TimeoutHandler] = {}
+    def timed_out(self, net: "SimNetwork", sender, msg: Message) -> None:
+        if sender is None:
+            net.fail_op(self, self.failure("lost a path node"))
+            return
+        self.retries += 1
+        budget = net.config.retries if self.RETRIES is None else self.RETRIES
+        if self.retries > budget:
+            net.fail_op(self, self.failure(
+                f"timed out at {ids.to_hex(msg.to_id)} after {budget} retries"))
+            return
+        self.retry(net, sender)
+
+    def reply_from(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
+        """Start the reply at the last node of the path."""
+        index = len(self.path) - 1
+        if index == 0:
+            self.reply_home(net, node, data)
+        else:
+            self.pass_back(net, node.id, index, data)
+
+    def pass_back(self, net: "SimNetwork", from_id: int, index: int,
+                  data: dict[str, Any]) -> None:
+        """Send the reply from path[index] on to path[index - 1]."""
+        net.post(from_id, self.path[index - 1], self.reply, {**data, "index": index - 1},
+                 op=self)
+
+    def record(self, metrics: "Metrics") -> None:
+        failed = self.error is not None
+        metrics.record_op(self.kind, hops=None if failed else self.hops(), failed=failed)
+
+    # Hooks for the kinds of request.
+
+    def arrive(self, net: "SimNetwork", node) -> bool:
+        """Runs on every node reached; False when the op was handled here."""
+        return True
+
+    def next_hop(self, node) -> int:
+        return node.next_hop(self.key)
+
+    def forward(self, net: "SimNetwork", node, nh: int) -> None:
+        net.post(node.id, nh, self.message, op=self)
+
+    def at_root(self, net: "SimNetwork", node) -> None:
+        raise NotImplementedError
+
+    def retry(self, net: "SimNetwork", sender) -> None:
+        self.advance(net, sender)
+
+    def failure(self, reason: str) -> Exception:
+        return RoutingFailureError(f"{self.kind} to {ids.to_hex(self.key)} {reason}",
+                                   partial_path=list(self.path))
+
+    def hops(self) -> int | None:
+        return len(self.path) - 1
+
+    def reply_at(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
+        pass
+
+    def reply_home(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
+        raise NotImplementedError
+
+
+# A handler gets (net, node, msg, op). On delivery the node is the receiver;
+# on a timeout it is the sender, or None when the sender has departed too.
+# The op is None for a message that belongs to no operation.
+Handler = Callable[["SimNetwork", Any, Message, Optional[Operation]], None]
+
+_DELIVER: dict[MessageKind, Handler] = {}
+_TIMEOUT: dict[MessageKind, Handler] = {}
 
 
 def on_deliver(kind: MessageKind):
-    def wrap(fn: DeliverHandler) -> DeliverHandler:
+    def wrap(fn: Handler) -> Handler:
         _DELIVER[kind] = fn
         return fn
 
@@ -110,11 +214,46 @@ def on_deliver(kind: MessageKind):
 
 
 def on_timeout(kind: MessageKind):
-    def wrap(fn: TimeoutHandler) -> TimeoutHandler:
+    def wrap(fn: Handler) -> Handler:
         _TIMEOUT[kind] = fn
         return fn
 
     return wrap
+
+
+def _walk_deliver(net: "SimNetwork", node, msg: Message, op: RoutedOp) -> None:
+    op.advance(net, node)
+
+
+def _walk_timeout(net: "SimNetwork", sender, msg: Message, op: RoutedOp) -> None:
+    op.timed_out(net, sender, msg)
+
+
+def _reply_deliver(net: "SimNetwork", node, msg: Message, op: RoutedOp) -> None:
+    index = msg.data["index"]
+    if index == 0:
+        op.reply_home(net, node, msg.data)
+    else:
+        op.reply_at(net, node, msg.data)
+        op.pass_back(net, node.id, index, msg.data)
+
+
+def _reply_timeout(net: "SimNetwork", sender, msg: Message, op: RoutedOp) -> None:
+    # The receiver died: skip it and keep walking toward path[0].
+    index = msg.data["index"]
+    if sender is None:
+        net.fail_op(op, op.failure("lost its reply path"))
+    elif index == 0:
+        net.fail_op(op, op.failure("lost its requester during the reply"))
+    else:
+        op.pass_back(net, msg.from_id, index, msg.data)
+
+
+for _kind in (MessageKind.ROUTE_STEP, MessageKind.JOIN, MessageKind.PUBLISH,
+              MessageKind.LOOKUP, MessageKind.REMOVE):
+    _DELIVER[_kind], _TIMEOUT[_kind] = _walk_deliver, _walk_timeout
+for _kind in (MessageKind.PUBLISH_ACK, MessageKind.LOOKUP_REPLY):
+    _DELIVER[_kind], _TIMEOUT[_kind] = _reply_deliver, _reply_timeout
 
 
 class Metrics:
@@ -232,12 +371,19 @@ class SimNetwork:
             raise NoSuchNodeError(f"unknown node {ids.to_hex(node_id)}")
         return node
 
+    def live_node(self, node_id: int):
+        node = self.node(node_id)
+        if node.status is not NodeStatus.LIVE:
+            raise NoSuchNodeError(f"node {ids.to_hex(node_id)} is not live")
+        return node
+
+    def reachable(self, node_id: int):
+        """The node if it has not departed (it may still be joining), else None."""
+        node = self.nodes.get(node_id)
+        return node if node is not None and node.status is not NodeStatus.DEPARTED else None
+
     def live_ids(self) -> list[int]:
         return sorted(i for i, n in self.nodes.items() if n.status is NodeStatus.LIVE)
-
-    def is_deliverable(self, node_id: int) -> bool:
-        node = self.nodes.get(node_id)
-        return node is not None and node.status is not NodeStatus.DEPARTED
 
     # --- operations ---
 
@@ -262,9 +408,11 @@ class SimNetwork:
         while not op.done and self._queue:
             self._step()
         if not op.done:
-            raise LivelockSuspectedError(f"{op.kind} stalled with an empty event queue")
+            self.fail_op(op, LivelockSuspectedError(
+                f"{op.kind} stalled with an empty event queue"))
         self.run_until_quiescent()
         self.ops.pop(op.op_id, None)
+        op.record(self.metrics)
         if op.error is not None:
             raise op.error
         return op.result
@@ -293,7 +441,7 @@ class SimNetwork:
         msg.sent_at = self.clock
         msg.deadline = self.clock + self.config.timeout
         self.metrics.count_sent(msg.kind)
-        if not self.is_deliverable(msg.to_id):
+        if self.reachable(msg.to_id) is None:
             self._push(msg.deadline, "timeout", msg)
         else:
             self._push(self.clock + self._latency(msg.from_id, msg.to_id), "deliver", msg)
@@ -312,24 +460,27 @@ class SimNetwork:
             self.clock = time
         self.metrics.events_processed += 1
         if tag == "deliver":
-            target = self.nodes.get(msg.to_id)
-            if target is None or target.status is NodeStatus.DEPARTED:
+            node = self.nodes.get(msg.to_id)
+            if node is None or node.status is NodeStatus.DEPARTED:
                 # Receiver died while the message was in flight.
                 self._push(max(msg.deadline, self.clock), "timeout", msg)
                 return
             self.metrics.count_delivered(msg.kind)
-            target.observe(self, msg.from_id)
+            node.observe(self, msg.from_id)
             handler = _DELIVER.get(msg.kind)
-            if handler is not None:
-                handler(self, target, msg)
         else:
             self.metrics.count_timeout(msg.kind)
-            sender = self.nodes.get(msg.from_id)
-            if sender is not None and sender.status is not NodeStatus.DEPARTED:
-                sender.repair(self, msg.to_id)
+            node = self.reachable(msg.from_id)
+            if node is not None:
+                node.repair(self, msg.to_id)
             handler = _TIMEOUT.get(msg.kind)
-            if handler is not None:
-                handler(self, msg)
+        if handler is None:
+            return
+        # A message that belongs to an op does nothing once that op is over.
+        op = self.ops.get(msg.op_id)
+        if msg.op_id is not None and (op is None or op.done):
+            return
+        handler(self, node, msg, op)
 
     def run_until_quiescent(self, max_ticks: int | None = None) -> int:
         start = self.clock
@@ -386,23 +537,9 @@ class SimNetwork:
     # --- failure injection ---
 
     def fail(self, node_id: int) -> None:
-        node = self.nodes.get(node_id)
-        if node is None or node.status is NodeStatus.DEPARTED:
+        node = self.reachable(node_id)
+        if node is None:
             raise NoSuchNodeError(f"no live node {ids.to_hex(node_id)}")
         node.status = NodeStatus.DEPARTED
         self.metrics.node_failures += 1
 
-
-# Module-level forms of the network verbs, matching how the other layers
-# expose their operations.
-
-def send(net: SimNetwork, msg: Message) -> Message:
-    return net.send(msg)
-
-
-def run_until_quiescent(net: SimNetwork, max_ticks: int | None = None) -> int:
-    return net.run_until_quiescent(max_ticks)
-
-
-def fail(net: SimNetwork, node_id: int) -> None:
-    net.fail(node_id)

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from . import ids, routing
+from . import ids
 from .errors import (
     IntegrityError,
     InvalidNameError,
     LookupFailedError,
-    NoSuchNodeError,
     NotFoundError,
     NotOwnerError,
     PublishFailedError,
@@ -30,12 +29,12 @@ from .errors import (
     UnavailableError,
     VersionConflictError,
 )
-from .ids import circular_distance, derive_key
+from .ids import derive_key, root_of
 from .simnet import (
     Message,
     MessageKind,
-    NodeStatus,
     Operation,
+    RoutedOp,
     SimNetwork,
     on_deliver,
     on_timeout,
@@ -51,7 +50,6 @@ class Role(Enum):
 
 
 PINNED_ROLES = frozenset({Role.SOURCE, Role.ROOT, Role.RETAINED})
-PAYLOAD_ROLES = frozenset({Role.SOURCE, Role.ROOT, Role.CACHE, Role.RETAINED})
 
 
 def content_digest(data: bytes) -> str:
@@ -239,36 +237,53 @@ class NodeStore:
         return evicted
 
 
-def _next_hop(node, k: int) -> int:
-    return routing.next_hop_from_state(node.id, node.leaf_set, node.routing_table, k)
-
-
-def _require_live(net: SimNetwork, node_id: int):
-    node = net.node(node_id)
-    if node.status is not NodeStatus.LIVE:
-        raise NoSuchNodeError(f"node {ids.to_hex(node_id)} is not live")
-    return node
-
-
 # --------------------------------------------------------------------------
 # publish
 
 
-class PublishOp(Operation):
+class PublishOp(RoutedOp):
     kind = "publish"
+    message = MessageKind.PUBLISH
+    reply = MessageKind.PUBLISH_ACK
 
     def __init__(self, key: int, name: str, payload: ComponentPayload, source: int):
-        super().__init__()
-        self.key = key
+        super().__init__(key)
         self.name = name
         self.payload = payload
         self.source = source
         self.root: int | None = None
-        self.path: list[int] = []
+
+    def at_root(self, net: SimNetwork, root) -> None:
+        existing = root.store.get(self.key)
+        if existing is not None and existing.payload is not None \
+                and existing.role in (Role.ROOT, Role.SOURCE) \
+                and existing.payload.digest != self.payload.digest:
+            net.fail_op(self, VersionConflictError(
+                f"{self.name!r} already published with different content"))
+            return
+        self.root = root.id
+        root.store.put_payload(self.key, self.name, Role.ROOT, self.payload,
+                               origin=self.source, root_hint=root.id, now=net.clock)
+        self.reply_from(net, root, {})
+
+    def reply_at(self, net: SimNetwork, node, data: dict) -> None:
+        node.store.put_trail(self.key, self.name, origin=self.source,
+                             root_hint=self.root, now=net.clock)
+        _post_insert_pressure(net, node)
+
+    def reply_home(self, net: SimNetwork, node, data: dict) -> None:
+        # A source that is its own root keeps the ROOT entry alone.
+        if len(self.path) > 1:
+            node.store.put_payload(self.key, self.name, Role.SOURCE, self.payload,
+                                   origin=self.source, root_hint=self.root, now=net.clock)
+        net.complete_op(self, PublishTrail(self.key, self.source, self.root, list(self.path)))
+
+    def failure(self, reason: str) -> Exception:
+        return PublishFailedError(f"publish of {self.name!r} {reason}")
 
 
 def publish(net: SimNetwork, source: int, name: str, payload: ComponentPayload) -> PublishTrail:
-    node = _require_live(net, source)
+    node = net.live_node(source)
     if not name:
         raise InvalidNameError("component name must be non-empty")
     if not payload.verify():
@@ -279,100 +294,8 @@ def publish(net: SimNetwork, source: int, name: str, payload: ComponentPayload) 
             and existing.payload.digest != payload.digest:
         raise VersionConflictError(f"{name!r} already held locally with different content")
     op = net.new_op(PublishOp(key, name, payload, source))
-    _publish_advance(net, node, op)
-    trail: PublishTrail = net.drive(op)
-    net.metrics.record_op("publish", hops=len(trail.path) - 1)
-    return trail
-
-
-def _publish_advance(net: SimNetwork, node, op: PublishOp) -> None:
-    if not op.path or op.path[-1] != node.id:
-        op.path.append(node.id)
-    nh = _next_hop(node, op.key)
-    if nh == node.id:
-        _publish_at_root(net, node, op)
-        return
-    net.post(node.id, nh, MessageKind.PUBLISH, op=op)
-
-
-def _publish_at_root(net: SimNetwork, root, op: PublishOp) -> None:
-    existing = root.store.get(op.key)
-    if existing is not None and existing.payload is not None \
-            and existing.role in (Role.ROOT, Role.SOURCE) \
-            and existing.payload.digest != op.payload.digest:
-        net.fail_op(op, VersionConflictError(
-            f"{op.name!r} already published with different content"))
-        return
-    op.root = root.id
-    root.store.put_payload(op.key, op.name, Role.ROOT, op.payload,
-                           origin=op.source, root_hint=root.id, now=net.clock)
-    if len(op.path) == 1:
-        # Source and root are the same node: SOURCE collapses into ROOT.
-        net.complete_op(op, PublishTrail(op.key, op.source, root.id, list(op.path)))
-        return
-    net.post(root.id, op.path[-2], MessageKind.PUBLISH_ACK,
-             {"index": len(op.path) - 2}, op=op)
-
-
-@on_deliver(MessageKind.PUBLISH)
-def _publish_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if isinstance(op, PublishOp) and not op.done:
-        _publish_advance(net, node, op)
-
-
-@on_timeout(MessageKind.PUBLISH)
-def _publish_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, PublishOp) or op.done:
-        return
-    sender = net.nodes.get(msg.from_id)
-    if sender is None or sender.status is NodeStatus.DEPARTED:
-        net.fail_op(op, PublishFailedError(f"publisher path node died for {op.name!r}"))
-        return
-    op.retries += 1
-    if op.retries > net.config.retries:
-        net.fail_op(op, PublishFailedError(
-            f"publish of {op.name!r} exhausted {net.config.retries} retries"))
-        return
-    _publish_advance(net, sender, op)
-
-
-@on_deliver(MessageKind.PUBLISH_ACK)
-def _publish_ack_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, PublishOp) or op.done:
-        return
-    index = msg.data["index"]
-    if index == 0:
-        node.store.put_payload(op.key, op.name, Role.SOURCE, op.payload,
-                               origin=op.source, root_hint=op.root, now=net.clock)
-        net.complete_op(op, PublishTrail(op.key, op.source, op.root, list(op.path)))
-        return
-    node.store.put_trail(op.key, op.name, origin=op.source,
-                         root_hint=op.root, now=net.clock)
-    _post_insert_pressure(net, node)
-    net.post(node.id, op.path[index - 1], MessageKind.PUBLISH_ACK,
-             {"index": index - 1}, op=op)
-
-
-@on_timeout(MessageKind.PUBLISH_ACK)
-def _publish_ack_timeout(net: SimNetwork, msg: Message) -> None:
-    # A reverse-path node died mid-acknowledgement; skip it and keep walking
-    # toward the source so the publish still completes.
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, PublishOp) or op.done:
-        return
-    index = msg.data["index"]
-    sender = net.nodes.get(msg.from_id)
-    if sender is None or sender.status is NodeStatus.DEPARTED:
-        net.fail_op(op, PublishFailedError(f"publish ack chain broke for {op.name!r}"))
-        return
-    if index == 0:
-        net.fail_op(op, PublishFailedError(f"source departed mid-publish of {op.name!r}"))
-        return
-    net.post(sender.id, op.path[index - 1], MessageKind.PUBLISH_ACK,
-             {"index": index - 1}, op=op)
+    op.advance(net, node)
+    return net.drive(op)
 
 
 def _post_insert_pressure(net: SimNetwork, node) -> None:
@@ -384,15 +307,20 @@ def _post_insert_pressure(net: SimNetwork, node) -> None:
 # lookup
 
 
-class LookupOp(Operation):
+class LookupOp(RoutedOp):
+    """Stops at the first node holding any entry for the key. A payload is
+    served from there; a trail names holders to fetch it from (root copy
+    first, then the source), and when none has it the stale trail is dropped
+    and routing resumes from that junction."""
+
     kind = "lookup"
+    message = MessageKind.LOOKUP
+    reply = MessageKind.LOOKUP_REPLY
 
     def __init__(self, key: int, name: str, client: int):
-        super().__init__()
-        self.key = key
+        super().__init__(key)
         self.name = name
         self.client = client
-        self.path: list[int] = []
         self.served_by: int | None = None
         self.serve_hops: int | None = None
         self.fetch_targets: list[int] = []
@@ -400,213 +328,112 @@ class LookupOp(Operation):
         self.fetch_junction: int | None = None
         self.fetch_hit_dead = False
 
+    def arrive(self, net: SimNetwork, node) -> bool:
+        entry = node.store.get(self.key)
+        if entry is None:
+            return True
+        if entry.payload is not None:
+            self.serve(net, node, entry, entry.payload)
+        else:
+            self.fetch_junction = node.id
+            self.fetch_targets = []
+            for loc in (entry.root_hint, entry.origin):
+                if loc is not None and loc != node.id and loc not in self.fetch_targets:
+                    self.fetch_targets.append(loc)
+            self.fetch_stage = -1  # fetch_next starts with fetch_targets[0]
+            self.fetch_next(net)
+        return False
+
+    def at_root(self, net: SimNetwork, node) -> None:
+        # The route ended with nothing to serve. If some named payload holder
+        # was unreachable along the way the component may still exist, which
+        # is a different answer than a clean miss at the root.
+        if self.fetch_hit_dead:
+            net.fail_op(self, UnavailableError(
+                f"named holders of {self.name!r} are unreachable"))
+        else:
+            net.fail_op(self, NotFoundError(f"{self.name!r} has no entry at its root"))
+
+    def serve(self, net: SimNetwork, node, entry: StoreEntry,
+              payload: ComponentPayload) -> None:
+        entry.hits += 1
+        entry.last_access = net.clock
+        self.served_by = node.id
+        self.serve_hops = len(self.path) - 1
+        self.reply_from(net, node, {"payload": payload, "origin": entry.origin,
+                                    "root_hint": entry.root_hint})
+
+    def reply_at(self, net: SimNetwork, node, data: dict) -> None:
+        if node.store.config.cache_on_lookup:
+            node.store.put_payload(self.key, self.name, Role.CACHE, data["payload"],
+                                   origin=data["origin"], root_hint=data["root_hint"],
+                                   now=net.clock)
+            _post_insert_pressure(net, node)
+
+    def reply_home(self, net: SimNetwork, node, data: dict) -> None:
+        net.complete_op(self, (data["payload"], self.served_by, self.serve_hops))
+
+    def failure(self, reason: str) -> Exception:
+        return LookupFailedError(f"lookup of {self.name!r} {reason}")
+
+    def hops(self) -> int | None:
+        return self.serve_hops
+
+    def fetch_next(self, net: SimNetwork) -> None:
+        """Ask the next holder the trail names, or give up on the trail."""
+        junction = net.reachable(self.fetch_junction)
+        if junction is None:
+            net.fail_op(self, self.failure("lost its junction during a fetch"))
+            return
+        self.fetch_stage += 1
+        if self.fetch_stage < len(self.fetch_targets):
+            net.post(junction.id, self.fetch_targets[self.fetch_stage],
+                     MessageKind.FETCH, {"key": self.key}, op=self)
+            return
+        # Every named holder came up empty: the association is stale. Churn
+        # may have re-homed the payload closer to the root.
+        entry = junction.store.get(self.key)
+        if entry is not None and entry.payload is not None:
+            # A payload arrived here in the meantime; serve it after all.
+            self.serve(net, junction, entry, entry.payload)
+            return
+        if entry is not None:
+            junction.store.delete(self.key)
+        self.route_on(net, junction)
+
 
 def lookup(net: SimNetwork, client: int, name: str) -> tuple[ComponentPayload, int, int]:
     """Resolve name to its payload. Returns (payload, served_by, forward hops)."""
-    node = _require_live(net, client)
-    key = derive_key(name)
-    op = net.new_op(LookupOp(key, name, client))
-    _lookup_advance(net, node, op)
-    try:
-        result = net.drive(op)
-    except Exception:
-        net.metrics.record_op("lookup", failed=True)
-        raise
-    payload, served_by, hops = result
-    assert payload.verify(), "served payload failed digest check"
-    net.metrics.record_op("lookup", hops=hops)
+    node = net.live_node(client)
+    op = net.new_op(LookupOp(derive_key(name), name, client))
+    op.advance(net, node)
+    result = net.drive(op)
+    assert result[0].verify(), "served payload failed digest check"
     return result
 
 
-def _lookup_advance(net: SimNetwork, node, op: LookupOp) -> None:
-    if not op.path or op.path[-1] != node.id:
-        op.path.append(node.id)
-    entry = node.store.get(op.key)
-    if entry is not None:
-        if entry.payload is not None:
-            _lookup_serve(net, node, op, entry)
-        else:
-            _lookup_fetch_begin(net, node, op, entry)
-        return
-    nh = _next_hop(node, op.key)
-    if nh == node.id:
-        _lookup_fail_at_root(net, op)
-        return
-    net.post(node.id, nh, MessageKind.LOOKUP, op=op)
-
-
-def _lookup_fail_at_root(net: SimNetwork, op: LookupOp) -> None:
-    # The route ended with nothing to serve. If some named payload holder was
-    # unreachable along the way the component may still exist, which is a
-    # different answer than a clean miss at the root.
-    if op.fetch_hit_dead:
-        net.fail_op(op, UnavailableError(
-            f"named holders of {op.name!r} are unreachable"))
-    else:
-        net.fail_op(op, NotFoundError(f"{op.name!r} has no entry at its root"))
-
-
-def _lookup_serve(net: SimNetwork, node, op: LookupOp, entry: StoreEntry) -> None:
-    entry.hits += 1
-    entry.last_access = net.clock
-    op.served_by = node.id
-    op.serve_hops = len(op.path) - 1
-    index = len(op.path) - 1
-    if index == 0:
-        net.complete_op(op, (entry.payload, node.id, 0))
-        return
-    net.post(node.id, op.path[index - 1], MessageKind.LOOKUP_REPLY,
-             {"index": index - 1, "payload": entry.payload,
-              "origin": entry.origin, "root_hint": entry.root_hint}, op=op)
-
-
-@on_deliver(MessageKind.LOOKUP)
-def _lookup_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if isinstance(op, LookupOp) and not op.done:
-        _lookup_advance(net, node, op)
-
-
-@on_timeout(MessageKind.LOOKUP)
-def _lookup_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, LookupOp) or op.done:
-        return
-    sender = net.nodes.get(msg.from_id)
-    if sender is None or sender.status is NodeStatus.DEPARTED:
-        net.fail_op(op, LookupFailedError(f"lookup path for {op.name!r} broke"))
-        return
-    op.retries += 1
-    if op.retries > net.config.retries:
-        net.fail_op(op, LookupFailedError(
-            f"lookup of {op.name!r} exhausted {net.config.retries} retries"))
-        return
-    # The generic repair already dropped the dead hop; re-route via an alternate.
-    _lookup_advance(net, sender, op)
-
-
-@on_deliver(MessageKind.LOOKUP_REPLY)
-def _lookup_reply_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, LookupOp) or op.done:
-        return
-    index = msg.data["index"]
-    payload = msg.data["payload"]
-    if index == 0:
-        net.complete_op(op, (payload, op.served_by, op.serve_hops))
-        return
-    if node.store.config.cache_on_lookup:
-        node.store.put_payload(op.key, op.name, Role.CACHE, payload,
-                               origin=msg.data.get("origin"),
-                               root_hint=msg.data.get("root_hint"), now=net.clock)
-        _post_insert_pressure(net, node)
-    net.post(node.id, op.path[index - 1], MessageKind.LOOKUP_REPLY,
-             {"index": index - 1, "payload": payload,
-              "origin": msg.data.get("origin"),
-              "root_hint": msg.data.get("root_hint")}, op=op)
-
-
-@on_timeout(MessageKind.LOOKUP_REPLY)
-def _lookup_reply_timeout(net: SimNetwork, msg: Message) -> None:
-    # Skip a reverse-path node that died; the payload still reaches the client.
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, LookupOp) or op.done:
-        return
-    index = msg.data["index"]
-    sender = net.nodes.get(msg.from_id)
-    if sender is None or sender.status is NodeStatus.DEPARTED:
-        net.fail_op(op, LookupFailedError(f"reply path for {op.name!r} broke"))
-        return
-    if index == 0:
-        net.fail_op(op, LookupFailedError(f"client departed during lookup of {op.name!r}"))
-        return
-    data = dict(msg.data)
-    data["index"] = index - 1
-    net.post(sender.id, op.path[index - 1], MessageKind.LOOKUP_REPLY, data, op=op)
-
-
-def _lookup_fetch_begin(net: SimNetwork, node, op: LookupOp, entry: StoreEntry) -> None:
-    # Trail junction: the association names where the payload lives; prefer
-    # the root copy, fall back to the source.
-    op.fetch_junction = node.id
-    op.fetch_stage = 0
-    op.fetch_targets = []
-    for loc in (entry.root_hint, entry.origin):
-        if loc is not None and loc != node.id and loc not in op.fetch_targets:
-            op.fetch_targets.append(loc)
-    if not op.fetch_targets:
-        _lookup_fetch_exhausted(net, op)
-        return
-    net.post(node.id, op.fetch_targets[0], MessageKind.FETCH, {"key": op.key}, op=op)
-
-
-def _lookup_fetch_next(net: SimNetwork, op: LookupOp) -> None:
-    op.fetch_stage += 1
-    junction = net.nodes.get(op.fetch_junction)
-    if junction is None or junction.status is NodeStatus.DEPARTED:
-        net.fail_op(op, LookupFailedError(f"junction departed during fetch of {op.name!r}"))
-        return
-    if op.fetch_stage >= len(op.fetch_targets):
-        _lookup_fetch_exhausted(net, op)
-        return
-    net.post(op.fetch_junction, op.fetch_targets[op.fetch_stage],
-             MessageKind.FETCH, {"key": op.key}, op=op)
-
-
-def _lookup_fetch_exhausted(net: SimNetwork, op: LookupOp) -> None:
-    """Every holder the trail named came up empty, so the association is
-    stale. Drop it and resume plain routing from the junction; churn may
-    have re-homed the payload closer to the root."""
-    junction = net.nodes.get(op.fetch_junction)
-    if junction is None or junction.status is NodeStatus.DEPARTED:
-        net.fail_op(op, LookupFailedError(f"junction departed during fetch of {op.name!r}"))
-        return
-    entry = junction.store.get(op.key)
-    if entry is not None and entry.payload is not None:
-        # A payload arrived here in the meantime; serve it after all.
-        _lookup_serve(net, junction, op, entry)
-        return
-    if entry is not None:
-        junction.store.delete(op.key)
-    nh = _next_hop(junction, op.key)
-    if nh == junction.id:
-        _lookup_fail_at_root(net, op)
-        return
-    net.post(junction.id, nh, MessageKind.LOOKUP, op=op)
-
-
 @on_deliver(MessageKind.FETCH)
-def _fetch_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, LookupOp) or op.done:
-        return
+def _fetch_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> None:
     entry = node.store.get(msg.data["key"])
+    payload = None
     if entry is not None and entry.payload is not None:
         entry.hits += 1
         entry.last_access = net.clock
-        net.post(node.id, msg.from_id, MessageKind.FETCH_REPLY,
-                 {"payload": entry.payload}, op=op)
-    else:
-        net.post(node.id, msg.from_id, MessageKind.FETCH_REPLY, {"payload": None}, op=op)
+        payload = entry.payload
+    net.post(node.id, msg.from_id, MessageKind.FETCH_REPLY, {"payload": payload}, op=op)
 
 
 @on_timeout(MessageKind.FETCH)
-def _fetch_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, LookupOp) or op.done:
-        return
+def _fetch_timeout(net: SimNetwork, junction, msg: Message, op: LookupOp) -> None:
     op.fetch_hit_dead = True
-    _lookup_fetch_next(net, op)
+    op.fetch_next(net)
 
 
 @on_deliver(MessageKind.FETCH_REPLY)
-def _fetch_reply_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, LookupOp) or op.done:
-        return
+def _fetch_reply_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> None:
     payload = msg.data["payload"]
     if payload is None:
-        _lookup_fetch_next(net, op)
+        op.fetch_next(net)
         return
     entry = node.store.get(op.key)
     if entry is None:
@@ -617,46 +444,50 @@ def _fetch_reply_deliver(net: SimNetwork, node, msg: Message) -> None:
                                        now=net.clock)
         _post_insert_pressure(net, node)
     # Serve from the junction whether or not it kept a copy.
-    entry.hits += 1
-    entry.last_access = net.clock
-    op.served_by = node.id
-    op.serve_hops = len(op.path) - 1
-    index = len(op.path) - 1
-    if index == 0:
-        net.complete_op(op, (payload, node.id, 0))
-        return
-    net.post(node.id, op.path[index - 1], MessageKind.LOOKUP_REPLY,
-             {"index": index - 1, "payload": payload,
-              "origin": entry.origin, "root_hint": entry.root_hint}, op=op)
+    op.serve(net, node, entry, payload)
 
 
 @on_timeout(MessageKind.FETCH_REPLY)
-def _fetch_reply_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, LookupOp) or op.done:
-        return
-    net.fail_op(op, LookupFailedError(f"junction unreachable during fetch of {op.name!r}"))
+def _fetch_reply_timeout(net: SimNetwork, holder, msg: Message, op: LookupOp) -> None:
+    net.fail_op(op, op.failure("lost its junction during a fetch"))
 
 
 # --------------------------------------------------------------------------
 # remove
 
 
-class RemoveOp(Operation):
+class RemoveOp(RoutedOp):
     kind = "remove"
+    message = MessageKind.REMOVE
 
     def __init__(self, key: int, name: str, requester: int):
-        super().__init__()
-        self.key = key
+        super().__init__(key)
         self.name = name
         self.requester = requester
-        self.path: list[int] = []
+
+    def at_root(self, net: SimNetwork, root) -> None:
+        entry = root.store.get(self.key)
+        if entry is None or entry.payload is None:
+            net.fail_op(self, NotFoundError(f"{self.name!r} has no root entry to remove"))
+            return
+        root.store.delete(self.key)
+        if root.id == self.requester:
+            net.complete_op(self, RemovalReport(self.name, self.key, self.requester, root.id))
+            return
+        net.post(root.id, self.requester, MessageKind.REMOVE_REPLY, {"root": root.id}, op=self)
+
+    def failure(self, reason: str) -> Exception:
+        return RoutingFailureError(f"removal of {self.name!r} {reason}",
+                                   partial_path=list(self.path))
+
+    def hops(self) -> None:
+        return None
 
 
 def remove(net: SimNetwork, requester: int, name: str) -> RemovalReport:
     """Withdraw a published component. Only its publisher may do so; trails
     and caches are left to expire via TTL rather than chased."""
-    node = _require_live(net, requester)
+    node = net.live_node(requester)
     key = derive_key(name)
     entry = node.store.get(key)
     if entry is None:
@@ -666,64 +497,12 @@ def remove(net: SimNetwork, requester: int, name: str) -> RemovalReport:
     if not owns:
         raise NotOwnerError(f"{ids.to_hex(requester)} does not own {name!r}")
     op = net.new_op(RemoveOp(key, name, requester))
-    _remove_advance(net, node, op)
-    report: RemovalReport = net.drive(op)
-    net.metrics.record_op("remove")
-    return report
-
-
-def _remove_advance(net: SimNetwork, node, op: RemoveOp) -> None:
-    if not op.path or op.path[-1] != node.id:
-        op.path.append(node.id)
-    nh = _next_hop(node, op.key)
-    if nh == node.id:
-        _remove_at_root(net, node, op)
-        return
-    net.post(node.id, nh, MessageKind.REMOVE, op=op)
-
-
-def _remove_at_root(net: SimNetwork, root, op: RemoveOp) -> None:
-    entry = root.store.get(op.key)
-    if entry is None or entry.payload is None:
-        net.fail_op(op, NotFoundError(f"{op.name!r} has no root entry to remove"))
-        return
-    root.store.delete(op.key)
-    if root.id == op.requester:
-        net.complete_op(op, RemovalReport(op.name, op.key, op.requester, root.id))
-        return
-    net.post(root.id, op.requester, MessageKind.REMOVE_REPLY, {"root": root.id}, op=op)
-
-
-@on_deliver(MessageKind.REMOVE)
-def _remove_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if isinstance(op, RemoveOp) and not op.done:
-        _remove_advance(net, node, op)
-
-
-@on_timeout(MessageKind.REMOVE)
-def _remove_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, RemoveOp) or op.done:
-        return
-    sender = net.nodes.get(msg.from_id)
-    if sender is None or sender.status is NodeStatus.DEPARTED:
-        net.fail_op(op, RoutingFailureError(
-            f"removal path for {op.name!r} broke", partial_path=op.path))
-        return
-    op.retries += 1
-    if op.retries > net.config.retries:
-        net.fail_op(op, RoutingFailureError(
-            f"removal of {op.name!r} exhausted retries", partial_path=op.path))
-        return
-    _remove_advance(net, sender, op)
+    op.advance(net, node)
+    return net.drive(op)
 
 
 @on_deliver(MessageKind.REMOVE_REPLY)
-def _remove_reply_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, RemoveOp) or op.done:
-        return
+def _remove_reply_deliver(net: SimNetwork, node, msg: Message, op: RemoveOp) -> None:
     # Root confirmed the deletion; drop the requester's own pinned copy too so
     # the name actually disappears once trails and caches age out.
     node.store.delete(op.key)
@@ -749,24 +528,92 @@ def replica_count(net: SimNetwork, name: str) -> int:
 
 
 # --------------------------------------------------------------------------
-# handoff on join
+# root transfer: handoff on join, relinquish on graceful leave
 
 
-class HandoffOp(Operation):
+class TransferOp(Operation):
+    """Moves ROOT entries to the node that now roots them. `pending` counts
+    the transfers (and, for a handoff, the neighbour scans) still open."""
+
+    def __init__(self):
+        super().__init__()
+        self.pending = 0
+        self.transferred: list = []
+        self.unresolved: list[int] = []
+
+    def settle(self, net: SimNetwork, transferred=None, unresolved: int | None = None) -> None:
+        if transferred is not None:
+            self.transferred.append(transferred)
+        if unresolved is not None:
+            self.unresolved.append(unresolved)
+        self.pending -= 1
+        if self.pending == 0:
+            net.complete_op(self, None)
+
+
+class HandoffOp(TransferOp):
     kind = "handoff"
+    RESENDS = 1  # per key
 
     def __init__(self, new_id: int):
         super().__init__()
         self.new_id = new_id
-        self.pending_scans = 0
-        self.pending_transfers = 0
-        self.transferred: list[int] = []
-        self.unresolved: list[int] = []
         self.attempts: dict[int, int] = {}
 
-    def maybe_finish(self, net: SimNetwork) -> None:
-        if not self.done and self.pending_scans == 0 and self.pending_transfers == 0:
-            net.complete_op(self, (sorted(self.transferred), sorted(self.unresolved)))
+    def transfer_lost(self, net: SimNetwork, old_root, msg: Message) -> None:
+        key = msg.data["key"]
+        self.attempts[key] = self.attempts.get(key, 0) + 1
+        if self.attempts[key] <= self.RESENDS and old_root is not None:
+            net.post(msg.from_id, self.new_id, MessageKind.TRANSFER, dict(msg.data), op=self)
+        else:
+            self.settle(net, unresolved=key)
+
+    def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
+        """The joiner holds the key; the old root, unless the ack was lost,
+        keeps a pinned RETAINED copy."""
+        key = msg.data["key"]
+        entry = old_root.store.get(key) if old_root is not None else None
+        if entry is not None and entry.role is Role.ROOT:
+            entry.role = Role.RETAINED
+            entry.root_hint = msg.from_id
+            entry.last_access = net.clock
+        self.settle(net, transferred=key)
+
+
+class RelinquishOp(TransferOp):
+    kind = "relinquish"
+    TARGETS = 3  # leaf members tried per key
+
+    def __init__(self, leaver: int):
+        super().__init__()
+        self.leaver = leaver
+        self.attempts: dict[int, list[int]] = {}
+
+    def transfer_lost(self, net: SimNetwork, leaver, msg: Message) -> None:
+        key = msg.data["key"]
+        tried = self.attempts.setdefault(key, [])
+        if leaver is not None and len(tried) < self.TARGETS:
+            target = _closest([m for m in leaver.leaf_set.members() if m not in tried], key)
+            if target is not None:
+                tried.append(target)
+                net.post(self.leaver, target, MessageKind.TRANSFER, dict(msg.data), op=self)
+                return
+        self.settle(net, unresolved=key)
+
+    def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
+        self.settle(net, transferred=(msg.data["key"], msg.from_id))
+
+
+def _closest(members: list[int], key: int) -> int | None:
+    return root_of(members, key) if members else None
+
+
+def _transfer(net: SimNetwork, op: TransferOp, holder: int, target: int, entry: StoreEntry,
+              reason: str) -> None:
+    op.pending += 1
+    net.post(holder, target, MessageKind.TRANSFER,
+             {"key": entry.key, "name": entry.name, "payload": entry.payload,
+              "origin": entry.origin, "reason": reason}, op=op)
 
 
 def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]:
@@ -775,192 +622,74 @@ def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]
     Returns (transferred keys, unresolved keys). The demoted neighbour keeps
     its payload as a pinned RETAINED copy.
     """
-    node = net.node(new_id)
-    neighbours = node.leaf_set.members()
+    neighbours = net.node(new_id).leaf_set.members()
     op = net.new_op(HandoffOp(new_id))
-    op.pending_scans = len(neighbours)
-    if not neighbours:
-        net.complete_op(op, ([], []))
-        return net.drive(op)
+    op.pending = len(neighbours)
     for neighbour in neighbours:
         net.post(new_id, neighbour, MessageKind.HANDOFF, op=op)
-    return net.drive(op)
+    if not neighbours:
+        net.complete_op(op, None)
+    net.drive(op)
+    return sorted(op.transferred), sorted(op.unresolved)
 
 
 @on_deliver(MessageKind.HANDOFF)
-def _handoff_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, HandoffOp) or op.done:
-        return
+def _handoff_deliver(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None:
     joiner = op.new_id
     for key in sorted(node.store.entries):
         entry = node.store.entries[key]
-        if entry.role is not Role.ROOT:
-            continue
-        here = (circular_distance(node.id, key), node.id)
-        there = (circular_distance(joiner, key), joiner)
-        if there < here:
-            op.pending_transfers += 1
-            net.post(node.id, joiner, MessageKind.TRANSFER,
-                     {"key": key, "name": entry.name, "payload": entry.payload,
-                      "origin": entry.origin, "reason": "handoff"}, op=op)
+        if entry.role is Role.ROOT and root_of((node.id, joiner), key) == joiner:
+            _transfer(net, op, node.id, joiner, entry, "handoff")
     net.post(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=op)
 
 
-@on_timeout(MessageKind.HANDOFF)
-def _handoff_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, HandoffOp) or op.done:
-        return
-    op.pending_scans -= 1
-    op.maybe_finish(net)
-
-
+@on_timeout(MessageKind.HANDOFF)  # a neighbour that died has nothing left to hand over
 @on_deliver(MessageKind.HANDOFF_DONE)
-def _handoff_done_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if not isinstance(op, HandoffOp) or op.done:
-        return
-    op.pending_scans -= 1
-    op.maybe_finish(net)
-
-
-@on_deliver(MessageKind.TRANSFER)
-def _transfer_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if op is None or op.done:
-        return
-    node.store.put_payload(msg.data["key"], msg.data["name"], Role.ROOT,
-                           msg.data["payload"], origin=msg.data.get("origin"),
-                           root_hint=node.id, now=net.clock)
-    net.post(node.id, msg.from_id, MessageKind.TRANSFER_ACK,
-             {"key": msg.data["key"], "name": msg.data["name"],
-              "reason": msg.data.get("reason")}, op=op)
-
-
-@on_timeout(MessageKind.TRANSFER)
-def _transfer_timeout(net: SimNetwork, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if op is None or op.done:
-        return
-    key = msg.data["key"]
-    if isinstance(op, HandoffOp):
-        attempts = op.attempts.get(key, 0) + 1
-        op.attempts[key] = attempts
-        sender = net.nodes.get(msg.from_id)
-        if attempts <= 1 and sender is not None and sender.status is not NodeStatus.DEPARTED:
-            net.post(sender.id, op.new_id, MessageKind.TRANSFER, dict(msg.data), op=op)
-            return
-        op.pending_transfers -= 1
-        op.unresolved.append(key)
-        op.maybe_finish(net)
-    elif isinstance(op, RelinquishOp):
-        _relinquish_retry(net, op, msg)
-
-
-@on_deliver(MessageKind.TRANSFER_ACK)
-def _transfer_ack_deliver(net: SimNetwork, node, msg: Message) -> None:
-    op = net.ops.get(msg.op_id)
-    if op is None or op.done:
-        return
-    key = msg.data["key"]
-    if isinstance(op, HandoffOp):
-        entry = node.store.get(key)
-        if entry is not None and entry.role is Role.ROOT:
-            entry.role = Role.RETAINED
-            entry.root_hint = msg.from_id
-            entry.last_access = net.clock
-        op.pending_transfers -= 1
-        op.transferred.append(key)
-        op.maybe_finish(net)
-    elif isinstance(op, RelinquishOp):
-        op.pending -= 1
-        op.transferred.append((key, msg.from_id))
-        op.maybe_finish(net)
-
-
-@on_timeout(MessageKind.TRANSFER_ACK)
-def _transfer_ack_timeout(net: SimNetwork, msg: Message) -> None:
-    # The acknowledged copy exists; only the old holder's demotion was lost,
-    # and that holder is gone anyway. Count the key as transferred.
-    op = net.ops.get(msg.op_id)
-    if op is None or op.done:
-        return
-    key = msg.data["key"]
-    if isinstance(op, HandoffOp):
-        op.pending_transfers -= 1
-        op.transferred.append(key)
-        op.maybe_finish(net)
-    elif isinstance(op, RelinquishOp):
-        op.pending -= 1
-        op.transferred.append((key, msg.from_id))
-        op.maybe_finish(net)
-
-
-# --------------------------------------------------------------------------
-# graceful-leave root transfer
-
-
-class RelinquishOp(Operation):
-    kind = "relinquish"
-
-    def __init__(self, leaver: int):
-        super().__init__()
-        self.leaver = leaver
-        self.pending = 0
-        self.transferred: list[tuple[int, int]] = []  # (key, new root)
-        self.unresolved: list[int] = []
-        self.attempts: dict[int, list[int]] = {}
-
-    def maybe_finish(self, net: SimNetwork) -> None:
-        if not self.done and self.pending == 0:
-            net.complete_op(self, (self.transferred, sorted(self.unresolved)))
+def _handoff_scanned(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None:
+    op.settle(net)
 
 
 def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list[int]]:
     """Before a graceful departure, move every ROOT entry to its next root,
-    chosen as the leaf member closest to the key."""
+    chosen as the leaf member closest to the key. Returns ((key, new root)
+    pairs in the order they were acknowledged, unresolved keys)."""
     op = net.new_op(RelinquishOp(node.id))
     members = node.leaf_set.members()
     for key in sorted(node.store.entries):
         entry = node.store.entries[key]
         if entry.role is not Role.ROOT:
             continue
-        target = _closest_member(members, key)
-        if target is None:
-            continue  # last node standing; the key leaves with it
-        op.pending += 1
-        op.attempts[key] = [target]
-        net.post(node.id, target, MessageKind.TRANSFER,
-                 {"key": key, "name": entry.name, "payload": entry.payload,
-                  "origin": entry.origin, "reason": "leave"}, op=op)
+        target = _closest(members, key)
+        if target is not None:  # else the last node standing takes the key along
+            op.attempts[key] = [target]
+            _transfer(net, op, node.id, target, entry, "leave")
     if op.pending == 0:
-        net.complete_op(op, ([], []))
-    return net.drive(op)
+        net.complete_op(op, None)
+    net.drive(op)
+    return op.transferred, sorted(op.unresolved)
 
 
-def _closest_member(members: list[int], key: int) -> int | None:
-    best = None
-    best_key = None
-    for member in members:
-        cand = (circular_distance(member, key), member)
-        if best_key is None or cand < best_key:
-            best_key = cand
-            best = member
-    return best
+@on_deliver(MessageKind.TRANSFER)
+def _transfer_deliver(net: SimNetwork, node, msg: Message, op: TransferOp) -> None:
+    node.store.put_payload(msg.data["key"], msg.data["name"], Role.ROOT,
+                           msg.data["payload"], origin=msg.data["origin"],
+                           root_hint=node.id, now=net.clock)
+    net.post(node.id, msg.from_id, MessageKind.TRANSFER_ACK,
+             {"key": msg.data["key"], "name": msg.data["name"],
+              "reason": msg.data["reason"]}, op=op)
 
 
-def _relinquish_retry(net: SimNetwork, op: RelinquishOp, msg: Message) -> None:
-    key = msg.data["key"]
-    leaver = net.nodes.get(op.leaver)
-    tried = op.attempts.setdefault(key, [])
-    if leaver is not None and leaver.status is not NodeStatus.DEPARTED and len(tried) < 3:
-        members = [m for m in leaver.leaf_set.members() if m not in tried]
-        target = _closest_member(members, key)
-        if target is not None:
-            tried.append(target)
-            net.post(op.leaver, target, MessageKind.TRANSFER, dict(msg.data), op=op)
-            return
-    op.pending -= 1
-    op.unresolved.append(key)
-    op.maybe_finish(net)
+@on_timeout(MessageKind.TRANSFER)
+def _transfer_timeout(net: SimNetwork, sender, msg: Message, op: TransferOp) -> None:
+    op.transfer_lost(net, sender, msg)
+
+
+@on_deliver(MessageKind.TRANSFER_ACK)
+def _transfer_ack_deliver(net: SimNetwork, old_root, msg: Message, op: TransferOp) -> None:
+    op.acked(net, old_root, msg)
+
+
+@on_timeout(MessageKind.TRANSFER_ACK)
+def _transfer_ack_timeout(net: SimNetwork, new_root, msg: Message, op: TransferOp) -> None:
+    # The copy exists; only the old root's demotion is lost, and it is gone.
+    op.acked(net, None, msg)

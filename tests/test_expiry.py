@@ -79,7 +79,7 @@ def start_lookup(net, client: int, name: str) -> None:
     """Leave a lookup in flight, so that the next advance carries it and its
     reply path caches the payload between boundaries."""
     op = net.new_op(store.LookupOp(derive_key(name), name, client))
-    store._lookup_advance(net, net.nodes[client], op)
+    op.advance(net, net.nodes[client])
 
 
 def script(seed: int, nodes: int, names: int, steps: int) -> list[tuple]:

@@ -345,3 +345,40 @@ def test_cli_stats_handles_empty_run(tmp_path, capsys):
     assert main(["stats", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "no dump recorded" in out
+
+
+# -- input bounds
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("create 4097", "node count must be <= 4096"),
+    ("create 2\nworkload zipf 4097 1 1 1.0", "workload node count must be <= 4096"),
+    ("create 2\nworkload zipf 1 10001 1 1.0", "workload bundle count must be <= 10000"),
+    ("create 2\nworkload zipf 1 1 1000001 1.0",
+     "workload request count must be <= 1000000"),
+])
+def test_parse_rejects_sizes_above_their_bound(text, fragment):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert fragment in str(err.value)
+
+
+def test_parse_accepts_sizes_at_their_bound():
+    scenario = parse_scenario("create 4096\nworkload zipf 4096 10000 1000000 1.0\n")
+    assert scenario.commands[1].args == (4096, 10000, 1000000, 1.0)
+
+
+def test_huge_create_is_rejected_before_it_allocates():
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(f"create {10 ** 18}")
+
+
+def test_cli_rejects_oversized_inputs_with_exit_two(tmp_path, capsys):
+    big = tmp_path / "big.scenario"
+    big.write_text("create 4097\n")
+    assert main(["run", str(big)]) == 2
+    small = tmp_path / "small.scenario"
+    small.write_text("create 1\n")
+    assert main(["run", str(small), "--payload-size", str(1024 * 1024 + 1)]) == 2
+    assert "--payload-size" in capsys.readouterr().err
+    assert main(["run", str(small), "--payload-size", str(1024 * 1024)]) == 0

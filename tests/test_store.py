@@ -10,6 +10,7 @@ from peerdeploy.errors import (
     InvalidNameError,
     NotFoundError,
     NotOwnerError,
+    RoutingFailureError,
     UnavailableError,
     VersionConflictError,
 )
@@ -363,3 +364,34 @@ def test_lookup_after_remove_with_source_departed_counts_zero():
     ttl = net.nodes[net.live_ids()[0]].store.config.ttl
     net.advance(ttl * 2)
     assert replica_count(net, "fade.jar") == 0
+
+
+# -- operation outcomes in the metrics document
+
+
+def outcomes(net, kind):
+    entry = net.metrics.to_document(net)["operations"][kind]
+    return {"count": entry["count"], "failures": entry["failures"]}
+
+
+def test_failed_publish_is_counted():
+    net, names = build_network(16, seed=3)
+    trail = publish(net, names["n1"], "x.jar", payload_of("one"))
+    other = names["n2"]
+    assert other != trail.root
+    with pytest.raises(VersionConflictError):
+        publish(net, other, "x.jar", payload_of("two"))
+    assert outcomes(net, "publish") == {"count": 2, "failures": 1}
+
+
+def test_failed_route_and_remove_are_counted():
+    net, names = build_network(16, seed=3)
+    trail = publish(net, names["n1"], "x.jar", payload_of("one"))
+    net.nodes[trail.root].store.delete(trail.key)
+    with pytest.raises(NotFoundError):
+        remove(net, names["n1"], "x.jar")
+    assert outcomes(net, "remove") == {"count": 1, "failures": 1}
+    net.fail(trail.path[1] if len(trail.path) > 2 else trail.root)
+    with pytest.raises(RoutingFailureError):
+        route(net, names["n1"], trail.key)
+    assert outcomes(net, "route") == {"count": 1, "failures": 1}

@@ -1,0 +1,314 @@
+"""Timeout and retry branches of every routed operation and of root transfer.
+
+Each test drives one operation into one timeout branch and pins its result
+(or error type) together with the messages sent, the timeouts and the events
+processed since the network was built. Deaths in mid-flight are injected by
+wrapping the delivery handler of one message kind: the wrapper takes its
+arguments as `*args`, so it does not depend on the handler's signature.
+"""
+
+import pytest
+
+from peerdeploy import build_network, join, leave, lookup, publish, remove, route
+from peerdeploy import simnet
+from peerdeploy.errors import (
+    BootstrapUnreachableError,
+    LookupFailedError,
+    PublishFailedError,
+    RoutingFailureError,
+)
+from peerdeploy.ids import derive_key
+from peerdeploy.simnet import Message, MessageKind, NodeStatus, SimConfig
+from peerdeploy.store import ComponentPayload, Role
+from oracles import oracle_root
+
+
+def payload_of(name: str) -> ComponentPayload:
+    return ComponentPayload.from_bytes(name.encode() * 20)
+
+
+def walk(net, start: int, key: int) -> list[int]:
+    """The path a routed message takes from start, read off the routing state."""
+    path = [start]
+    while (nh := net.nodes[path[-1]].next_hop(key)) != path[-1]:
+        path.append(nh)
+    return path
+
+
+def counts(net):
+    m = net.metrics
+    return dict(m.sent), dict(m.timeouts), m.events_processed
+
+
+def kill_on_delivery(monkeypatch, net, kind: MessageKind, victim, nth: int = 1,
+                     after: bool = False):
+    """Fail the node `victim(msg)` names when the nth message of `kind` is
+    delivered: before its handler runs, or right after it with after=True."""
+    original = simnet._DELIVER[kind]
+    seen = []
+
+    def wrapped(*args):
+        msg = next(a for a in args if isinstance(a, Message))
+        seen.append(msg)
+        if len(seen) == nth and not after:
+            net.fail(victim(msg))
+        result = original(*args)
+        if len(seen) == nth and after:
+            net.fail(victim(msg))
+        return result
+
+    monkeypatch.setitem(simnet._DELIVER, kind, wrapped)
+
+
+# -- route, publish, lookup, remove
+
+
+def test_route_fails_on_its_first_timeout():
+    net, names = build_network(64, seed=4)
+    key = derive_key("x0.jar")
+    path = walk(net, names["n0"], key)
+    assert len(path) == 3
+    net.fail(path[1])
+    with pytest.raises(RoutingFailureError) as err:
+        route(net, names["n0"], key)
+    assert err.value.partial_path == path[:1]
+    assert counts(net) == PINNED["route_timeout"]
+
+
+def test_publish_reroutes_around_a_silently_dead_hop():
+    net, names = build_network(64, seed=4)
+    key = derive_key("x0.jar")
+    path = walk(net, names["n0"], key)
+    assert len(path) == 3
+    net.fail(path[1])
+    trail = publish(net, names["n0"], "x0.jar", payload_of("x0.jar"))
+    assert path[1] not in trail.path
+    assert trail.root == oracle_root(net.live_ids(), key)
+    assert net.metrics.timeouts["PUBLISH"] == 1
+    assert counts(net) == PINNED["publish_reroute"]
+
+
+def test_publish_ack_skips_a_reverse_path_node_that_dies(monkeypatch):
+    net, names = build_network(64, seed=4)
+    source, key = names["n1"], derive_key("x8.jar")
+    path = walk(net, source, key)
+    assert len(path) == 4
+    kill_on_delivery(monkeypatch, net, MessageKind.PUBLISH_ACK, lambda msg: path[1])
+    trail = publish(net, source, "x8.jar", payload_of("x8.jar"))
+    assert trail.path == path
+    assert net.nodes[source].store.get(key).role is Role.SOURCE
+    assert net.nodes[path[2]].store.get(key).role is Role.TRAIL
+    assert net.metrics.timeouts["PUBLISH_ACK"] == 1
+    assert counts(net) == PINNED["publish_ack_skip"]
+
+
+def test_publish_fails_when_its_source_dies_during_the_ack(monkeypatch):
+    net, names = build_network(64, seed=4)
+    source = names["n0"]
+    path = walk(net, source, derive_key("x0.jar"))
+    assert len(path) == 3
+    kill_on_delivery(monkeypatch, net, MessageKind.PUBLISH_ACK, lambda msg: source)
+    with pytest.raises(PublishFailedError):
+        publish(net, source, "x0.jar", payload_of("x0.jar"))
+    assert not net.ops
+    assert counts(net) == PINNED["publish_source_dies"]
+
+
+def test_lookup_reply_skips_a_reverse_path_node_that_dies(monkeypatch):
+    net, names = build_network(64, seed=4)
+    client, key = names["n1"], derive_key("x8.jar")
+    path = walk(net, client, key)
+    assert len(path) == 4
+    # Published from the root itself, so no trail shortens the lookup.
+    publish(net, path[-1], "x8.jar", payload_of("x8.jar"))
+    kill_on_delivery(monkeypatch, net, MessageKind.LOOKUP_REPLY, lambda msg: path[1])
+    payload, served_by, hops = lookup(net, client, "x8.jar")
+    assert payload == payload_of("x8.jar")
+    assert (served_by, hops) == (path[-1], 3)
+    assert net.nodes[path[2]].store.get(key).role is Role.CACHE
+    assert net.metrics.timeouts["LOOKUP_REPLY"] == 1
+    assert counts(net) == PINNED["lookup_reply_skip"]
+
+
+def test_lookup_fails_when_its_client_dies_during_the_reply(monkeypatch):
+    net, names = build_network(64, seed=4)
+    client = names["n0"]
+    path = walk(net, client, derive_key("x0.jar"))
+    assert len(path) == 3
+    publish(net, path[-1], "x0.jar", payload_of("x0.jar"))
+    kill_on_delivery(monkeypatch, net, MessageKind.LOOKUP_REPLY, lambda msg: client)
+    with pytest.raises(LookupFailedError):
+        lookup(net, client, "x0.jar")
+    assert not net.ops
+    assert counts(net) == PINNED["lookup_client_dies"]
+
+
+def test_remove_retries_after_a_timeout():
+    net, names = build_network(64, seed=4)
+    source, key = names["n0"], derive_key("x0.jar")
+    trail = publish(net, source, "x0.jar", payload_of("x0.jar"))
+    assert len(trail.path) == 3
+    net.fail(trail.path[1])
+    report = remove(net, source, "x0.jar")
+    assert report.root == trail.root
+    assert net.nodes[trail.root].store.get(key) is None
+    assert net.nodes[source].store.get(key) is None
+    assert net.metrics.timeouts["REMOVE"] == 1
+    assert counts(net) == PINNED["remove_retry"]
+
+
+# -- join
+
+
+def test_join_reroutes_around_a_dead_hop_past_the_bootstrap():
+    net, names = build_network(64, seed=4)
+    bootstrap = net.live_ids()[0]
+    new_id = derive_key("x8.jar")
+    hop = net.nodes[bootstrap].next_hop(new_id)
+    assert hop != bootstrap
+    net.fail(hop)
+    report = join(net, new_id, bootstrap, name="late")
+    assert report.path[0] == bootstrap and hop not in report.path
+    assert net.nodes[new_id].status is NodeStatus.LIVE
+    assert net.metrics.timeouts["JOIN"] == 1
+    assert counts(net) == PINNED["join_reroute"]
+
+
+def test_join_exhausts_its_retries_on_the_routed_path():
+    net, names = build_network(64, seed=4, sim_config=SimConfig(retries=0))
+    bootstrap = net.live_ids()[0]
+    new_id = derive_key("x8.jar")
+    net.fail(net.nodes[bootstrap].next_hop(new_id))
+    with pytest.raises(RoutingFailureError) as err:
+        join(net, new_id, bootstrap, name="late")
+    assert err.value.partial_path == [bootstrap]
+    assert net.nodes[new_id].status is NodeStatus.DEPARTED
+    assert counts(net) == PINNED["join_exhausted"]
+
+
+def test_join_recontacts_a_dead_bootstrap_until_it_gives_up(monkeypatch):
+    net, names = build_network(64, seed=4)
+    bootstrap = net.live_ids()[0]
+    # A repair request already in flight lands before the join request does;
+    # the bootstrap dies at that moment.
+    net.post(names["n2"], names["n3"], MessageKind.REPAIR)
+    kill_on_delivery(monkeypatch, net, MessageKind.REPAIR, lambda msg: bootstrap)
+    with pytest.raises(BootstrapUnreachableError):
+        join(net, derive_key("x8.jar"), bootstrap, name="late")
+    assert net.metrics.sent["JOIN"] - net.metrics.delivered["JOIN"] == net.config.retries + 1
+    assert counts(net) == PINNED["join_bootstrap_dead"]
+
+
+# -- root transfer
+
+# A joiner id whose handoff leaves a root transfer in flight after the last
+# leaf neighbour has reported its scan (32 nodes, seed 4, 40 bundles).
+HANDOFF_RESEND_ID = 0xad45f23d3b1a11df587fd2803bab6c39
+
+
+def test_handoff_transfer_is_resent_once(monkeypatch):
+    net, names = build_network(32, seed=4)
+    for i in range(40):
+        publish(net, names[f"n{i % 32}"], f"h{i}.jar", payload_of(f"h{i}.jar"))
+    new_id = HANDOFF_RESEND_ID
+    bootstrap = net.live_ids()[0]
+    # The joiner dies once its last leaf neighbour reported its scan, while a
+    # root transfer toward it is still in flight.
+    kill_on_delivery(monkeypatch, net, MessageKind.HANDOFF_DONE, lambda msg: new_id,
+                     nth=8, after=True)
+    report = join(net, new_id, bootstrap, name="late")
+    assert report.unresolved
+    assert net.metrics.timeouts["TRANSFER"] == 2 * len(report.unresolved)
+    assert counts(net) == PINNED["handoff_resend"]
+
+
+def test_handoff_counts_a_key_whose_ack_times_out_as_transferred(monkeypatch):
+    net, names = build_network(32, seed=4)
+    for i in range(40):
+        publish(net, names[f"n{i % 32}"], f"h{i}.jar", payload_of(f"h{i}.jar"))
+    new_id = HANDOFF_RESEND_ID
+    # The old root dies as its first transfer arrives, so the acknowledgements
+    # of both keys it hands over are lost.
+    kill_on_delivery(monkeypatch, net, MessageKind.TRANSFER, lambda msg: msg.from_id)
+    report = join(net, new_id, net.live_ids()[0], name="late")
+    assert len(report.transferred) == 2 and not report.unresolved
+    assert net.metrics.timeouts["TRANSFER_ACK"] == 2
+    assert counts(net) == PINNED["handoff_ack_lost"]
+
+
+def test_relinquish_transfer_moves_on_to_the_next_target():
+    net, names = build_network(32, seed=4)
+    trail = publish(net, names["n5"], "r.jar", payload_of("r.jar"))
+    root, key = trail.root, trail.key
+    members = net.nodes[root].leaf_set.members()
+    first_choice = oracle_root(members, key)
+    net.fail(first_choice)
+    report = leave(net, root)
+    second_choice = oracle_root([m for m in members if m != first_choice], key)
+    assert report.transferred == [(key, second_choice)]
+    assert net.nodes[second_choice].store.get(key).role is Role.ROOT
+    assert net.metrics.timeouts["TRANSFER"] == 1
+    assert counts(net) == PINNED["relinquish_next_target"]
+
+
+# (messages sent, timeouts, events processed) per test. A change that moves
+# one of these figures changes behaviour and has to say why.
+PINNED = {
+    "handoff_ack_lost": (
+        {"ANNOUNCE": 395, "ANNOUNCE_ACK": 395, "HANDOFF": 228, "HANDOFF_DONE": 228,
+         "JOIN": 59, "JOIN_REPLY": 32, "PUBLISH": 55, "PUBLISH_ACK": 55, "REPAIR": 2,
+         "REPAIR_REPLY": 2, "TRANSFER": 2, "TRANSFER_ACK": 2},
+        {"TRANSFER_ACK": 2}, 1455),
+    "handoff_resend": (
+        {"ANNOUNCE": 395, "ANNOUNCE_ACK": 395, "HANDOFF": 228, "HANDOFF_DONE": 228,
+         "JOIN": 59, "JOIN_REPLY": 32, "PUBLISH": 55, "PUBLISH_ACK": 55, "REPAIR": 2,
+         "REPAIR_REPLY": 2, "TRANSFER": 3, "TRANSFER_ACK": 1},
+        {"TRANSFER": 2}, 1456),
+    "join_bootstrap_dead": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 142, "JOIN_REPLY": 63, "REPAIR": 1, "REPAIR_REPLY": 1},
+        {"JOIN": 4}, 3232),
+    "join_exhausted": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 140, "JOIN_REPLY": 63},
+        {"JOIN": 1}, 3227),
+    "join_reroute": (
+        {"ANNOUNCE": 1057, "ANNOUNCE_ACK": 1057, "HANDOFF": 484, "HANDOFF_DONE": 484,
+         "JOIN": 142, "JOIN_REPLY": 64},
+        {"JOIN": 1}, 3288),
+    "lookup_client_dies": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 2, "LOOKUP_REPLY": 2},
+        {"LOOKUP_REPLY": 1}, 3229),
+    "lookup_reply_skip": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 3, "LOOKUP_REPLY": 3},
+        {"LOOKUP_REPLY": 1}, 3231),
+    "publish_ack_skip": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 3, "PUBLISH_ACK": 3},
+        {"PUBLISH_ACK": 1}, 3231),
+    "publish_reroute": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 3, "PUBLISH_ACK": 2},
+        {"PUBLISH": 1}, 3230),
+    "publish_source_dies": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 2, "PUBLISH_ACK": 2},
+        {"PUBLISH_ACK": 1}, 3229),
+    "relinquish_next_target": (
+        {"ANNOUNCE": 377, "ANNOUNCE_ACK": 377, "GOODBYE": 16, "HANDOFF": 220,
+         "HANDOFF_DONE": 220, "JOIN": 56, "JOIN_REPLY": 31, "PUBLISH": 2,
+         "PUBLISH_ACK": 2, "REPAIR": 2, "REPAIR_REPLY": 2, "TRANSFER": 2,
+         "TRANSFER_ACK": 1},
+        {"TRANSFER": 1}, 1308),
+    "remove_retry": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 2, "PUBLISH_ACK": 2, "REMOVE": 3,
+         "REMOVE_REPLY": 1},
+        {"REMOVE": 1}, 3233),
+    "route_timeout": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "ROUTE_STEP": 1},
+        {"ROUTE_STEP": 1}, 3226),
+}
