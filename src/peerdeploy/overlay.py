@@ -243,8 +243,9 @@ def _join_reply_deliver(net: SimNetwork, joiner: OverlayNode, msg: Message,
 
 
 @on_timeout(MessageKind.JOIN_REPLY)
-def _join_reply_timeout(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
-    net.fail_op(op, op.failure("lost the joiner before its join reply"))
+@on_timeout(MessageKind.ANNOUNCE_ACK)
+def _joiner_lost(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
+    net.fail_op(op, op.failure(f"lost the joiner before its {msg.kind.value}"))
 
 
 @on_deliver(MessageKind.ANNOUNCE)
@@ -318,7 +319,7 @@ def _repair_reply_deliver(net: SimNetwork, node: OverlayNode, msg: Message,
     node.learn_live(net, msg.data["members"])
 
 
-def stabilize(net: SimNetwork, max_rounds: int | None = None) -> int:
+def stabilize(net: SimNetwork) -> int:
     """Pull leaf-set knowledge to a fixpoint, pruning dead contacts.
 
     Reads neighbour state directly instead of messaging, so it is a test and
@@ -326,7 +327,7 @@ def stabilize(net: SimNetwork, max_rounds: int | None = None) -> int:
     of gossip rounds used.
     """
     live = net.live_ids()
-    limit = max_rounds if max_rounds is not None else len(live) + 8
+    limit = len(live) + 8
     rounds = 0
     while True:
         changed = False

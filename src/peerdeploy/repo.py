@@ -119,20 +119,26 @@ def describe_payload(name: str, payload: ComponentPayload, version: str = "1.0",
 
 
 class RepositoryIndex:
-    """Named bundle descriptors; one entry per name."""
+    """Named bundle descriptors, one entry per name, and the names exporting each package."""
 
     def __init__(self, entries: Iterable[ComponentDescriptor] = (), generated_at: int = 0):
         self.generated_at = generated_at
         self._by_name: dict[str, ComponentDescriptor] = {}
+        self._exporters: dict[str, set[str]] = {}
         for descriptor in entries:
             self.add(descriptor)
 
     def add(self, descriptor: ComponentDescriptor) -> None:
         existing = self._by_name.get(descriptor.name)
-        if existing is not None and existing.digest != descriptor.digest:
-            raise VersionConflictError(
-                f"index already lists {descriptor.name!r} with different content")
+        if existing is not None:
+            if existing.digest != descriptor.digest:
+                raise VersionConflictError(
+                    f"index already lists {descriptor.name!r} with different content")
+            for package in existing.exports:
+                self._exporters[package].discard(existing.name)
         self._by_name[descriptor.name] = descriptor
+        for package in descriptor.exports:
+            self._exporters.setdefault(package, set()).add(descriptor.name)
 
     def get(self, name: str) -> Optional[ComponentDescriptor]:
         return self._by_name.get(name)
@@ -146,8 +152,11 @@ class RepositoryIndex:
     def __len__(self) -> int:
         return len(self._by_name)
 
-    def exporters_of(self, package: str) -> list[ComponentDescriptor]:
-        return [d for d in self.entries() if package in d.exports]
+    def provider(self, package: str) -> Optional[ComponentDescriptor]:
+        """The exporter of `package` with the highest version, then the smallest name."""
+        return min((self._by_name[name] for name in self._exporters.get(package, ())),
+                   key=lambda d: (tuple(-part for part in version_key(d.version)), d.name),
+                   default=None)
 
 
 # --------------------------------------------------------------------------
@@ -283,18 +292,6 @@ class InstallGroup:
     cycle: bool
 
 
-def _best_provider(index: RepositoryIndex, package: str) -> Optional[ComponentDescriptor]:
-    best: Optional[ComponentDescriptor] = None
-    best_key: Optional[tuple] = None
-    for d in index.exporters_of(package):
-        # highest version wins; ties go to the lexicographically smallest name
-        key = (tuple(-part for part in version_key(d.version)), d.name)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = d
-    return best
-
-
 def resolve(index: RepositoryIndex, name: str,
             base_exports: Iterable[str] = ()) -> list[InstallGroup]:
     """Dependency-closed install order for one bundle.
@@ -319,7 +316,7 @@ def resolve(index: RepositoryIndex, name: str,
         for package in descriptor.imports:
             if package in descriptor.exports or package in base:
                 continue  # self-provided or platform-provided
-            provider = _best_provider(index, package)
+            provider = index.provider(package)
             if provider is None:
                 raise UnresolvableError(
                     f"{current!r} imports {package!r} which nothing exports",

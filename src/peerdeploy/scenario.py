@@ -11,10 +11,12 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
+import math
+import operator
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Optional
 
 from . import overlay, repo, store
 from .errors import (
@@ -31,7 +33,6 @@ from .errors import (
 from .ids import derive_key, root_of, to_hex
 from .repo import (
     GatewayState,
-    P2pUri,
     PassthroughUri,
     RepositoryIndex,
     describe_payload,
@@ -85,6 +86,29 @@ class Scenario:
     commands: list[Command]
 
 
+class _Verb(NamedTuple):
+    fewest: int  # arguments after the verb
+    most: float
+    usage: str  # the diagnostic for any other count
+    names_node: bool  # the first argument names a node live at that line
+
+
+_VERBS = {
+    "seed": _Verb(1, 1, "usage: seed <integer>", False),
+    "create": _Verb(1, 1, "usage: create <count>", False),
+    "join": _Verb(1, 1, "usage: join <name>", False),
+    "leave": _Verb(1, 2, "usage: leave <name> [--fail]", True),
+    "publish": _Verb(2, 3, "usage: publish <node> <bundle> [<descriptor-file>]", True),
+    "install": _Verb(2, 2, "usage: install <node> <uri>", True),
+    "lookup": _Verb(2, 2, "usage: lookup <node> <name>", True),
+    "advance": _Verb(1, 1, "usage: advance <ticks>", False),
+    "workload": _Verb(5, 5, "usage: workload zipf <nodes> <bundles> <requests> <exponent>",
+                     False),
+    "dump": _Verb(0, 0, "dump takes no arguments", False),
+    "assert": _Verb(1, math.inf, "assert needs a predicate", False),
+}
+
+
 def _parse_int(token: str, lineno: int, what: str, minimum: int = 0,
                maximum: int | None = None) -> int:
     try:
@@ -107,7 +131,19 @@ def _check_name(token: str, lineno: int, what: str) -> str:
 _CMP_RE = re.compile(r"^(.+?)(==|!=|<=|>=|<|>)(.+)$")
 _CALL_RE = re.compile(r"^([a-z_]+)\(([^()]*)\)$")
 
-_NUMERIC_TERMS = {"hops", "replicas", "entries", "live_nodes"}
+_OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+# Assert terms: what each takes in its parentheses (None: it is written bare)
+# and what it compares with. "lookup" terms read the last lookup's outcome.
+_TERMS = {
+    "hops": ("lookup", "int"),
+    "status": ("lookup", "status"),
+    "replicas": ("bundle", "int"),
+    "root": ("bundle", "node"),
+    "entries": ("node", "int"),
+    "live_nodes": (None, "int"),
+}
 
 
 def _parse_predicate(compact: str, lineno: int, live: set[str]) -> tuple:
@@ -121,27 +157,19 @@ def _parse_predicate(compact: str, lineno: int, live: set[str]) -> tuple:
     if match:
         term_text, op, value_text = match.groups()
         term = _parse_term(term_text, lineno, live)
-        kind = term[0]
-        if kind in _NUMERIC_TERMS:
+        value_kind = _TERMS[term[0]][1]
+        if value_kind == "int":
             value: Any = _parse_int(value_text, lineno, f"comparison value for {term_text}",
                                     minimum=-(10 ** 9))
-        elif kind == "status":
-            if op not in ("==", "!="):
-                raise ScenarioParseError("status(lookup) supports only == and !=", line=lineno)
-            if value_text not in LOOKUP_STATUSES:
-                raise ScenarioParseError(
-                    f"unknown lookup status {value_text!r}", line=lineno)
-            value = value_text
-        elif kind == "root":
-            if op not in ("==", "!="):
-                raise ScenarioParseError("root(name) supports only == and !=", line=lineno)
-            if value_text not in live:
-                raise ScenarioParseError(
-                    f"root comparison names unknown node {value_text!r}", line=lineno)
-            value = value_text
-        else:
-            raise ScenarioParseError(f"cannot compare {term_text!r}", line=lineno)
-        return ("cmp", term, op, value)
+            return ("cmp", term, op, value)
+        if op not in ("==", "!="):
+            raise ScenarioParseError(f"{term[0]}() supports only == and !=", line=lineno)
+        if value_kind == "status" and value_text not in LOOKUP_STATUSES:
+            raise ScenarioParseError(f"unknown lookup status {value_text!r}", line=lineno)
+        if value_kind == "node" and value_text not in live:
+            raise ScenarioParseError(
+                f"{term[0]}() comparison names unknown node {value_text!r}", line=lineno)
+        return ("cmp", term, op, value_text)
 
     call = _CALL_RE.match(compact)
     if call and call.group(1) in ("installed", "active"):
@@ -157,29 +185,18 @@ def _parse_predicate(compact: str, lineno: int, live: set[str]) -> tuple:
 
 
 def _parse_term(text: str, lineno: int, live: set[str]) -> tuple:
-    if text == "live_nodes":
-        return ("live_nodes",)
     call = _CALL_RE.match(text)
-    if not call:
+    fn, arg = call.groups() if call else (text, None)
+    if fn not in _TERMS or (_TERMS[fn][0] is None) != (arg is None):
         raise ScenarioParseError(f"unknown assert term {text!r}", line=lineno)
-    fn, arg = call.groups()
-    if fn in ("hops", "status"):
-        if arg != "lookup":
-            raise ScenarioParseError(f"{fn}() takes the literal 'lookup'", line=lineno)
-        return (fn,)
-    if fn == "replicas":
-        if not arg:
-            raise ScenarioParseError("replicas() needs a bundle name", line=lineno)
-        return ("replicas", arg)
-    if fn == "root":
-        if not arg:
-            raise ScenarioParseError("root() needs a bundle name", line=lineno)
-        return ("root", arg)
-    if fn == "entries":
-        if arg not in live:
-            raise ScenarioParseError(f"unknown node {arg!r} in entries()", line=lineno)
-        return ("entries", arg)
-    raise ScenarioParseError(f"unknown assert term {text!r}", line=lineno)
+    arg_kind = _TERMS[fn][0]
+    if arg_kind == "lookup" and arg != "lookup":
+        raise ScenarioParseError(f"{fn}() takes the literal 'lookup'", line=lineno)
+    if arg_kind == "bundle" and not arg:
+        raise ScenarioParseError(f"{fn}() needs a bundle name", line=lineno)
+    if arg_kind == "node" and arg not in live:
+        raise ScenarioParseError(f"unknown node {arg!r} in {fn}()", line=lineno)
+    return (fn,) if arg_kind in (None, "lookup") else (fn, arg)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -195,25 +212,27 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        verb = tokens[0]
+        verb, *rest = line.split()
+        spec = _VERBS.get(verb)
+        if spec is None:
+            raise ScenarioParseError(f"unknown command {verb!r}", line=lineno)
+        if not spec.fewest <= len(rest) <= spec.most:
+            raise ScenarioParseError(spec.usage, line=lineno)
+        if spec.names_node and rest[0] not in live:
+            raise ScenarioParseError(f"node {rest[0]!r} is not live here", line=lineno)
 
         if verb == "seed":
             if commands:
                 raise ScenarioParseError("seed directive must precede commands", line=lineno)
             if seed is not None:
                 raise ScenarioParseError("duplicate seed directive", line=lineno)
-            if len(tokens) != 2:
-                raise ScenarioParseError("usage: seed <integer>", line=lineno)
-            seed = _parse_int(tokens[1], lineno, "seed")
+            seed = _parse_int(rest[0], lineno, "seed")
             continue
 
         if verb == "create":
-            if len(tokens) != 2:
-                raise ScenarioParseError("usage: create <count>", line=lineno)
             if created:
                 raise ScenarioParseError("create may appear only once", line=lineno)
-            count = _parse_int(tokens[1], lineno, "node count", minimum=1, maximum=MAX_NODES)
+            count = _parse_int(rest[0], lineno, "node count", minimum=1, maximum=MAX_NODES)
             for i in range(count):
                 name = f"n{i}"
                 if name in live:
@@ -223,80 +242,49 @@ def parse_scenario(text: str) -> Scenario:
             args: tuple = (count,)
 
         elif verb == "join":
-            if len(tokens) != 2:
-                raise ScenarioParseError("usage: join <name>", line=lineno)
-            name = _check_name(tokens[1], lineno, "node name")
+            name = _check_name(rest[0], lineno, "node name")
             if name in live:
                 raise ScenarioParseError(f"node {name!r} is already live", line=lineno)
             live.add(name)
             args = (name,)
 
         elif verb == "leave":
-            if len(tokens) == 3 and tokens[2] == "--fail":
-                graceful = False
-            elif len(tokens) == 2:
-                graceful = True
-            else:
-                raise ScenarioParseError("usage: leave <name> [--fail]", line=lineno)
-            name = tokens[1]
-            if name not in live:
-                raise ScenarioParseError(f"node {name!r} is not live here", line=lineno)
-            live.discard(name)
-            args = (name, graceful)
+            if rest[1:] not in ([], ["--fail"]):
+                raise ScenarioParseError(spec.usage, line=lineno)
+            live.discard(rest[0])
+            args = (rest[0], len(rest) == 1)
 
         elif verb == "publish":
-            if len(tokens) not in (3, 4):
-                raise ScenarioParseError(
-                    "usage: publish <node> <bundle> [<descriptor-file>]", line=lineno)
-            node = tokens[1]
-            if node not in live:
-                raise ScenarioParseError(f"node {node!r} is not live here", line=lineno)
-            bundle = _check_name(tokens[2], lineno, "bundle name")
-            descriptor = tokens[3] if len(tokens) == 4 else None
-            args = (node, bundle, descriptor)
+            bundle = _check_name(rest[1], lineno, "bundle name")
+            args = (rest[0], bundle, rest[2] if len(rest) == 3 else None)
 
         elif verb == "install":
-            if len(tokens) != 3:
-                raise ScenarioParseError("usage: install <node> <uri>", line=lineno)
-            node = tokens[1]
-            if node not in live:
-                raise ScenarioParseError(f"node {node!r} is not live here", line=lineno)
             try:
-                uri = parse_uri(tokens[2])
+                uri = parse_uri(rest[1])
             except MalformedUriError as exc:
                 raise ScenarioParseError(str(exc), line=lineno) from exc
             if isinstance(uri, PassthroughUri):
                 raise ScenarioParseError(
                     f"install handles only p2p:// URIs, not {uri.scheme!r}", line=lineno)
-            args = (node, uri.bundle_name)
+            args = (rest[0], uri.bundle_name)
 
         elif verb == "lookup":
-            if len(tokens) != 3:
-                raise ScenarioParseError("usage: lookup <node> <name>", line=lineno)
-            node = tokens[1]
-            if node not in live:
-                raise ScenarioParseError(f"node {node!r} is not live here", line=lineno)
-            name = _check_name(tokens[2], lineno, "bundle name")
-            args = (node, name)
+            args = (rest[0], _check_name(rest[1], lineno, "bundle name"))
 
         elif verb == "advance":
-            if len(tokens) != 2:
-                raise ScenarioParseError("usage: advance <ticks>", line=lineno)
-            args = (_parse_int(tokens[1], lineno, "tick count"),)
+            args = (_parse_int(rest[0], lineno, "tick count"),)
 
         elif verb == "workload":
-            if len(tokens) != 6 or tokens[1] != "zipf":
-                raise ScenarioParseError(
-                    "usage: workload zipf <nodes> <bundles> <requests> <exponent>",
-                    line=lineno)
-            nodes = _parse_int(tokens[2], lineno, "workload node count", minimum=1,
+            if rest[0] != "zipf":
+                raise ScenarioParseError(spec.usage, line=lineno)
+            nodes = _parse_int(rest[1], lineno, "workload node count", minimum=1,
                                maximum=MAX_NODES)
-            bundles = _parse_int(tokens[3], lineno, "workload bundle count", minimum=1,
+            bundles = _parse_int(rest[2], lineno, "workload bundle count", minimum=1,
                                  maximum=MAX_BUNDLES)
-            requests = _parse_int(tokens[4], lineno, "workload request count",
+            requests = _parse_int(rest[3], lineno, "workload request count",
                                   maximum=MAX_REQUESTS)
             try:
-                exponent = float(tokens[5])
+                exponent = float(rest[4])
             except ValueError:
                 raise ScenarioParseError("zipf exponent must be a number", line=lineno)
             if exponent < 0:
@@ -306,19 +294,11 @@ def parse_scenario(text: str) -> Scenario:
             args = (nodes, bundles, requests, exponent)
 
         elif verb == "dump":
-            if len(tokens) != 1:
-                raise ScenarioParseError("dump takes no arguments", line=lineno)
             args = ()
 
-        elif verb == "assert":
-            if len(tokens) < 2:
-                raise ScenarioParseError("assert needs a predicate", line=lineno)
-            compact = "".join(tokens[1:])
-            ast = _parse_predicate(compact, lineno, live)
-            args = (compact, ast)
-
-        else:
-            raise ScenarioParseError(f"unknown command {verb!r}", line=lineno)
+        else:  # assert
+            compact = "".join(rest)
+            args = (compact, _parse_predicate(compact, lineno, live))
 
         commands.append(Command(index=len(commands), line=lineno,
                                 verb=verb, args=args, text=line))
@@ -331,31 +311,27 @@ def parse_scenario(text: str) -> Scenario:
 
 def build_network(count: int, seed: int = 0, random_ids: bool = False,
                   sim_config: SimConfig | None = None,
-                  store_config: StoreConfig | None = None,
-                  name_prefix: str = "n") -> tuple[SimNetwork, dict[str, int]]:
-    """Stand up a network of `count` nodes named n0..n{count-1}, joined
-    sequentially through the lowest live id. Returns (net, name -> id)."""
+                  store_config: StoreConfig | None = None) -> tuple[SimNetwork, dict[str, int]]:
+    """Stand up a network of `count` nodes named n0..n{count-1}, joined one by
+    one as a scenario's `create` joins them. Returns (net, name -> id)."""
     net = SimNetwork(seed=seed, config=sim_config, store_config=store_config)
-    names: dict[str, int] = {}
-    for i in range(count):
-        name = f"{name_prefix}{i}"
-        node_id = _id_for(net, name, random_ids)
-        live = net.live_ids()
-        overlay.join(net, node_id, live[0] if live else None, name=name)
-        names[name] = node_id
+    names = {f"n{i}": _join_named(net, f"n{i}", random_ids) for i in range(count)}
     return net, names
 
 
-def _id_for(net: SimNetwork, name: str, random_ids: bool) -> int:
-    if not random_ids:
-        node_id = derive_key(name)
-        if node_id in net.nodes and net.nodes[node_id].status is not overlay.NodeStatus.DEPARTED:
-            raise ScenarioExecutionError(f"id collision for node name {name!r}")
-        return node_id
-    while True:
+def _join_named(net: SimNetwork, name: str, random_ids: bool) -> int:
+    """Join a node called `name` through the lowest live id and return its
+    id: the hash of the name, or with random_ids a fresh draw from the
+    network's rng. A hashed id that is still live fails in SimNetwork.register."""
+    if random_ids:
         node_id = net.rng.getrandbits(128)
-        if node_id not in net.nodes:
-            return node_id
+        while node_id in net.nodes:
+            node_id = net.rng.getrandbits(128)
+    else:
+        node_id = derive_key(name)
+    live = net.live_ids()
+    overlay.join(net, node_id, live[0] if live else None, name=name)
+    return node_id
 
 
 # --------------------------------------------------------------------------
@@ -373,19 +349,18 @@ class RunResult:
 
 
 class ScenarioRunner:
-    """Executes a parsed scenario against one fresh SimNetwork."""
+    """Executes a parsed scenario against one fresh SimNetwork. Each verb
+    runs through the method named `_cmd_<verb>`."""
 
     def __init__(self, scenario: Scenario, seed: int,
                  base_dir: str = ".",
                  random_ids: bool = False,
-                 payload_size: int = DEFAULT_PAYLOAD_SIZE,
-                 sim_config: SimConfig | None = None,
-                 store_config: StoreConfig | None = None):
+                 payload_size: int = DEFAULT_PAYLOAD_SIZE):
         self.scenario = scenario
         self.seed = seed
         self.random_ids = random_ids
         self.payload_size = payload_size
-        self.net = SimNetwork(seed=seed, config=sim_config, store_config=store_config)
+        self.net = SimNetwork(seed=seed)
         self.names: dict[str, int] = {}
         self.index = RepositoryIndex()  # one index shared by every gateway
         self.gateways: dict[int, GatewayState] = {}
@@ -427,13 +402,9 @@ class ScenarioRunner:
             self.gateways[node_id] = gw
         return gw
 
-    def _join(self, name: str) -> None:
-        node_id = _id_for(self.net, name, self.random_ids)
-        live = self.net.live_ids()
-        overlay.join(self.net, node_id, live[0] if live else None, name=name)
-        self.names[name] = node_id
-
-    def _do_lookup(self, client: int, name: str) -> tuple[str, Optional[int]]:
+    def _lookup(self, client: int, name: str) -> str:
+        """Look `name` up from `client`, record the outcome as the last
+        lookup and return its status."""
         status: str
         hops: Optional[int] = None
         try:
@@ -447,71 +418,47 @@ class ScenarioRunner:
             status = "failed"
         self.last_lookup = {"client": client, "name": name,
                             "status": status, "hops": hops}
-        return status, hops
+        return status
 
     # -- command execution
 
     def run(self) -> RunResult:
+        diagnostic = None
         try:
             for cmd in self.scenario.commands:
-                failed_assert = self._execute(cmd)
-                if failed_assert is not None:
-                    return RunResult(
-                        exit_code=1,
-                        document=self.net.metrics.to_document(self.net),
-                        diagnostic=(f"assert failed at command {cmd.index} "
-                                    f"(line {cmd.line}): {failed_assert}"))
+                diagnostic = self._execute(cmd)
+                if diagnostic is not None:
+                    break
         except ScenarioExecutionError as exc:
-            return RunResult(exit_code=1,
-                             document=self.net.metrics.to_document(self.net),
-                             diagnostic=str(exc))
-        return RunResult(exit_code=0, document=self.net.metrics.to_document(self.net))
+            diagnostic = str(exc)
+        return RunResult(exit_code=0 if diagnostic is None else 1,
+                         document=self.net.metrics.to_document(self.net),
+                         diagnostic=diagnostic)
 
     def _execute(self, cmd: Command) -> Optional[str]:
         """Returns a diagnostic string when an assert fails, else None."""
         try:
-            if cmd.verb == "create":
-                for i in range(cmd.args[0]):
-                    self._join(f"n{i}")
-            elif cmd.verb == "join":
-                self._join(cmd.args[0])
-            elif cmd.verb == "leave":
-                name, graceful = cmd.args
-                overlay.leave(self.net, self._node_id(name), graceful=graceful)
-            elif cmd.verb == "publish":
-                self._publish(cmd)
-            elif cmd.verb == "install":
-                node, bundle = cmd.args
-                repo.install(self._gateway(self._node_id(node)), self.net,
-                             f"p2p://{bundle}")
-            elif cmd.verb == "lookup":
-                node, name = cmd.args
-                self._do_lookup(self._node_id(node), name)
-            elif cmd.verb == "advance":
-                self.net.advance(cmd.args[0])
-            elif cmd.verb == "workload":
-                self._workload(cmd)
-            elif cmd.verb == "dump":
-                self._dump()
-            elif cmd.verb == "assert":
-                compact, ast = cmd.args
-                passed, detail = self._eval_predicate(ast)
-                self.net.metrics.assertions.append(
-                    {"index": cmd.index, "predicate": compact, "passed": passed})
-                if not passed:
-                    return f"{compact} ({detail})"
-            else:  # unreachable: the parser rejects unknown verbs
-                raise ScenarioExecutionError(f"unhandled verb {cmd.verb!r}",
-                                             command_index=cmd.index)
+            return getattr(self, f"_cmd_{cmd.verb}")(cmd)
         except ScenarioExecutionError:
             raise
         except PeerDeployError as exc:
             raise ScenarioExecutionError(
                 f"command {cmd.index} (line {cmd.line}) {cmd.text!r} failed: {exc}",
                 command_index=cmd.index) from exc
-        return None
 
-    def _publish(self, cmd: Command) -> None:
+    def _cmd_create(self, cmd: Command) -> None:
+        for i in range(cmd.args[0]):
+            self.names[f"n{i}"] = _join_named(self.net, f"n{i}", self.random_ids)
+
+    def _cmd_join(self, cmd: Command) -> None:
+        name, = cmd.args
+        self.names[name] = _join_named(self.net, name, self.random_ids)
+
+    def _cmd_leave(self, cmd: Command) -> None:
+        name, graceful = cmd.args
+        overlay.leave(self.net, self._node_id(name), graceful=graceful)
+
+    def _cmd_publish(self, cmd: Command) -> None:
         node, bundle, descriptor_file = cmd.args
         node_id = self._node_id(node)
         payload = synthesize_payload(self.seed, bundle, self.payload_size)
@@ -522,7 +469,18 @@ class ScenarioRunner:
             descriptor = describe_payload(bundle, payload)
         repo.publish_local(self._gateway(node_id), self.net, descriptor, payload)
 
-    def _workload(self, cmd: Command) -> None:
+    def _cmd_install(self, cmd: Command) -> None:
+        node, bundle = cmd.args
+        repo.install(self._gateway(self._node_id(node)), self.net, f"p2p://{bundle}")
+
+    def _cmd_lookup(self, cmd: Command) -> None:
+        node, name = cmd.args
+        self._lookup(self._node_id(node), name)
+
+    def _cmd_advance(self, cmd: Command) -> None:
+        self.net.advance(cmd.args[0])
+
+    def _cmd_workload(self, cmd: Command) -> None:
         nodes, bundles, requests, exponent = cmd.args
         rng = self.net.rng
         names = [f"wl{i}.jar" for i in range(bundles)]
@@ -542,8 +500,7 @@ class ScenarioRunner:
             draw = rng.random() * total
             idx = min(bisect.bisect_left(cumulative, draw), bundles - 1)
             client = pool[rng.randrange(len(pool))]
-            status, _hops = self._do_lookup(client, names[idx])
-            outcomes[status] += 1
+            outcomes[self._lookup(client, names[idx])] += 1
             if (request + 1) % 100 == 0:
                 self.net.sweep_eviction()
         counts = {name: store.replica_count(self.net, name) for name in names}
@@ -569,7 +526,7 @@ class ScenarioRunner:
             if candidate != root:
                 return candidate
 
-    def _dump(self) -> None:
+    def _cmd_dump(self, cmd: Command) -> None:
         id_to_name = {node_id: name for name, node_id in self.names.items()}
         nodes = []
         for node_id in self.net.live_ids():
@@ -590,6 +547,15 @@ class ScenarioRunner:
             })
         self.net.metrics.dumps.append({"clock": self.net.clock, "nodes": nodes})
 
+    def _cmd_assert(self, cmd: Command) -> Optional[str]:
+        compact, ast = cmd.args
+        passed, detail = self._eval_predicate(ast)
+        self.net.metrics.assertions.append(
+            {"index": cmd.index, "predicate": compact, "passed": passed})
+        if passed:
+            return None
+        return f"assert failed at command {cmd.index} (line {cmd.line}): {compact} ({detail})"
+
     # -- predicate evaluation
 
     def _eval_predicate(self, ast: tuple) -> tuple[bool, str]:
@@ -605,55 +571,37 @@ class ScenarioRunner:
             return passed, f"state is {state.value if state else 'absent'}"
 
         _, term, op, expected = ast
-        actual = self._eval_term(term)
+        if _TERMS[term[0]][0] == "lookup":
+            actual = None if self.last_lookup is None else self.last_lookup[term[0]]
+        else:
+            actual = getattr(self, f"_term_{term[0]}")(*term[1:])
         if actual is None:
             return False, f"{term[0]} has no value yet"
-        passed = _compare(actual, op, expected)
-        return passed, f"actual {actual!r}"
+        return _OPERATORS[op](actual, expected), f"actual {actual!r}"
 
-    def _eval_term(self, term: tuple):
-        kind = term[0]
-        if kind == "live_nodes":
-            return len(self.net.live_ids())
-        if kind == "hops":
-            return None if self.last_lookup is None else self.last_lookup["hops"]
-        if kind == "status":
-            return None if self.last_lookup is None else self.last_lookup["status"]
-        if kind == "replicas":
-            return store.replica_count(self.net, term[1])
-        if kind == "entries":
-            return len(self.net.node(self._node_id(term[1])).store.entries)
-        if kind == "root":
-            live = self.net.live_ids()
-            if not live:
-                return None
-            root_id = root_of(live, derive_key(term[1]))
-            for name, node_id in self.names.items():
-                if node_id == root_id:
-                    return name
-            return to_hex(root_id)
-        raise ScenarioExecutionError(f"unknown term {kind!r}")
+    def _term_live_nodes(self) -> int:
+        return len(self.net.live_ids())
 
+    def _term_replicas(self, name: str) -> int:
+        return store.replica_count(self.net, name)
 
-def _compare(actual, op: str, expected) -> bool:
-    if op == "==":
-        return actual == expected
-    if op == "!=":
-        return actual != expected
-    if op == "<":
-        return actual < expected
-    if op == "<=":
-        return actual <= expected
-    if op == ">":
-        return actual > expected
-    return actual >= expected
+    def _term_entries(self, node: str) -> int:
+        return len(self.net.node(self._node_id(node)).store.entries)
+
+    def _term_root(self, name: str) -> Optional[str]:
+        live = self.net.live_ids()
+        if not live:
+            return None
+        root_id = root_of(live, derive_key(name))
+        for node_name, node_id in self.names.items():
+            if node_id == root_id:
+                return node_name
+        return to_hex(root_id)
 
 
 def run_scenario(path: str, seed: Optional[int] = None,
                  random_ids: bool = False,
-                 payload_size: int = DEFAULT_PAYLOAD_SIZE,
-                 sim_config: SimConfig | None = None,
-                 store_config: StoreConfig | None = None) -> RunResult:
+                 payload_size: int = DEFAULT_PAYLOAD_SIZE) -> RunResult:
     """Parse and execute a scenario file. `seed` overrides the file's own
     seed directive; raises ScenarioParseError for anything wrong with the
     file, returns a RunResult for everything that happens at run time."""
@@ -663,6 +611,5 @@ def run_scenario(path: str, seed: Optional[int] = None,
     effective = seed if seed is not None else (scenario.seed or 0)
     runner = ScenarioRunner(scenario, seed=effective,
                             base_dir=os.path.dirname(os.path.abspath(path)),
-                            random_ids=random_ids, payload_size=payload_size,
-                            sim_config=sim_config, store_config=store_config)
+                            random_ids=random_ids, payload_size=payload_size)
     return runner.run()

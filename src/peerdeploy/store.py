@@ -79,7 +79,6 @@ class StoreEntry:
     payload: Optional[ComponentPayload]
     origin: Optional[int]  # publisher's node id, kept through role changes
     root_hint: Optional[int]  # last known root for the key
-    deposited_at: int
     last_access: int
     hits: int = 0
 
@@ -161,8 +160,7 @@ class NodeStore:
         entry = self.entries.get(key)
         if entry is None:
             entry = StoreEntry(key=key, name=name, role=role, payload=payload,
-                               origin=origin, root_hint=root_hint,
-                               deposited_at=now, last_access=now)
+                               origin=origin, root_hint=root_hint, last_access=now)
             self.entries[key] = entry
             return self._watch(entry, inserted=True)
         entry.name = name
@@ -173,7 +171,6 @@ class NodeStore:
             entry.origin = origin
         if root_hint is not None:
             entry.root_hint = root_hint
-        entry.deposited_at = now
         entry.last_access = now
         return self._watch(entry, inserted=False)
 
@@ -183,15 +180,13 @@ class NodeStore:
         entry = self.entries.get(key)
         if entry is None:
             entry = StoreEntry(key=key, name=name, role=Role.TRAIL, payload=None,
-                               origin=origin, root_hint=root_hint,
-                               deposited_at=now, last_access=now)
+                               origin=origin, root_hint=root_hint, last_access=now)
             self.entries[key] = entry
             return self._watch(entry, inserted=True)
         if origin is not None:
             entry.origin = origin
         if root_hint is not None:
             entry.root_hint = root_hint
-        entry.deposited_at = now
         entry.last_access = now
         return self._watch(entry, inserted=False)
 
@@ -509,6 +504,11 @@ def _remove_reply_deliver(net: SimNetwork, node, msg: Message, op: RemoveOp) -> 
     net.complete_op(op, RemovalReport(op.name, op.key, op.requester, msg.data["root"]))
 
 
+@on_timeout(MessageKind.REMOVE_REPLY)
+def _remove_reply_timeout(net: SimNetwork, root, msg: Message, op: RemoveOp) -> None:
+    net.fail_op(op, op.failure("lost its requester during the reply"))
+
+
 # --------------------------------------------------------------------------
 # eviction / replica observability
 
@@ -643,7 +643,10 @@ def _handoff_deliver(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None
     net.post(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=op)
 
 
-@on_timeout(MessageKind.HANDOFF)  # a neighbour that died has nothing left to hand over
+# A neighbour that died has nothing left to hand over; a joiner that died
+# leaves every key it was sent unresolved, at its old root.
+@on_timeout(MessageKind.HANDOFF)
+@on_timeout(MessageKind.HANDOFF_DONE)
 @on_deliver(MessageKind.HANDOFF_DONE)
 def _handoff_scanned(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None:
     op.settle(net)

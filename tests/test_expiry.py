@@ -70,7 +70,7 @@ def test_evict_matches_the_two_pass_reference(entries, capacity, ttl, now):
         for key, (role, last_access) in enumerate(entries):
             node_store.entries[key] = store.StoreEntry(
                 key=key, name=f"k{key}", role=role, payload=None, origin=None,
-                root_hint=None, deposited_at=last_access, last_access=last_access)
+                root_hint=None, last_access=last_access)
     assert stores[0].evict(now) == reference_evict(stores[1], now)
     assert stores[0].entries.keys() == stores[1].entries.keys()
 

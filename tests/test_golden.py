@@ -27,6 +27,8 @@ CASES = [
     ("churn_fail.scenario", None, False),
     ("zipf_advance.scenario", None, False),
     ("handoff.scenario", None, True),
+    ("every_verb.scenario", None, False),
+    ("every_verb.scenario", None, True),
 ]
 
 

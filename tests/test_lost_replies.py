@@ -1,0 +1,91 @@
+"""Replies whose recipient died: every message sent inside an op must end it.
+
+A join's ANNOUNCE_ACK and HANDOFF_DONE and a removal's REMOVE_REPLY are sent
+to the node that started the op. When that node dies first, the reply times
+out, and the timeout has to finish the op, or the op stalls with an empty
+event queue. Deaths are injected as in test_timeouts.py.
+"""
+
+import pytest
+
+from peerdeploy import build_network, join, publish, remove, simnet
+from peerdeploy.errors import RoutingFailureError
+from peerdeploy.ids import derive_key
+from peerdeploy.simnet import MessageKind, NodeStatus
+from peerdeploy.store import Role
+from test_timeouts import HANDOFF_RESEND_ID, kill_on_delivery, payload_of, walk
+
+
+def root_holders(net) -> dict[int, list[int]]:
+    """Key -> the live nodes holding a ROOT entry for it."""
+    holders: dict[int, list[int]] = {}
+    for node_id in net.live_ids():
+        for key, entry in net.nodes[node_id].store.entries.items():
+            if entry.role is Role.ROOT:
+                holders.setdefault(key, []).append(node_id)
+    return holders
+
+
+def published_network():
+    net, names = build_network(32, seed=4)
+    for i in range(40):
+        publish(net, names[f"n{i % 32}"], f"h{i}.jar", payload_of(f"h{i}.jar"))
+    return net, names
+
+
+def test_join_fails_when_the_joiner_dies_during_its_announce_round(monkeypatch):
+    net, _ = published_network()
+    before, handoffs = root_holders(net), net.metrics.sent["HANDOFF"]
+    new_id = HANDOFF_RESEND_ID
+    kill_on_delivery(monkeypatch, net, MessageKind.ANNOUNCE, lambda msg: msg.from_id)
+    with pytest.raises(RoutingFailureError, match="lost the joiner"):
+        join(net, new_id, net.live_ids()[0], name="late")
+    assert not net.ops
+    assert net.nodes[new_id].status is NodeStatus.DEPARTED
+    assert net.metrics.timeouts["ANNOUNCE_ACK"] >= 1
+    assert net.metrics.sent["HANDOFF"] == handoffs
+    assert root_holders(net) == before
+
+
+def test_handoff_settles_when_the_joiner_dies_during_its_scan(monkeypatch):
+    new_id = HANDOFF_RESEND_ID
+    clean, _ = published_network()
+    handed_over = join(clean, new_id, clean.live_ids()[0], name="late").transferred
+    assert handed_over
+    net, _ = published_network()
+    before = root_holders(net)
+    kill_on_delivery(monkeypatch, net, MessageKind.HANDOFF, lambda msg: msg.from_id)
+    report = join(net, new_id, net.live_ids()[0], name="late")
+    assert not net.ops
+    assert net.nodes[new_id].status is NodeStatus.DEPARTED
+    # The keys the joiner would have rooted stay with their old roots.
+    assert (report.transferred, report.unresolved) == ([], handed_over)
+    assert net.metrics.timeouts["HANDOFF_DONE"] >= 1
+    assert root_holders(net) == before
+
+
+def test_remove_fails_when_its_requester_dies_before_the_reply(monkeypatch):
+    net, names = build_network(32, seed=4)
+    source, key = names["n3"], derive_key("x.jar")
+    trail = publish(net, source, "x.jar", payload_of("x.jar"))
+    path = walk(net, source, key)
+    assert len(path) > 1 and path[-1] == trail.root
+    # The requester dies as its REMOVE reaches the root.
+    kill_on_delivery(monkeypatch, net, MessageKind.REMOVE, lambda msg: source,
+                     nth=len(path) - 1)
+    with pytest.raises(RoutingFailureError, match="lost its requester during the reply"):
+        remove(net, source, "x.jar")
+    assert not net.ops
+    assert net.metrics.timeouts["REMOVE_REPLY"] == 1
+    assert key not in root_holders(net)
+
+
+# Kinds sent outside any op: nothing waits for them, so a lost one needs no
+# handler.
+WITHOUT_OP = {MessageKind.GOODBYE, MessageKind.REPAIR, MessageKind.REPAIR_REPLY}
+
+
+def test_every_message_kind_sent_in_an_op_has_a_timeout_handler():
+    missing = {kind for kind in MessageKind
+               if kind not in simnet._TIMEOUT and kind not in WITHOUT_OP}
+    assert missing == set()
