@@ -204,7 +204,7 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
                 "a bootstrap contact is required unless the network is empty")
         node = OverlayNode(new_id, name=name, store_config=net.store_config)
         net.register(node)
-        node.status = NodeStatus.LIVE
+        net.set_status(node, NodeStatus.LIVE)
         net.metrics.record_op("join", hops=0)
         return JoinReport(new_id, None, [], [], [], [])
 
@@ -220,9 +220,9 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
     except Exception:
         # The id never became LIVE; leave it departed so stale references
         # aimed at it clean up through the normal timeout path.
-        node.status = NodeStatus.DEPARTED
+        net.set_status(node, NodeStatus.DEPARTED)
         raise
-    node.status = NodeStatus.LIVE
+    net.set_status(node, NodeStatus.LIVE)
     transferred, unresolved = handoff_on_join(net, new_id)
     return JoinReport(new_id, bootstrap, list(op.path), list(op.announced),
                       transferred, unresolved)
@@ -292,7 +292,7 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
     for contact in node.known_contacts():
         net.post(node_id, contact, MessageKind.GOODBYE, {"members": members})
     net.run_until_quiescent()
-    node.status = NodeStatus.DEPARTED
+    net.set_status(node, NodeStatus.DEPARTED)
     net.metrics.record_op("leave")
     return LeaveReport(node_id, True, transferred, unresolved)
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import insort
+
 from . import ids
-from .ids import circular_distance, cw_offset, digit, shared_prefix_len
+from .ids import ID_SPACE, circular_distance, cw_offset, digit, shared_prefix_len
 
 LEAF_SET_SIZE = 8
 HALF_LEAF = LEAF_SET_SIZE // 2
@@ -15,7 +17,9 @@ class LeafSet:
     Each side keeps up to L/2 entries ordered nearest-first. In networks with
     fewer than L+1 nodes the same id may appear on both sides; membership is
     the union, which keeps the leaf range covering the whole ring when the
-    network is tiny.
+    network is tiny. Ids are distinct, so their offsets from the owner are
+    too: each side is in strict offset order, and a full side drops its
+    farthest entry.
     """
 
     def __init__(self, owner: int):
@@ -24,25 +28,13 @@ class LeafSet:
         self.right: list[int] = []  # clockwise, nearest first
 
     def insert(self, candidate: int) -> bool:
-        if candidate == self.owner:
+        owner = self.owner
+        if candidate == owner:
             return False
-        changed = False
-        if self._insert_side(self.right, candidate, lambda c: cw_offset(self.owner, c)):
-            changed = True
-        if self._insert_side(self.left, candidate, lambda c: cw_offset(c, self.owner)):
-            changed = True
-        return changed
-
-    @staticmethod
-    def _insert_side(side: list[int], candidate: int, offset) -> bool:
-        if candidate in side:
-            return False
-        side.append(candidate)
-        side.sort(key=offset)
-        if len(side) > HALF_LEAF:
-            dropped = side.pop()
-            return dropped != candidate
-        return True
+        # The keys are cw_offset(owner, c) and cw_offset(c, owner), written out.
+        in_right = _insert_side(self.right, candidate, lambda c: (c - owner) % ID_SPACE)
+        in_left = _insert_side(self.left, candidate, lambda c: (owner - c) % ID_SPACE)
+        return in_right or in_left
 
     def remove(self, node_id: int) -> bool:
         removed = False
@@ -81,12 +73,25 @@ class LeafSet:
         """Member (or owner) nearest to k; distance ties go to the smaller id."""
         best = self.owner
         best_key = (circular_distance(self.owner, k), self.owner)
-        for member in self.members():
+        for member in self.left + self.right:
             cand = (circular_distance(member, k), member)
             if cand < best_key:
                 best_key = cand
                 best = member
         return best
+
+
+def _insert_side(side: list[int], candidate: int, offset) -> bool:
+    """Put candidate into one side, kept nearest-first by offset; True when it
+    stays. A full side whose farthest member is nearer keeps it out."""
+    if len(side) == HALF_LEAF and offset(side[-1]) < offset(candidate):
+        return False
+    if candidate in side:
+        return False
+    insort(side, candidate, key=offset)
+    if len(side) > HALF_LEAF:
+        side.pop()
+    return True
 
 
 class RoutingTable:
@@ -154,7 +159,11 @@ def next_hop_from_state(self_id: int, leaf: LeafSet, table: RoutingTable, k: int
     self_dist = circular_distance(self_id, k)
     best: int | None = None
     best_key: tuple[int, int, int] | None = None
-    for cand in sorted(set(leaf.members()) | set(table.entries())):
+    # The key (-prefix, dist, id) is a total order, so the scan order is free.
+    candidates = leaf.left + leaf.right
+    for row in table.rows:
+        candidates.extend(row.values())
+    for cand in candidates:
         dist = circular_distance(cand, k)
         if dist >= self_dist:
             continue

@@ -7,6 +7,7 @@ a run with the same seed and the same call sequence replays bit-exactly.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import json
@@ -271,23 +272,10 @@ class Metrics:
         self.assertions: list[dict[str, Any]] = []
         self.workloads: list[dict[str, Any]] = []
 
-    @staticmethod
-    def _bump(table: dict[str, int], key: str, by: int = 1) -> None:
-        table[key] = table.get(key, 0) + by
-
-    def count_sent(self, kind: MessageKind) -> None:
-        self._bump(self.sent, kind.value)
-
-    def count_delivered(self, kind: MessageKind) -> None:
-        self._bump(self.delivered, kind.value)
-
-    def count_timeout(self, kind: MessageKind) -> None:
-        self._bump(self.timeouts, kind.value)
-
     def record_op(self, op_kind: str, hops: int | None = None, failed: bool = False) -> None:
-        self._bump(self.op_counts, op_kind)
+        self.op_counts[op_kind] = self.op_counts.get(op_kind, 0) + 1
         if failed:
-            self._bump(self.op_failures, op_kind)
+            self.op_failures[op_kind] = self.op_failures.get(op_kind, 0) + 1
         if hops is not None:
             hist = self.hop_histograms.setdefault(op_kind, {})
             hist[hops] = hist.get(hops, 0) + 1
@@ -339,6 +327,14 @@ def serialize_metrics(document: dict[str, Any]) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _HexCache(dict):
+    """Id -> its 32-digit hex text, formatted once per id."""
+
+    def __missing__(self, node_id: int) -> str:
+        text = self[node_id] = f"{node_id:032x}"
+        return text
+
+
 class SimNetwork:
     def __init__(self, seed: int = 0, config: SimConfig | None = None, store_config=None):
         self.seed = seed
@@ -352,7 +348,9 @@ class SimNetwork:
         self._queue: list[tuple[int, int, str, Message]] = []
         self._seq = 0
         self._op_seq = 0
-        self._pair_seq: dict[tuple[int, int], int] = {}
+        self._pair_seq: dict[int, dict[int, int]] = {}  # sender -> receiver -> sends
+        self._hex = _HexCache()
+        self._live: list[int] = []  # ids of LIVE nodes, ascending
 
     # --- registry ---
 
@@ -380,7 +378,18 @@ class SimNetwork:
         return node if node is not None and node.status is not NodeStatus.DEPARTED else None
 
     def live_ids(self) -> list[int]:
-        return sorted(i for i, n in self.nodes.items() if n.status is NodeStatus.LIVE)
+        """The ids of the live nodes, ascending, as a list the caller may keep."""
+        return self._live[:]
+
+    def set_status(self, node, status: NodeStatus) -> None:
+        """Change a registered node's status. Every change after the node's
+        construction goes through here, which keeps the live-id list."""
+        was_live = node.status is NodeStatus.LIVE
+        node.status = status
+        if status is NodeStatus.LIVE and not was_live:
+            bisect.insort(self._live, node.id)
+        elif was_live and status is not NodeStatus.LIVE:
+            del self._live[bisect.bisect_left(self._live, node.id)]
 
     # --- operations ---
 
@@ -418,10 +427,13 @@ class SimNetwork:
 
     def _latency(self, from_id: int, to_id: int) -> int:
         # Keyed by (seed, endpoints, per-pair sequence) so delivery times replay
-        # regardless of unrelated rng consumption.
-        n = self._pair_seq.get((from_id, to_id), 0) + 1
-        self._pair_seq[(from_id, to_id)] = n
-        material = f"{self.seed}:{from_id:032x}:{to_id:032x}:{n}".encode()
+        # regardless of unrelated rng consumption. Counting per sender keeps no
+        # tuple per pair.
+        sent_to = self._pair_seq.get(from_id)
+        if sent_to is None:
+            sent_to = self._pair_seq[from_id] = {}
+        n = sent_to[to_id] = sent_to.get(to_id, 0) + 1
+        material = f"{self.seed}:{self._hex[from_id]}:{self._hex[to_id]}:{n}".encode()
         h = hashlib.blake2b(material, digest_size=8).digest()
         span = self.config.latency_max - self.config.latency_min
         return self.config.latency_min + int.from_bytes(h, "big") % span
@@ -431,12 +443,13 @@ class SimNetwork:
         heapq.heappush(self._queue, (time, self._seq, tag, msg))
 
     def send(self, msg: Message) -> Message:
-        sender = self.node(msg.from_id)
-        if sender.status is NodeStatus.DEPARTED:
+        if self.node(msg.from_id).status is NodeStatus.DEPARTED:
             raise NoSuchNodeError("departed nodes cannot send")
         msg.deadline = self.clock + self.config.timeout
-        self.metrics.count_sent(msg.kind)
-        if self.reachable(msg.to_id) is None:
+        sent, kind = self.metrics.sent, msg.kind._value_  # _value_: no enum descriptor
+        sent[kind] = sent.get(kind, 0) + 1
+        receiver = self.nodes.get(msg.to_id)
+        if receiver is None or receiver.status is NodeStatus.DEPARTED:
             self._push(msg.deadline, "timeout", msg)
         else:
             self._push(self.clock + self._latency(msg.from_id, msg.to_id), "deliver", msg)
@@ -454,17 +467,20 @@ class SimNetwork:
         if time > self.clock:
             self.clock = time
         self.metrics.events_processed += 1
+        kind = msg.kind._value_
         if tag == "deliver":
             node = self.nodes.get(msg.to_id)
             if node is None or node.status is NodeStatus.DEPARTED:
                 # Receiver died while the message was in flight.
                 self._push(max(msg.deadline, self.clock), "timeout", msg)
                 return
-            self.metrics.count_delivered(msg.kind)
+            delivered = self.metrics.delivered
+            delivered[kind] = delivered.get(kind, 0) + 1
             node.observe(self, msg.from_id)
             handler = _DELIVER.get(msg.kind)
         else:
-            self.metrics.count_timeout(msg.kind)
+            timeouts = self.metrics.timeouts
+            timeouts[kind] = timeouts.get(kind, 0) + 1
             node = self.reachable(msg.from_id)
             if node is not None:
                 node.repair(self, msg.to_id)
@@ -507,8 +523,8 @@ class SimNetwork:
         """The first maintenance boundary at or after both `earliest` and the
         time the next queued event lands or a live store falls due to evict;
         inf when neither will happen."""
-        due = min((node.store.due_at() for node in self.nodes.values()
-                   if node.status is NodeStatus.LIVE), default=math.inf)
+        nodes = self.nodes
+        due = min((nodes[node_id].store.due_at() for node_id in self._live), default=math.inf)
         if self._queue:
             due = min(due, self._queue[0][0])
         if due == math.inf:
@@ -520,9 +536,10 @@ class SimNetwork:
         """Evict on every live store that is due; the others would evict nothing."""
         now = self.clock
         evicted = 0
-        for node in self.nodes.values():
-            if node.status is NodeStatus.LIVE and node.store.due_at() <= now:
-                evicted += len(node.store.evict(now))
+        for node_id in self._live:
+            store = self.nodes[node_id].store
+            if store.due_at() <= now:
+                evicted += len(store.evict(now))
         self.metrics.evictions += evicted
         return evicted
 
@@ -532,6 +549,6 @@ class SimNetwork:
         node = self.reachable(node_id)
         if node is None:
             raise NoSuchNodeError(f"no live node {ids.to_hex(node_id)}")
-        node.status = NodeStatus.DEPARTED
+        self.set_status(node, NodeStatus.DEPARTED)
         self.metrics.node_failures += 1
 

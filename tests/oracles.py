@@ -123,6 +123,49 @@ def oracle_next_hop(self_id: int, leaf_members, table_cells, known_ids, key: int
     return self_id
 
 
+class ReferenceLeafSet:
+    """An append-and-sort leaf set: each insert appends to both sides and
+    re-sorts them by offset, then drops the farthest entry of a side grown
+    past four. The reference the bisect LeafSet is compared with."""
+
+    half = 4
+
+    def __init__(self, owner: int):
+        self.owner = owner
+        self.left: list[int] = []
+        self.right: list[int] = []
+
+    def insert(self, candidate: int) -> bool:
+        if candidate == self.owner:
+            return False
+        in_right = self._insert_side(self.right, candidate,
+                                     lambda c: (c - self.owner) % RING)
+        in_left = self._insert_side(self.left, candidate,
+                                    lambda c: (self.owner - c) % RING)
+        return in_right or in_left
+
+    def _insert_side(self, side: list[int], candidate: int, offset) -> bool:
+        if candidate in side:
+            return False
+        side.append(candidate)
+        side.sort(key=offset)
+        if len(side) > self.half:
+            return side.pop() != candidate
+        return True
+
+    def remove(self, node_id: int) -> bool:
+        removed = False
+        for side in (self.left, self.right):
+            if node_id in side:
+                side.remove(node_id)
+                removed = True
+        return removed
+
+    def closest_to(self, key: int) -> int:
+        return min(sorted(set(self.left) | set(self.right)) + [self.owner],
+                   key=lambda nid: (oracle_distance(nid, key), nid))
+
+
 # --------------------------------------------------------------------------
 # dependency resolution checked after the fact
 

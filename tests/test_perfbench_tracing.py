@@ -30,6 +30,13 @@ def test_tracer_records_calls_and_restores_every_patch_point():
             assert tracer.calls_of(span) > 0, span
         assert tracer.calls_of("store.lookup") == 1
         assert tracer.calls_of("store.publish") == 1
+        # The hot path calls through these wrapped functions once per insert,
+        # learned contact, message and live-id query; inlining one past its
+        # span would change these counts.
+        assert {span: tracer.calls_of(span) for span in (
+            "routing.leaf_insert", "overlay.learn", "simnet.send", "simnet.live_ids")} == {
+            "routing.leaf_insert": 155, "overlay.learn": 155, "simnet.send": 134,
+            "simnet.live_ids": 9}
     finally:
         tracer.uninstall()
     for owner, attr, original in originals:

@@ -6,6 +6,8 @@ oracles.py, both on organically grown networks and on synthetic state.
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from peerdeploy.ids import circular_distance, digit, shared_prefix_len
 from peerdeploy.routing import (
     HALF_LEAF,
@@ -14,7 +16,7 @@ from peerdeploy.routing import (
     next_hop_from_state,
 )
 from peerdeploy.scenario import build_network
-from oracles import oracle_next_hop
+from oracles import ReferenceLeafSet, oracle_next_hop
 
 RING = 1 << 128
 
@@ -93,6 +95,26 @@ def test_leaf_set_wraps_ring_when_tiny():
         leaf.insert(other)
     assert leaf.in_range(RING // 2)
     assert leaf.closest_to(RING // 2) in (100, RING - 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(owner=st.integers(0, RING - 1),
+       others=st.lists(st.integers(0, RING - 1), min_size=1, max_size=12, unique=True),
+       steps=st.lists(st.tuples(st.booleans(), st.integers(0, 12), st.integers(0, RING - 1)),
+                      max_size=60))
+def test_leaf_set_matches_the_append_and_sort_reference(owner, others, steps):
+    # The pool holds the owner and up to 12 other ids, so rings both smaller
+    # and larger than L+1 come up, and each id is inserted and removed again.
+    pool = others + [owner]
+    leaf, reference = LeafSet(owner), ReferenceLeafSet(owner)
+    for inserting, index, key in steps:
+        candidate = pool[index % len(pool)]
+        if inserting:
+            assert leaf.insert(candidate) == reference.insert(candidate)
+        else:
+            assert leaf.remove(candidate) == reference.remove(candidate)
+        assert (leaf.left, leaf.right) == (reference.left, reference.right)
+        assert leaf.closest_to(key) == reference.closest_to(key)
 
 
 # -- routing table mechanics

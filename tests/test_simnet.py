@@ -1,12 +1,14 @@
 """Deterministic event core: latency, delivery, timeouts, replay."""
 
 import json
+import random
 
 import pytest
 
-from peerdeploy import build_network, lookup, publish, serialize_metrics
-from peerdeploy.errors import NoSuchNodeError
-from peerdeploy.simnet import SimConfig, SimNetwork
+from peerdeploy import build_network, join, leave, lookup, publish, serialize_metrics
+from peerdeploy.errors import NoSuchNodeError, PeerDeployError
+from peerdeploy.ids import derive_key
+from peerdeploy.simnet import NodeStatus, SimConfig, SimNetwork
 from peerdeploy.store import ComponentPayload
 
 
@@ -31,6 +33,69 @@ def test_latency_depends_on_endpoints():
     net2 = SimNetwork(seed=5)
     b = [net2._latency(2, 1) for _ in range(20)]
     assert a != b
+
+
+N0, N1, N2 = derive_key("n0"), derive_key("n1"), derive_key("n2")
+
+
+@pytest.mark.parametrize("seed,from_id,to_id,expected", [
+    (0, 1, 2, [96]),
+    (0, 1, 2, [96, 18, 60]),
+    (7, 2, 1, [65]),
+    (42, N0, N1, [96]),
+    (42, N1, N0, [82, 95]),
+    (201, (1 << 128) - 1, 0, [80, 99, 56, 25, 47]),
+])
+def test_latency_values_are_pinned(seed, from_id, to_id, expected):
+    # Golden values: the metrics documents see latencies only through the
+    # order of deliveries.
+    net = SimNetwork(seed=seed)
+    assert [net._latency(from_id, to_id) for _ in expected] == expected
+
+
+def test_latency_sequence_is_per_ordered_pair():
+    net = SimNetwork(seed=42)
+    pairs = [(N0, N1), (N1, N0), (N0, N2)] * 3
+    assert [net._latency(a, b) for a, b in pairs] == [96, 82, 34, 65, 95, 13, 50, 47, 30]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_live_ids_follow_every_status_change(seed):
+    """Joins, graceful leaves, failures and rejoins of departed ids keep
+    live_ids() equal to a full scan, and each call returns a fresh list."""
+    rng = random.Random(seed)
+    net, _ = build_network(12, seed=seed)
+    departed: list[int] = []
+
+    def check() -> None:
+        scan = sorted(i for i, n in net.nodes.items() if n.status is NodeStatus.LIVE)
+        held = net.live_ids()
+        assert held == scan
+        held.reverse()
+        held.append(-1)
+        assert net.live_ids() == scan
+
+    check()
+    for _ in range(40):
+        live = net.live_ids()
+        action = rng.choice(("join", "leave", "fail", "rejoin"))
+        if action in ("leave", "fail") and len(live) > 4:
+            victim = rng.choice(live)
+            if action == "leave":
+                leave(net, victim)
+            else:
+                net.fail(victim)
+            departed.append(victim)
+        else:
+            if action == "rejoin" and departed:
+                node_id = departed.pop(rng.randrange(len(departed)))
+            else:
+                node_id = rng.getrandbits(128)
+            try:
+                join(net, node_id, live[0])
+            except PeerDeployError:
+                pass  # a failed join leaves the id departed; check() covers it
+        check()
 
 
 def test_message_conservation():
