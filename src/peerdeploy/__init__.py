@@ -28,7 +28,7 @@ from .errors import (
     VersionConflictError,
 )
 from .ids import circular_distance, derive_key, digit, root_of, shared_prefix_len, to_hex
-from .overlay import JoinReport, LeaveReport, OverlayNode, join, leave, route, stabilize
+from .overlay import JoinReport, LeaveReport, OverlayNode, join, leave, route
 from .repo import (
     ComponentDescriptor,
     GatewayState,
@@ -52,7 +52,6 @@ from .store import (
     StoreConfig,
     StoreEntry,
     content_digest,
-    evict,
     lookup,
     publish,
     remove,
@@ -88,7 +87,6 @@ __all__ = [
     "derive_key",
     "describe_payload",
     "digit",
-    "evict",
     "install",
     "join",
     "leave",
@@ -105,6 +103,5 @@ __all__ = [
     "run_scenario",
     "serialize_metrics",
     "shared_prefix_len",
-    "stabilize",
     "to_hex",
 ]

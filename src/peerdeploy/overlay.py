@@ -1,8 +1,7 @@
 """Overlay membership and routing: routed paths, join, leave, lazy repair.
 
 A node's view of the ring is its leaf set plus a prefix routing table; both
-are repaired lazily when a timeout exposes a dead contact. stabilize() exists
-for tests that want a converged view without replaying the repair traffic.
+are repaired lazily when a timeout exposes a dead contact.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ids
-from .errors import BootstrapUnreachableError, LivelockSuspectedError
+from .errors import BootstrapUnreachableError
 from .ids import shared_prefix_len
 from .routing import LeafSet, RoutingTable, next_hop_from_state
 from .simnet import (
@@ -142,7 +141,6 @@ class JoinOp(RoutedOp):
         super().__init__(new_id)
         self.bootstrap = bootstrap
         self.candidates: set[int] = set()
-        self.pending_acks = 0
         self.announced: list[int] = []
 
     def arrive(self, net: SimNetwork, node: OverlayNode) -> bool:
@@ -182,11 +180,6 @@ class JoinOp(RoutedOp):
 
     def hops(self) -> int:
         return len(self.path)
-
-    def acknowledged(self, net: SimNetwork) -> None:
-        self.pending_acks -= 1
-        if self.pending_acks <= 0:
-            net.complete_op(self, None)
 
 
 def join(net: SimNetwork, new_id: int, bootstrap: int | None,
@@ -234,12 +227,11 @@ def _join_reply_deliver(net: SimNetwork, joiner: OverlayNode, msg: Message,
     joiner.learn_live(net, sorted(op.candidates))
     targets = joiner.known_contacts()
     op.announced = targets
-    op.pending_acks = len(targets)
-    if not targets:
-        net.complete_op(op, None)
-        return
+    op.pending = len(targets)
     for target in targets:
         net.post(joiner.id, target, MessageKind.ANNOUNCE, op=op)
+    if not targets:
+        net.complete_op(op, None)
 
 
 @on_timeout(MessageKind.JOIN_REPLY)
@@ -254,12 +246,6 @@ def _announce_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: Join
     # announcement is the explicit instruction to adopt it.
     node.learn(msg.from_id)
     net.post(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK, op=op)
-
-
-@on_timeout(MessageKind.ANNOUNCE)  # an announcement that times out counts as answered
-@on_deliver(MessageKind.ANNOUNCE_ACK)
-def _announce_answered(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
-    op.acknowledged(net)
 
 
 # --------------------------------------------------------------------------
@@ -317,33 +303,3 @@ def _repair_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: None) 
 def _repair_reply_deliver(net: SimNetwork, node: OverlayNode, msg: Message,
                           op: None) -> None:
     node.learn_live(net, msg.data["members"])
-
-
-def stabilize(net: SimNetwork) -> int:
-    """Pull leaf-set knowledge to a fixpoint, pruning dead contacts.
-
-    Reads neighbour state directly instead of messaging, so it is a test and
-    maintenance helper rather than part of the protocol. Returns the number
-    of gossip rounds used.
-    """
-    live = net.live_ids()
-    limit = len(live) + 8
-    rounds = 0
-    while True:
-        changed = False
-        for nid in live:
-            node = net.nodes[nid]
-            for contact in node.known_contacts():
-                peer = net.nodes.get(contact)
-                if peer is None or peer.status is not NodeStatus.LIVE:
-                    if node.forget(contact):
-                        changed = True
-            for member in node.leaf_set.members():
-                peer = net.nodes.get(member)
-                if peer is not None and node.learn_live(net, peer.leaf_set.members()):
-                    changed = True
-        rounds += 1
-        if not changed:
-            return rounds
-        if rounds >= limit:
-            raise LivelockSuspectedError("leaf gossip failed to converge")

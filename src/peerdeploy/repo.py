@@ -68,10 +68,6 @@ def parse_uri(text: str) -> Union[P2pUri, PassthroughUri]:
     return P2pUri(rest)
 
 
-def format_uri(uri: P2pUri) -> str:
-    return str(uri)
-
-
 # --------------------------------------------------------------------------
 # descriptors and the index
 

@@ -81,7 +81,9 @@ class Message:
 
 
 class Operation:
-    """Bookkeeping for one driven protocol exchange (route, publish, ...)."""
+    """Bookkeeping for one driven protocol exchange (route, publish, ...).
+    An op that fans out sets `pending` to the answers it awaits and settles
+    one per answer; the last one completes it."""
 
     kind = "op"
 
@@ -90,6 +92,12 @@ class Operation:
         self.done = False
         self.result: Any = None
         self.error: Exception | None = None
+        self.pending = 0
+
+    def settle(self, net: "SimNetwork") -> None:
+        self.pending -= 1
+        if self.pending == 0:
+            net.complete_op(self, None)
 
     def record(self, metrics: "Metrics") -> None:
         """Count the finished op in the metrics document. Handoff and
@@ -254,6 +262,19 @@ for _kind in (MessageKind.PUBLISH_ACK, MessageKind.LOOKUP_REPLY):
     _DELIVER[_kind], _TIMEOUT[_kind] = _reply_deliver, _reply_timeout
 
 
+# The answers to a join's announcements and to a handoff's neighbour scans.
+# A silent node counts as answered: a dead contact needs no announcement and
+# a dead neighbour has nothing to hand over; a joiner that died leaves every
+# key it was sent to time out, unresolved, at its old root.
+@on_deliver(MessageKind.ANNOUNCE_ACK)
+@on_deliver(MessageKind.HANDOFF_DONE)
+@on_timeout(MessageKind.ANNOUNCE)
+@on_timeout(MessageKind.HANDOFF)
+@on_timeout(MessageKind.HANDOFF_DONE)
+def _answered(net: "SimNetwork", node, msg: Message, op: Operation) -> None:
+    op.settle(net)
+
+
 class Metrics:
     """Monotone counters plus point-in-time store snapshots."""
 
@@ -408,15 +429,11 @@ class SimNetwork:
         op.done = True
 
     def drive(self, op: Operation) -> Any:
-        """Run the event loop until op finishes, then drain stragglers."""
-        if op.op_id is None:
-            self.new_op(op)
-        while not op.done and self._queue:
-            self._step()
+        """Drain the event loop; op has finished by then, or it stalled."""
+        self.run_until_quiescent()
         if not op.done:
             self.fail_op(op, LivelockSuspectedError(
                 f"{op.kind} stalled with an empty event queue"))
-        self.run_until_quiescent()
         self.ops.pop(op.op_id, None)
         op.record(self.metrics)
         if op.error is not None:

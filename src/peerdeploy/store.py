@@ -153,48 +153,31 @@ class NodeStore:
     def delete(self, key: int) -> bool:
         return self.entries.pop(key, None) is not None
 
-    def put_payload(self, key: int, name: str, role: Role, payload: ComponentPayload,
-                    origin: Optional[int], root_hint: Optional[int], now: int) -> StoreEntry:
-        """Install or refresh a payload-bearing entry, upgrading whatever role
-        was there before. Authoritative roles always win over cached ones."""
+    def put(self, key: int, name: str, role: Role, payload: Optional[ComponentPayload],
+            origin: Optional[int], root_hint: Optional[int], now: int) -> StoreEntry:
+        """Install or refresh the entry for `key`: the one place that decides
+        its role. A put with a payload takes the name, the payload and the
+        role, except that a transient role never replaces a pinned one. A
+        TRAIL put (no payload) never downgrades an entry; it refreshes only
+        the locations and last_access. Unknown locations (None) keep theirs."""
         entry = self.entries.get(key)
-        if entry is None:
-            entry = StoreEntry(key=key, name=name, role=role, payload=payload,
-                               origin=origin, root_hint=root_hint, last_access=now)
-            self.entries[key] = entry
-            return self._watch(entry, inserted=True)
-        entry.name = name
-        entry.payload = payload
-        if role in PINNED_ROLES or not entry.pinned:
-            entry.role = role
+        inserted = entry is None
+        if inserted:
+            entry = self.entries[key] = StoreEntry(key, name, Role.TRAIL, None, None, None, now)
+        if payload is not None:
+            entry.name = name
+            entry.payload = payload
+            if role in PINNED_ROLES or not entry.pinned:
+                entry.role = role
         if origin is not None:
             entry.origin = origin
         if root_hint is not None:
             entry.root_hint = root_hint
         entry.last_access = now
-        return self._watch(entry, inserted=False)
-
-    def put_trail(self, key: int, name: str, origin: Optional[int],
-                  root_hint: Optional[int], now: int) -> StoreEntry:
-        """Record the key/location association; never downgrades a payload."""
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = StoreEntry(key=key, name=name, role=Role.TRAIL, payload=None,
-                               origin=origin, root_hint=root_hint, last_access=now)
-            self.entries[key] = entry
-            return self._watch(entry, inserted=True)
-        if origin is not None:
-            entry.origin = origin
-        if root_hint is not None:
-            entry.root_hint = root_hint
-        entry.last_access = now
-        return self._watch(entry, inserted=False)
-
-    def _watch(self, entry: StoreEntry, inserted: bool) -> StoreEntry:
-        """Keep the eviction marks valid after a put wrote `entry`."""
+        # Keep the eviction marks valid.
         if not entry.pinned:
-            if self._oldest is None or entry.last_access < self._oldest:
-                self._oldest = entry.last_access
+            if self._oldest is None or now < self._oldest:
+                self._oldest = now
             if inserted and len(self.entries) > self._config.cache_capacity:
                 self._overflow = True
         return entry
@@ -257,20 +240,20 @@ class PublishOp(RoutedOp):
                 f"{self.name!r} already published with different content"))
             return
         self.root = root.id
-        root.store.put_payload(self.key, self.name, Role.ROOT, self.payload,
-                               origin=self.source, root_hint=root.id, now=net.clock)
+        root.store.put(self.key, self.name, Role.ROOT, self.payload,
+                       origin=self.source, root_hint=root.id, now=net.clock)
         self.reply_from(net, root, {})
 
     def reply_at(self, net: SimNetwork, node, data: dict) -> None:
-        node.store.put_trail(self.key, self.name, origin=self.source,
-                             root_hint=self.root, now=net.clock)
+        node.store.put(self.key, self.name, Role.TRAIL, None, origin=self.source,
+                       root_hint=self.root, now=net.clock)
         _post_insert_pressure(net, node)
 
     def reply_home(self, net: SimNetwork, node, data: dict) -> None:
         # A source that is its own root keeps the ROOT entry alone.
         if len(self.path) > 1:
-            node.store.put_payload(self.key, self.name, Role.SOURCE, self.payload,
-                                   origin=self.source, root_hint=self.root, now=net.clock)
+            node.store.put(self.key, self.name, Role.SOURCE, self.payload,
+                           origin=self.source, root_hint=self.root, now=net.clock)
         net.complete_op(self, PublishTrail(self.key, self.source, self.root, list(self.path)))
 
     def failure(self, reason: str) -> Exception:
@@ -318,9 +301,7 @@ class LookupOp(RoutedOp):
         self.client = client
         self.served_by: int | None = None
         self.serve_hops: int | None = None
-        self.fetch_targets: list[int] = []
-        self.fetch_stage = 0
-        self.fetch_junction: int | None = None
+        self.fetch_targets: list[int] = []  # holders still to ask, next first
         self.fetch_hit_dead = False
 
     def arrive(self, net: SimNetwork, node) -> bool:
@@ -330,12 +311,8 @@ class LookupOp(RoutedOp):
         if entry.payload is not None:
             self.serve(net, node, entry, entry.payload)
         else:
-            self.fetch_junction = node.id
-            self.fetch_targets = []
-            for loc in (entry.root_hint, entry.origin):
-                if loc is not None and loc != node.id and loc not in self.fetch_targets:
-                    self.fetch_targets.append(loc)
-            self.fetch_stage = -1  # fetch_next starts with fetch_targets[0]
+            self.fetch_targets = [loc for loc in dict.fromkeys((entry.root_hint, entry.origin))
+                                  if loc is not None and loc != node.id]
             self.fetch_next(net)
         return False
 
@@ -360,9 +337,8 @@ class LookupOp(RoutedOp):
 
     def reply_at(self, net: SimNetwork, node, data: dict) -> None:
         if node.store.config.cache_on_lookup:
-            node.store.put_payload(self.key, self.name, Role.CACHE, data["payload"],
-                                   origin=data["origin"], root_hint=data["root_hint"],
-                                   now=net.clock)
+            node.store.put(self.key, self.name, Role.CACHE, data["payload"],
+                           origin=data["origin"], root_hint=data["root_hint"], now=net.clock)
             _post_insert_pressure(net, node)
 
     def reply_home(self, net: SimNetwork, node, data: dict) -> None:
@@ -375,15 +351,15 @@ class LookupOp(RoutedOp):
         return self.serve_hops
 
     def fetch_next(self, net: SimNetwork) -> None:
-        """Ask the next holder the trail names, or give up on the trail."""
-        junction = net.reachable(self.fetch_junction)
+        """Ask the next holder the trail names, or give up on the trail. The
+        junction holding the trail is the last node of the path."""
+        junction = net.reachable(self.path[-1])
         if junction is None:
             net.fail_op(self, self.failure("lost its junction during a fetch"))
             return
-        self.fetch_stage += 1
-        if self.fetch_stage < len(self.fetch_targets):
-            net.post(junction.id, self.fetch_targets[self.fetch_stage],
-                     MessageKind.FETCH, {"key": self.key}, op=self)
+        if self.fetch_targets:
+            net.post(junction.id, self.fetch_targets.pop(0), MessageKind.FETCH,
+                     {"key": self.key}, op=self)
             return
         # Every named holder came up empty: the association is stale. Churn
         # may have re-homed the payload closer to the root.
@@ -432,11 +408,10 @@ def _fetch_reply_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> N
         return
     entry = node.store.get(op.key)
     if entry is None:
-        entry = node.store.put_trail(op.key, op.name, None, None, net.clock)
+        entry = node.store.put(op.key, op.name, Role.TRAIL, None, None, None, net.clock)
     if node.store.config.cache_on_lookup and entry.payload is None:
-        entry = node.store.put_payload(op.key, op.name, Role.CACHE, payload,
-                                       origin=entry.origin, root_hint=entry.root_hint,
-                                       now=net.clock)
+        entry = node.store.put(op.key, op.name, Role.CACHE, payload, origin=entry.origin,
+                               root_hint=entry.root_hint, now=net.clock)
         _post_insert_pressure(net, node)
     # Serve from the junction whether or not it kept a copy.
     op.serve(net, node, entry, payload)
@@ -510,11 +485,7 @@ def _remove_reply_timeout(net: SimNetwork, root, msg: Message, op: RemoveOp) -> 
 
 
 # --------------------------------------------------------------------------
-# eviction / replica observability
-
-
-def evict(node, now: int) -> list[int]:
-    return node.store.evict(now)
+# replica observability
 
 
 def replica_count(net: SimNetwork, name: str) -> int:
@@ -533,11 +504,18 @@ def replica_count(net: SimNetwork, name: str) -> int:
 
 class TransferOp(Operation):
     """Moves ROOT entries to the node that now roots them. `pending` counts
-    the transfers (and, for a handoff, the neighbour scans) still open."""
+    the transfers (and, for a handoff, the neighbour scans) still open.
+
+    The one retry rule: a TRANSFER that is lost goes again, from the same
+    sender, to next_target(sender, key) while the sender is alive and fewer
+    than TRIES TRANSFERs of that key were lost; otherwise the key is
+    unresolved. The count is per key, whichever node sent it."""
+
+    TRIES: int
 
     def __init__(self):
         super().__init__()
-        self.pending = 0
+        self.lost: dict[int, int] = {}
         self.transferred: list = []
         self.unresolved: list[int] = []
 
@@ -546,27 +524,39 @@ class TransferOp(Operation):
             self.transferred.append(transferred)
         if unresolved is not None:
             self.unresolved.append(unresolved)
-        self.pending -= 1
-        if self.pending == 0:
-            net.complete_op(self, None)
+        super().settle(net)
+
+    def transfer(self, net: SimNetwork, holder: int, target: int, entry: StoreEntry) -> None:
+        self.pending += 1
+        net.post(holder, target, MessageKind.TRANSFER,
+                 {"key": entry.key, "name": entry.name, "payload": entry.payload,
+                  "origin": entry.origin}, op=self)
+
+    def transfer_lost(self, net: SimNetwork, sender, msg: Message) -> None:
+        key = msg.data["key"]
+        lost = self.lost[key] = self.lost.get(key, 0) + 1
+        target = None
+        if sender is not None and lost < self.TRIES:
+            target = self.next_target(sender, key)
+        if target is None:
+            self.settle(net, unresolved=key)
+        else:
+            net.post(sender.id, target, MessageKind.TRANSFER, msg.data, op=self)
+
+    def next_target(self, sender, key: int) -> int | None:
+        raise NotImplementedError
 
 
 class HandoffOp(TransferOp):
     kind = "handoff"
-    RESENDS = 1  # per key
+    TRIES = 2
 
     def __init__(self, new_id: int):
         super().__init__()
         self.new_id = new_id
-        self.attempts: dict[int, int] = {}
 
-    def transfer_lost(self, net: SimNetwork, old_root, msg: Message) -> None:
-        key = msg.data["key"]
-        self.attempts[key] = self.attempts.get(key, 0) + 1
-        if self.attempts[key] <= self.RESENDS and old_root is not None:
-            net.post(msg.from_id, self.new_id, MessageKind.TRANSFER, dict(msg.data), op=self)
-        else:
-            self.settle(net, unresolved=key)
+    def next_target(self, old_root, key: int) -> int:
+        return self.new_id
 
     def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
         """The joiner holds the key; the old root, unless the ack was lost,
@@ -574,46 +564,32 @@ class HandoffOp(TransferOp):
         key = msg.data["key"]
         entry = old_root.store.get(key) if old_root is not None else None
         if entry is not None and entry.role is Role.ROOT:
-            entry.role = Role.RETAINED
-            entry.root_hint = msg.from_id
-            entry.last_access = net.clock
+            old_root.store.put(key, entry.name, Role.RETAINED, entry.payload,
+                               origin=None, root_hint=msg.from_id, now=net.clock)
         self.settle(net, transferred=key)
 
 
 class RelinquishOp(TransferOp):
+    """Each try goes to the closest leaf member of the leaver not yet tried
+    for the key, chosen when the try is sent."""
+
     kind = "relinquish"
-    TARGETS = 3  # leaf members tried per key
+    TRIES = 3
 
-    def __init__(self, leaver: int):
+    def __init__(self):
         super().__init__()
-        self.leaver = leaver
-        self.attempts: dict[int, list[int]] = {}
+        self.tried: dict[int, list[int]] = {}
 
-    def transfer_lost(self, net: SimNetwork, leaver, msg: Message) -> None:
-        key = msg.data["key"]
-        tried = self.attempts.setdefault(key, [])
-        if leaver is not None and len(tried) < self.TARGETS:
-            target = _closest([m for m in leaver.leaf_set.members() if m not in tried], key)
-            if target is not None:
-                tried.append(target)
-                net.post(self.leaver, target, MessageKind.TRANSFER, dict(msg.data), op=self)
-                return
-        self.settle(net, unresolved=key)
+    def next_target(self, leaver, key: int) -> int | None:
+        tried = self.tried.setdefault(key, [])
+        members = [m for m in leaver.leaf_set.members() if m not in tried]
+        if not members:
+            return None
+        tried.append(root_of(members, key))
+        return tried[-1]
 
     def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
         self.settle(net, transferred=(msg.data["key"], msg.from_id))
-
-
-def _closest(members: list[int], key: int) -> int | None:
-    return root_of(members, key) if members else None
-
-
-def _transfer(net: SimNetwork, op: TransferOp, holder: int, target: int, entry: StoreEntry,
-              reason: str) -> None:
-    op.pending += 1
-    net.post(holder, target, MessageKind.TRANSFER,
-             {"key": entry.key, "name": entry.name, "payload": entry.payload,
-              "origin": entry.origin, "reason": reason}, op=op)
 
 
 def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]:
@@ -639,33 +615,22 @@ def _handoff_deliver(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None
     for key in sorted(node.store.entries):
         entry = node.store.entries[key]
         if entry.role is Role.ROOT and root_of((node.id, joiner), key) == joiner:
-            _transfer(net, op, node.id, joiner, entry, "handoff")
+            op.transfer(net, node.id, joiner, entry)
     net.post(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=op)
-
-
-# A neighbour that died has nothing left to hand over; a joiner that died
-# leaves every key it was sent unresolved, at its old root.
-@on_timeout(MessageKind.HANDOFF)
-@on_timeout(MessageKind.HANDOFF_DONE)
-@on_deliver(MessageKind.HANDOFF_DONE)
-def _handoff_scanned(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None:
-    op.settle(net)
 
 
 def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list[int]]:
     """Before a graceful departure, move every ROOT entry to its next root,
     chosen as the leaf member closest to the key. Returns ((key, new root)
-    pairs in the order they were acknowledged, unresolved keys)."""
-    op = net.new_op(RelinquishOp(node.id))
-    members = node.leaf_set.members()
+    pairs in the order their acks arrived, unresolved keys)."""
+    op = net.new_op(RelinquishOp())
     for key in sorted(node.store.entries):
         entry = node.store.entries[key]
         if entry.role is not Role.ROOT:
             continue
-        target = _closest(members, key)
+        target = op.next_target(node, key)
         if target is not None:  # else the last node standing takes the key along
-            op.attempts[key] = [target]
-            _transfer(net, op, node.id, target, entry, "leave")
+            op.transfer(net, node.id, target, entry)
     if op.pending == 0:
         net.complete_op(op, None)
     net.drive(op)
@@ -674,12 +639,9 @@ def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list
 
 @on_deliver(MessageKind.TRANSFER)
 def _transfer_deliver(net: SimNetwork, node, msg: Message, op: TransferOp) -> None:
-    node.store.put_payload(msg.data["key"], msg.data["name"], Role.ROOT,
-                           msg.data["payload"], origin=msg.data["origin"],
-                           root_hint=node.id, now=net.clock)
-    net.post(node.id, msg.from_id, MessageKind.TRANSFER_ACK,
-             {"key": msg.data["key"], "name": msg.data["name"],
-              "reason": msg.data["reason"]}, op=op)
+    node.store.put(msg.data["key"], msg.data["name"], Role.ROOT, msg.data["payload"],
+                   origin=msg.data["origin"], root_hint=node.id, now=net.clock)
+    net.post(node.id, msg.from_id, MessageKind.TRANSFER_ACK, {"key": msg.data["key"]}, op=op)
 
 
 @on_timeout(MessageKind.TRANSFER)

@@ -3,12 +3,16 @@
 Everything here is deliberately written against different primitives than
 the code under test: hashing from first principles, id arithmetic over hex
 strings, roots by full scan, dependency order checked ex post. Slow and
-obvious beats fast and shared-fate.
+obvious beats fast and shared-fate. stabilize() is the one helper that
+drives the package: it converges leaf sets by reading neighbour state.
 """
 
 from __future__ import annotations
 
 import struct
+
+from peerdeploy.errors import LivelockSuspectedError
+from peerdeploy.simnet import NodeStatus
 
 
 # --------------------------------------------------------------------------
@@ -164,6 +168,40 @@ class ReferenceLeafSet:
     def closest_to(self, key: int) -> int:
         return min(sorted(set(self.left) | set(self.right)) + [self.owner],
                    key=lambda nid: (oracle_distance(nid, key), nid))
+
+
+# --------------------------------------------------------------------------
+# converged leaf sets without the repair traffic
+
+
+def stabilize(net) -> int:
+    """Pull leaf-set knowledge to a fixpoint, pruning dead contacts.
+
+    Reads neighbour state directly instead of messaging, so it is a test
+    helper rather than part of the protocol. Returns the number of gossip
+    rounds used.
+    """
+    live = net.live_ids()
+    limit = len(live) + 8
+    rounds = 0
+    while True:
+        changed = False
+        for nid in live:
+            node = net.nodes[nid]
+            for contact in node.known_contacts():
+                peer = net.nodes.get(contact)
+                if peer is None or peer.status is not NodeStatus.LIVE:
+                    if node.forget(contact):
+                        changed = True
+            for member in node.leaf_set.members():
+                peer = net.nodes.get(member)
+                if peer is not None and node.learn_live(net, peer.leaf_set.members()):
+                    changed = True
+        rounds += 1
+        if not changed:
+            return rounds
+        if rounds >= limit:
+            raise LivelockSuspectedError("leaf gossip failed to converge")
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from peerdeploy.repo import (
     ComponentDescriptor,
     GatewayState,
     RepositoryIndex,
-    format_uri,
     install,
     parse_uri,
     publish_local,
@@ -30,7 +29,7 @@ from peerdeploy.repo import (
     uninstall,
 )
 from peerdeploy.scenario import run_scenario
-from peerdeploy.store import ComponentPayload, Role, StoreConfig, evict
+from peerdeploy.store import ComponentPayload, Role, StoreConfig
 from oracles import check_resolution, oracle_root
 
 
@@ -101,7 +100,7 @@ def small_world_run():
         if (i + 1) % 10 == 0 and fuzzed < 1000:
             target = net.nodes[live[rng.randrange(len(live))]]
             before = {k for k, e in target.store.entries.items() if e.pinned}
-            evict(target, now=net.clock)
+            target.store.evict(net.clock)
             after = {k for k, e in target.store.entries.items() if e.pinned}
             if not before <= after:
                 pinned_violations.append(target.id)
@@ -328,7 +327,7 @@ def test_criterion_10_repo_layer():
         name = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 24)))
         uri = parse_uri(f"p2p://{name}")
         assert uri.bundle_name == name
-        assert parse_uri(format_uri(uri)) == uri
+        assert parse_uri(str(uri)) == uri
 
     for trial in range(200):
         count = rng.randrange(2, 16)

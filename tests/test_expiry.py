@@ -128,8 +128,8 @@ def apply(net, action: tuple, names: list[str], advance, sweep) -> str:
             node_store = net.nodes[live[action[1] % len(live)]].store
             for i in range(action[2], action[2] + 3):
                 name = names[i % len(names)]
-                node_store.put_payload(derive_key(name), name, Role.CACHE, payload_of(name),
-                                       origin=None, root_hint=None, now=net.clock)
+                node_store.put(derive_key(name), name, Role.CACHE, payload_of(name),
+                               origin=None, root_hint=None, now=net.clock)
         elif kind == "leave" and len(live) > 8:
             leave(net, live[action[1] % len(live)], graceful=True)
         elif kind == "swap":
@@ -220,8 +220,8 @@ def test_one_cached_entry_expires_in_one_sweep(evict_calls, lag):
     # Insert so that last_access + ttl + lag falls on a boundary: with lag 0
     # the entry is still a tick too young there, with lag 1 it just expired.
     net.advance(-(net.clock + ttl + lag) % interval)
-    node.store.put_payload(key, "brief.jar", Role.CACHE, payload_of("brief"),
-                           origin=None, root_hint=None, now=net.clock)
+    node.store.put(key, "brief.jar", Role.CACHE, payload_of("brief"),
+                   origin=None, root_hint=None, now=net.clock)
     first_past_ttl = ((net.clock + ttl) // interval + 1) * interval
     evict_calls.clear()
     net.advance(1_000_000)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from peerdeploy import build_network, join, leave, publish, lookup, route, stabilize
+from peerdeploy import build_network, join, leave, publish, lookup, route
 from peerdeploy.errors import (
     BootstrapUnreachableError,
     DuplicateNodeError,
@@ -14,7 +14,7 @@ from peerdeploy.errors import (
 from peerdeploy.ids import cw_offset, derive_key
 from peerdeploy.simnet import NodeStatus, SimNetwork
 from peerdeploy.store import ComponentPayload, Role
-from oracles import oracle_root
+from oracles import oracle_root, stabilize
 
 
 def test_first_node_joins_empty_network():

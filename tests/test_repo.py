@@ -24,7 +24,6 @@ from peerdeploy.repo import (
     PassthroughUri,
     RepositoryIndex,
     describe_payload,
-    format_uri,
     install,
     parse_index,
     parse_uri,
@@ -60,8 +59,8 @@ def test_p2p_uri_round_trip():
         uri = parse_uri(f"p2p://{name}")
         assert isinstance(uri, P2pUri)
         assert uri.bundle_name == name
-        assert format_uri(uri) == f"p2p://{name}"
-        assert parse_uri(format_uri(uri)) == uri
+        assert str(uri) == f"p2p://{name}"
+        assert parse_uri(str(uri)) == uri
 
 
 @given(st.text(min_size=1, max_size=40).filter(

@@ -17,7 +17,7 @@ from peerdeploy.errors import (
 from peerdeploy.ids import derive_key
 from peerdeploy.overlay import route
 from peerdeploy.simnet import SimNetwork
-from peerdeploy.store import ComponentPayload, Role, StoreConfig, content_digest, evict
+from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig, content_digest
 from oracles import oracle_root
 
 
@@ -265,9 +265,9 @@ def test_evict_lru_respects_capacity_and_pins():
     # manufacture cache pressure directly on the store
     for i in range(12):
         key = derive_key(f"c{i}.jar")
-        node.store.put_payload(key, f"c{i}.jar", Role.CACHE, payload_of("c"),
-                               origin=None, root_hint=None, now=net.clock + i)
-    evict(net.nodes[9], now=net.clock + 100)
+        node.store.put(key, f"c{i}.jar", Role.CACHE, payload_of("c"),
+                       origin=None, root_hint=None, now=net.clock + i)
+    node.store.evict(net.clock + 100)
     assert node.store.non_pinned_count() <= 4
     # oldest transients went first
     assert node.store.get(derive_key("c11.jar")) is not None
@@ -288,13 +288,12 @@ def test_evict_never_removes_pinned_fuzz(now):
         role = Role.CACHE if i % 2 else Role.TRAIL
         key = derive_key(f"f{i}.jar")
         if role is Role.CACHE:
-            node.store.put_payload(key, f"f{i}.jar", role, payload_of("f"),
-                                   origin=None, root_hint=None,
-                                   now=rng.randrange(0, 1000))
+            node.store.put(key, f"f{i}.jar", role, payload_of("f"),
+                           origin=None, root_hint=None, now=rng.randrange(0, 1000))
         else:
-            node.store.put_trail(key, f"f{i}.jar", origin=1, root_hint=2,
-                                 now=rng.randrange(0, 1000))
-    evict(net.nodes[3], now=now)
+            node.store.put(key, f"f{i}.jar", role, None, origin=1, root_hint=2,
+                           now=rng.randrange(0, 1000))
+    node.store.evict(now)
     assert node.store.get(derive_key("keep.jar")) is not None
 
 
@@ -304,11 +303,74 @@ def test_cache_put_never_unpins_an_authoritative_entry():
     publish(net, 5, "held.jar", payload_of("held"))
     store = net.nodes[5].store
     key = derive_key("held.jar")
-    store.put_payload(key, "held.jar", Role.CACHE, payload_of("held"),
-                      origin=None, root_hint=None, now=net.clock)
+    store.put(key, "held.jar", Role.CACHE, payload_of("held"),
+              origin=None, root_hint=None, now=net.clock)
     net.advance(store.config.ttl + 2 * net.config.maintenance_interval)
     entry = store.get(key)
     assert entry is not None and entry.role is Role.ROOT
+
+
+# -- role precedence of NodeStore.put
+
+OLD, NEW = payload_of("old"), payload_of("new")
+INF = float("inf")
+S, R, T, C, K = Role.SOURCE, Role.ROOT, Role.TRAIL, Role.CACHE, Role.RETAINED
+
+# The prior entry is "old.jar", written at t=10 with origin 1 and root_hint 2
+# and OLD as its payload (none for TRAIL). The put writes "new.jar" at t=20
+# with origin None and root_hint 4, and NEW as its payload (none for TRAIL).
+# (prior role, put role) -> (role, name, payload, origin, root_hint, due_at);
+# last_access is 20 in every case. A change that moves one of these rows
+# changes role precedence and has to say why.
+PRECEDENCE = {
+    (None, S): (S, "new.jar", NEW, None, 4, INF),
+    (None, R): (R, "new.jar", NEW, None, 4, INF),
+    (None, C): (C, "new.jar", NEW, None, 4, 1021),
+    (None, K): (K, "new.jar", NEW, None, 4, INF),
+    (None, T): (T, "new.jar", None, None, 4, 1021),
+    (S, S): (S, "new.jar", NEW, 1, 4, INF),
+    (S, R): (R, "new.jar", NEW, 1, 4, INF),
+    (S, C): (S, "new.jar", NEW, 1, 4, INF),
+    (S, K): (K, "new.jar", NEW, 1, 4, INF),
+    (S, T): (S, "old.jar", OLD, 1, 4, INF),
+    (R, S): (S, "new.jar", NEW, 1, 4, INF),
+    (R, R): (R, "new.jar", NEW, 1, 4, INF),
+    (R, C): (R, "new.jar", NEW, 1, 4, INF),
+    (R, K): (K, "new.jar", NEW, 1, 4, INF),
+    (R, T): (R, "old.jar", OLD, 1, 4, INF),
+    (T, S): (S, "new.jar", NEW, 1, 4, 1011),
+    (T, R): (R, "new.jar", NEW, 1, 4, 1011),
+    (T, C): (C, "new.jar", NEW, 1, 4, 1011),
+    (T, K): (K, "new.jar", NEW, 1, 4, 1011),
+    (T, T): (T, "old.jar", None, 1, 4, 1011),
+    (C, S): (S, "new.jar", NEW, 1, 4, 1011),
+    (C, R): (R, "new.jar", NEW, 1, 4, 1011),
+    (C, C): (C, "new.jar", NEW, 1, 4, 1011),
+    (C, K): (K, "new.jar", NEW, 1, 4, 1011),
+    (C, T): (C, "old.jar", OLD, 1, 4, 1011),
+    (K, S): (S, "new.jar", NEW, 1, 4, INF),
+    (K, R): (R, "new.jar", NEW, 1, 4, INF),
+    (K, C): (K, "new.jar", NEW, 1, 4, INF),
+    (K, K): (K, "new.jar", NEW, 1, 4, INF),
+    (K, T): (K, "old.jar", OLD, 1, 4, INF),
+}
+
+
+@pytest.mark.parametrize("prior, role", list(PRECEDENCE),
+                         ids=[f"{p.name if p else 'NONE'}-{r.name}" for p, r in PRECEDENCE])
+def test_put_role_precedence(prior, role):
+    store = NodeStore()
+    key = derive_key("pre.jar")
+    if prior is not None:
+        store.put(key, "old.jar", prior, None if prior is T else OLD,
+                  origin=1, root_hint=2, now=10)
+    entry = store.put(key, "new.jar", role, None if role is T else NEW,
+                      origin=None, root_hint=4, now=20)
+    assert entry is store.get(key) and len(store.entries) == 1
+    got = (entry.role, entry.name, entry.payload, entry.origin, entry.root_hint,
+           store.due_at())
+    assert got == PRECEDENCE[prior, role]
+    assert entry.last_access == 20
 
 
 # -- handoff on join
@@ -334,6 +396,7 @@ def test_join_handoff_moves_root_and_retains_payload():
             demoted = net.nodes[old_roots[name]].store.get(key)
             assert demoted is not None and demoted.role is Role.RETAINED
             assert demoted.payload is not None, "retention means keeping the bytes"
+            assert demoted.root_hint == new_root
             assert key in report.transferred
     if moved:
         assert report.transferred

@@ -251,6 +251,22 @@ def test_relinquish_transfer_moves_on_to_the_next_target():
     assert counts(net) == PINNED["relinquish_next_target"]
 
 
+def test_relinquish_gives_up_after_three_targets():
+    net, names = build_network(32, seed=4)
+    trail = publish(net, names["n5"], "r.jar", payload_of("r.jar"))
+    root, key = trail.root, trail.key
+    members = net.nodes[root].leaf_set.members()
+    for _ in range(3):
+        closest = oracle_root(members, key)
+        net.fail(closest)
+        members.remove(closest)
+    report = leave(net, root)
+    assert report.transferred == [] and report.unresolved == [key]
+    assert net.metrics.sent["TRANSFER"] == 3
+    assert net.metrics.timeouts["TRANSFER"] == 3
+    assert counts(net) == PINNED["relinquish_gives_up"]
+
+
 # (messages sent, timeouts, events processed) per test. A change that moves
 # one of these figures changes behaviour and has to say why.
 PINNED = {
@@ -296,6 +312,11 @@ PINNED = {
         {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
          "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 2, "PUBLISH_ACK": 2},
         {"PUBLISH_ACK": 1}, 3229),
+    "relinquish_gives_up": (
+        {"ANNOUNCE": 377, "ANNOUNCE_ACK": 377, "GOODBYE": 16, "HANDOFF": 220,
+         "HANDOFF_DONE": 220, "JOIN": 56, "JOIN_REPLY": 31, "PUBLISH": 2,
+         "PUBLISH_ACK": 2, "REPAIR": 6, "REPAIR_REPLY": 6, "TRANSFER": 3},
+        {"TRANSFER": 3}, 1316),
     "relinquish_next_target": (
         {"ANNOUNCE": 377, "ANNOUNCE_ACK": 377, "GOODBYE": 16, "HANDOFF": 220,
          "HANDOFF_DONE": 220, "JOIN": 56, "JOIN_REPLY": 31, "PUBLISH": 2,

@@ -1,0 +1,72 @@
+"""Print the outputs a behaviour-preserving change must leave untouched.
+
+    python3 tools/fingerprints.py [CHECKOUT] > fingerprints.txt
+
+One line per run: the sha1 of `peerdeploy run demos/sample.scenario` at
+seeds 42, 1 and 7, with hashed and with random ids, then for every perfbench
+workload at seeds 201 and 305 the `perfbench/run.py --trace 1` fingerprint,
+failed count and every per-layer metric that is not a timing. CHECKOUT
+defaults to the checkout this script sits in. Run it in two checkouts and
+diff the outputs: an empty diff means the two behave alike on these runs.
+Uses only the standard library; perfbench runs as a subprocess, unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCENARIO = "demos/sample.scenario"
+SCENARIO_SEEDS = (42, 1, 7)
+WORKLOADS = ("zipf_fetch", "churn_deploy", "idle_expiry")
+BENCH_SEEDS = (201, 305)
+# Runs the CLI from the checkout's own sources, whatever else is installed.
+CLI = ("import sys; sys.path.insert(0, 'src'); from peerdeploy.cli import main; "
+       "sys.exit(main())")
+
+
+def scenario_line(root: Path, seed: int, random_ids: bool) -> str:
+    command = [sys.executable, "-c", CLI, "run", SCENARIO, "--seed", str(seed)]
+    if random_ids:
+        command.append("--random-ids")
+    done = subprocess.run(command, cwd=root, capture_output=True)
+    ids = "random" if random_ids else "hashed"
+    return (f"scenario {SCENARIO} seed {seed} ids {ids} exit {done.returncode} "
+            f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
+
+
+def bench_line(root: Path, workload: str, seed: int) -> str:
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--trace", "1"]
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    head = f"perfbench {workload} seed {seed}"
+    if done.returncode != 0 or not lines:
+        return f"{head} exit {done.returncode}"
+    found = re.search(r"fingerprint (\{.*\})$", done.stdout, re.MULTILINE)
+    fingerprint = json.loads(found.group(1)) if found else None
+    result = json.loads(lines[-1])
+    layers = {name: metric["value"] for name, metric in result["metrics"].items()
+              if metric["unit"] != "s"}
+    return (f"{head} failed {result['failed']} "
+            f"fingerprint {json.dumps(fingerprint, sort_keys=True)} "
+            f"metrics {json.dumps(layers, sort_keys=True)}")
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    for seed in SCENARIO_SEEDS:
+        for random_ids in (False, True):
+            print(scenario_line(root, seed, random_ids), flush=True)
+    for workload in WORKLOADS:
+        for seed in BENCH_SEEDS:
+            print(bench_line(root, workload, seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
