@@ -23,6 +23,8 @@ from .simnet import (
 )
 from .store import NodeStore, StoreConfig, handoff_on_join, relinquish_roots
 
+_LIVE = NodeStatus.LIVE  # a global read; the enum class attribute costs ten times more
+
 
 class OverlayNode:
     """One participant: routing state plus its component store."""
@@ -58,7 +60,7 @@ class OverlayNode:
         changed = False
         for cand in candidates:
             peer = net.nodes.get(cand)
-            if cand != self.id and peer is not None and peer.status is NodeStatus.LIVE:
+            if cand != self.id and peer is not None and peer.status is _LIVE:
                 changed = self.learn(cand) or changed
         return changed
 
@@ -71,7 +73,7 @@ class OverlayNode:
         """Passive learning: every delivered message advertises its sender.
         The same test as learn_live, written out for the hot path."""
         peer = net.nodes.get(sender_id)
-        if sender_id != self.id and peer is not None and peer.status is NodeStatus.LIVE:
+        if sender_id != self.id and peer is not None and peer.status is _LIVE:
             self.learn(sender_id)
 
     def repair(self, net: SimNetwork, dead_id: int) -> None:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from bisect import insort
 
-from . import ids
-from .ids import ID_SPACE, circular_distance, cw_offset, digit, shared_prefix_len
+from .ids import (DIGIT_BITS, DIGITS, ID_SPACE, RADIX, circular_distance, digit,
+                  shared_prefix_len)
 
 LEAF_SET_SIZE = 8
 HALF_LEAF = LEAF_SET_SIZE // 2
+_HALF_RING = ID_SPACE // 2
+_DIGIT_MASK = RADIX - 1
 
 
 class LeafSet:
@@ -31,9 +33,15 @@ class LeafSet:
         owner = self.owner
         if candidate == owner:
             return False
-        # The keys are cw_offset(owner, c) and cw_offset(c, owner), written out.
-        in_right = _insert_side(self.right, candidate, lambda c: (c - owner) % ID_SPACE)
-        in_left = _insert_side(self.left, candidate, lambda c: (owner - c) % ID_SPACE)
+        # Most candidates are farther than both full sides reach, so each
+        # side's reject test is one subtraction against its farthest member;
+        # the offset functions run only when an id is placed.
+        off = (candidate - owner) % ID_SPACE
+        right, left = self.right, self.left
+        in_right = ((len(right) < HALF_LEAF or (right[-1] - owner) % ID_SPACE > off)
+                    and _insert_side(right, candidate, lambda c: (c - owner) % ID_SPACE))
+        in_left = ((len(left) < HALF_LEAF or (owner - left[-1]) % ID_SPACE > ID_SPACE - off)
+                   and _insert_side(left, candidate, lambda c: (owner - c) % ID_SPACE))
         return in_right or in_left
 
     def remove(self, node_id: int) -> bool:
@@ -49,9 +57,6 @@ class LeafSet:
     def members(self) -> list[int]:
         return sorted(set(self.left) | set(self.right))
 
-    def is_empty(self) -> bool:
-        return not self.left and not self.right
-
     def extremes(self) -> list[int]:
         """Farthest member on each side; used to ask for leaf refills."""
         out = []
@@ -63,29 +68,29 @@ class LeafSet:
 
     def in_range(self, k: int) -> bool:
         """True when k sits on the arc between the extreme leaves through owner."""
-        if self.is_empty():
-            return False
-        max_cw = cw_offset(self.owner, self.right[-1]) if self.right else 0
-        max_ccw = cw_offset(self.left[-1], self.owner) if self.left else 0
-        return cw_offset(self.owner, k) <= max_cw or cw_offset(k, self.owner) <= max_ccw
+        owner, right, left = self.owner, self.right, self.left
+        if right and (k - owner) % ID_SPACE <= (right[-1] - owner) % ID_SPACE:
+            return True
+        return bool(left) and (owner - k) % ID_SPACE <= (owner - left[-1]) % ID_SPACE
 
     def closest_to(self, k: int) -> int:
         """Member (or owner) nearest to k; distance ties go to the smaller id."""
         best = self.owner
-        best_key = (circular_distance(self.owner, k), self.owner)
+        best_dist = (k - best) % ID_SPACE
+        if best_dist > _HALF_RING:
+            best_dist = ID_SPACE - best_dist
         for member in self.left + self.right:
-            cand = (circular_distance(member, k), member)
-            if cand < best_key:
-                best_key = cand
-                best = member
+            dist = (k - member) % ID_SPACE
+            if dist > _HALF_RING:
+                dist = ID_SPACE - dist
+            if dist < best_dist or (dist == best_dist and member < best):
+                best, best_dist = member, dist
         return best
 
 
 def _insert_side(side: list[int], candidate: int, offset) -> bool:
-    """Put candidate into one side, kept nearest-first by offset; True when it
-    stays. A full side whose farthest member is nearer keeps it out."""
-    if len(side) == HALF_LEAF and offset(side[-1]) < offset(candidate):
-        return False
+    """Put candidate into a side that is not full or whose farthest member is
+    farther, keeping it nearest-first by offset; True when it is new there."""
     if candidate in side:
         return False
     insort(side, candidate, key=offset)
@@ -101,14 +106,17 @@ class RoutingTable:
 
     def __init__(self, owner: int):
         self.owner = owner
-        self.rows: list[dict[int, int]] = [dict() for _ in range(ids.DIGITS)]
+        self.rows: list[dict[int, int]] = [dict() for _ in range(DIGITS)]
 
     def insert(self, candidate: int) -> bool:
-        r = shared_prefix_len(self.owner, candidate)
-        if r == ids.DIGITS:
+        differ = self.owner ^ candidate
+        if not differ:
             return False
-        cell = digit(candidate, r)
-        row = self.rows[r]
+        # The first digit that differs holds differ's highest set bit; its
+        # index is the shared prefix length and candidate's digit there the cell.
+        shift = (differ.bit_length() - 1) & -DIGIT_BITS
+        row = self.rows[DIGITS - 1 - shift // DIGIT_BITS]
+        cell = (candidate >> shift) & _DIGIT_MASK
         if cell in row:
             return False
         row[cell] = candidate
@@ -116,7 +124,7 @@ class RoutingTable:
 
     def remove(self, node_id: int) -> bool:
         r = shared_prefix_len(self.owner, node_id)
-        if r == ids.DIGITS:
+        if r == DIGITS:
             return False
         cell = digit(node_id, r)
         if self.rows[r].get(cell) == node_id:
@@ -151,8 +159,10 @@ def next_hop_from_state(self_id: int, leaf: LeafSet, table: RoutingTable, k: int
     if leaf.in_range(k):
         return leaf.closest_to(k)
 
-    r = shared_prefix_len(self_id, k)
-    cell = table.get(r, digit(k, r))
+    # The arithmetic of RoutingTable.insert: row r, column k's digit there.
+    shift = ((self_id ^ k).bit_length() - 1) & -DIGIT_BITS
+    r = DIGITS - 1 - shift // DIGIT_BITS
+    cell = table.rows[r].get((k >> shift) & _DIGIT_MASK)
     if cell is not None:
         return cell
 

@@ -8,13 +8,13 @@ a run with the same seed and the same call sequence replays bit-exactly.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import heapq
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from hashlib import blake2b
 from typing import Any, Callable, Optional
 
 from . import ids
@@ -30,6 +30,12 @@ class NodeStatus(Enum):
     JOINING = "JOINING"
     LIVE = "LIVE"
     DEPARTED = "DEPARTED"
+
+
+# Module names for the members the transport tests on every message: a global
+# read, where `NodeStatus.LIVE` goes through the enum class.
+_LIVE = NodeStatus.LIVE
+_DEPARTED = NodeStatus.DEPARTED
 
 
 class MessageKind(Enum):
@@ -70,7 +76,7 @@ class SimConfig:
             raise ValueError("timeout must exceed the maximum latency")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     kind: MessageKind
     from_id: int
@@ -396,7 +402,7 @@ class SimNetwork:
     def reachable(self, node_id: int):
         """The node if it has not departed (it may still be joining), else None."""
         node = self.nodes.get(node_id)
-        return node if node is not None and node.status is not NodeStatus.DEPARTED else None
+        return node if node is not None and node.status is not _DEPARTED else None
 
     def live_ids(self) -> list[int]:
         """The ids of the live nodes, ascending, as a list the caller may keep."""
@@ -446,36 +452,40 @@ class SimNetwork:
         # Keyed by (seed, endpoints, per-pair sequence) so delivery times replay
         # regardless of unrelated rng consumption. Counting per sender keeps no
         # tuple per pair.
-        sent_to = self._pair_seq.get(from_id)
+        pair_seq, hexes, config = self._pair_seq, self._hex, self.config
+        sent_to = pair_seq.get(from_id)
         if sent_to is None:
-            sent_to = self._pair_seq[from_id] = {}
+            sent_to = pair_seq[from_id] = {}
         n = sent_to[to_id] = sent_to.get(to_id, 0) + 1
-        material = f"{self.seed}:{self._hex[from_id]}:{self._hex[to_id]}:{n}".encode()
-        h = hashlib.blake2b(material, digest_size=8).digest()
-        span = self.config.latency_max - self.config.latency_min
-        return self.config.latency_min + int.from_bytes(h, "big") % span
-
-    def _push(self, time: int, tag: str, msg: Message) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (time, self._seq, tag, msg))
+        material = f"{self.seed}:{hexes[from_id]}:{hexes[to_id]}:{n}".encode()
+        h = blake2b(material, digest_size=8).digest()
+        low = config.latency_min
+        return low + int.from_bytes(h, "big") % (config.latency_max - low)
 
     def send(self, msg: Message) -> Message:
-        if self.node(msg.from_id).status is NodeStatus.DEPARTED:
+        nodes, from_id = self.nodes, msg.from_id
+        sender = nodes.get(from_id)
+        if sender is None:
+            raise NoSuchNodeError(f"unknown node {ids.to_hex(from_id)}")
+        if sender.status is _DEPARTED:
             raise NoSuchNodeError("departed nodes cannot send")
-        msg.deadline = self.clock + self.config.timeout
+        clock = self.clock
+        msg.deadline = deadline = clock + self.config.timeout
         sent, kind = self.metrics.sent, msg.kind._value_  # _value_: no enum descriptor
         sent[kind] = sent.get(kind, 0) + 1
-        receiver = self.nodes.get(msg.to_id)
-        if receiver is None or receiver.status is NodeStatus.DEPARTED:
-            self._push(msg.deadline, "timeout", msg)
+        receiver = nodes.get(msg.to_id)
+        seq = self._seq = self._seq + 1
+        if receiver is None or receiver.status is _DEPARTED:
+            heapq.heappush(self._queue, (deadline, seq, "timeout", msg))
         else:
-            self._push(self.clock + self._latency(msg.from_id, msg.to_id), "deliver", msg)
+            heapq.heappush(self._queue, (clock + self._latency(from_id, msg.to_id), seq,
+                                         "deliver", msg))
         return msg
 
     def post(self, from_id: int, to_id: int, kind: MessageKind,
              data: dict[str, Any] | None = None, op: Operation | None = None) -> Message:
-        return self.send(Message(kind=kind, from_id=from_id, to_id=to_id,
-                                 data=data or {}, op_id=op.op_id if op else None))
+        return self.send(Message(kind, from_id, to_id, data or {},
+                                 op.op_id if op else None))
 
     # --- event loop ---
 
@@ -487,9 +497,11 @@ class SimNetwork:
         kind = msg.kind._value_
         if tag == "deliver":
             node = self.nodes.get(msg.to_id)
-            if node is None or node.status is NodeStatus.DEPARTED:
+            if node is None or node.status is _DEPARTED:
                 # Receiver died while the message was in flight.
-                self._push(max(msg.deadline, self.clock), "timeout", msg)
+                self._seq += 1
+                heapq.heappush(self._queue, (max(msg.deadline, self.clock), self._seq,
+                                             "timeout", msg))
                 return
             delivered = self.metrics.delivered
             delivered[kind] = delivered.get(kind, 0) + 1

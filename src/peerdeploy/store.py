@@ -49,7 +49,9 @@ class Role(Enum):
     RETAINED = "RETAINED"
 
 
-PINNED_ROLES = frozenset({Role.SOURCE, Role.ROOT, Role.RETAINED})
+# The roles eviction may remove; every other role is pinned. A tuple test
+# compares identities, where a set would hash the member in Python code.
+TRANSIENT_ROLES = (Role.TRAIL, Role.CACHE)
 
 
 def content_digest(data: bytes) -> str:
@@ -88,7 +90,7 @@ class StoreEntry:
 
     @property
     def pinned(self) -> bool:
-        return self.role in PINNED_ROLES
+        return self.role not in TRANSIENT_ROLES
 
 
 @dataclass
@@ -167,7 +169,7 @@ class NodeStore:
         if payload is not None:
             entry.name = name
             entry.payload = payload
-            if role in PINNED_ROLES or not entry.pinned:
+            if role not in TRANSIENT_ROLES or not entry.pinned:
                 entry.role = role
         if origin is not None:
             entry.origin = origin

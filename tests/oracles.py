@@ -169,6 +169,14 @@ class ReferenceLeafSet:
         return min(sorted(set(self.left) | set(self.right)) + [self.owner],
                    key=lambda nid: (oracle_distance(nid, key), nid))
 
+    def in_range(self, key: int) -> bool:
+        """The key lies within the largest clockwise offset of the right side
+        or within the largest counter-clockwise offset of the left side."""
+        right = sorted((m - self.owner) % RING for m in self.right)
+        left = sorted((self.owner - m) % RING for m in self.left)
+        return ((bool(right) and (key - self.owner) % RING <= right[-1])
+                or (bool(left) and (self.owner - key) % RING <= left[-1]))
+
 
 # --------------------------------------------------------------------------
 # converged leaf sets without the repair traffic

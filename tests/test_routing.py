@@ -16,9 +16,31 @@ from peerdeploy.routing import (
     next_hop_from_state,
 )
 from peerdeploy.scenario import build_network
-from oracles import ReferenceLeafSet, oracle_next_hop
+from oracles import (
+    ReferenceLeafSet,
+    oracle_digit,
+    oracle_next_hop,
+    oracle_prefix_len,
+)
 
 RING = 1 << 128
+
+# Ids clustered at both ends of the ring make wrap-around and long shared
+# prefixes common; uniform 128-bit draws almost never produce either.
+ring_ids = st.one_of(st.integers(0, 64), st.integers(RING - 65, RING - 1),
+                     st.integers(0, RING - 1))
+# (how, i, j, raw) picks a key from a pool of ids: see pick_key.
+key_specs = st.tuples(st.integers(0, 5), st.integers(0, 16), st.integers(0, 16), ring_ids)
+
+
+def pick_key(pool: list[int], spec) -> int:
+    """raw, pool[i], pool[i] + 1, pool[i] - 1, or the midpoint of the arc from
+    pool[i] to pool[j] that avoids 0 or crosses it; a midpoint is an exact
+    distance tie when the two ids differ by an even number."""
+    how, i, j, raw = spec
+    a, b = pool[i % len(pool)], pool[j % len(pool)]
+    return (raw, a, (a + 1) % RING, (a - 1) % RING, (a + b) // 2,
+            (a + b + RING) // 2 % RING)[how]
 
 
 def make_state(owner: int, others: list[int]) -> tuple[LeafSet, RoutingTable]:
@@ -85,6 +107,19 @@ def test_leaf_set_in_range_covers_span():
     assert leaf.in_range(RING - 35)
     assert not leaf.in_range(RING // 2)
     assert not leaf.in_range(50)
+    # The extreme members bound the range and belong to it.
+    assert leaf.in_range(40) and leaf.in_range(RING - 40)
+    assert not leaf.in_range(41) and not leaf.in_range(RING - 41)
+
+
+def test_full_side_takes_a_candidate_one_nearer_than_its_farthest():
+    leaf = LeafSet(0)
+    for other in (10, 20, 30, 40, RING - 10, RING - 20, RING - 30, RING - 40):
+        leaf.insert(other)
+    assert leaf.insert(39) is True
+    assert leaf.insert(RING - 39) is True
+    assert leaf.right == [10, 20, 30, 39]
+    assert leaf.left == [RING - 10, RING - 20, RING - 30, RING - 39]
 
 
 def test_leaf_set_wraps_ring_when_tiny():
@@ -98,23 +133,24 @@ def test_leaf_set_wraps_ring_when_tiny():
 
 
 @settings(max_examples=300, deadline=None)
-@given(owner=st.integers(0, RING - 1),
-       others=st.lists(st.integers(0, RING - 1), min_size=1, max_size=12, unique=True),
-       steps=st.lists(st.tuples(st.booleans(), st.integers(0, 12), st.integers(0, RING - 1)),
-                      max_size=60))
+@given(owner=ring_ids,
+       others=st.lists(ring_ids, min_size=1, max_size=12, unique=True),
+       steps=st.lists(st.tuples(st.booleans(), st.integers(0, 12), key_specs), max_size=60))
 def test_leaf_set_matches_the_append_and_sort_reference(owner, others, steps):
     # The pool holds the owner and up to 12 other ids, so rings both smaller
     # and larger than L+1 come up, and each id is inserted and removed again.
     pool = others + [owner]
     leaf, reference = LeafSet(owner), ReferenceLeafSet(owner)
-    for inserting, index, key in steps:
+    for inserting, index, spec in steps:
         candidate = pool[index % len(pool)]
         if inserting:
             assert leaf.insert(candidate) == reference.insert(candidate)
         else:
             assert leaf.remove(candidate) == reference.remove(candidate)
         assert (leaf.left, leaf.right) == (reference.left, reference.right)
+        key = pick_key(pool, spec)
         assert leaf.closest_to(key) == reference.closest_to(key)
+        assert leaf.in_range(key) == reference.in_range(key)
 
 
 # -- routing table mechanics
@@ -176,6 +212,47 @@ def test_next_hop_matches_oracle_on_synthetic_state():
         want = oracle_next_hop(owner, leaf.members(), snapshot_cells(table),
                                set(leaf.members()) | set(table.entries()), key)
         assert got == want, f"trial {trial}: {got:x} != {want:x}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(owner=ring_ids,
+       others=st.lists(ring_ids, min_size=1, max_size=16, unique=True),
+       steps=st.lists(st.tuples(st.booleans(), st.integers(0, 16)), max_size=40),
+       keys=st.lists(key_specs, min_size=1, max_size=8))
+def test_table_and_next_hop_match_the_hex_oracle(owner, others, steps, keys):
+    """insert and remove place and clear the cell that the hex-string prefix
+    length and digit name, the first occupant winning; next_hop_from_state
+    then agrees with the oracle, near the wrap and on distance ties."""
+    pool = others + [owner]
+    table, cells, present = RoutingTable(owner), {}, set()
+    for inserting, index in steps:
+        candidate = pool[index % len(pool)]
+        row = oracle_prefix_len(owner, candidate)
+        cell = (row, oracle_digit(candidate, row)) if row < 32 else None
+        if inserting:
+            placed = cell is not None and cell not in cells
+            if placed:
+                cells[cell] = candidate
+            assert table.insert(candidate) is placed
+            present.add(candidate)
+        else:
+            cleared = cell is not None and cells.get(cell) == candidate
+            if cleared:
+                del cells[cell]
+            assert table.remove(candidate) is cleared
+            present.discard(candidate)
+        assert snapshot_cells(table) == cells
+    # The oracle derives each leaf side from the member set, which matches
+    # a leaf set that has only seen inserts.
+    leaf = LeafSet(owner)
+    for candidate in sorted(present):
+        leaf.insert(candidate)
+    members = leaf.members()
+    known = set(members) | set(cells.values())
+    for spec in keys:
+        key = pick_key(pool, spec)
+        want = oracle_next_hop(owner, members, cells, known, key)
+        assert next_hop_from_state(owner, leaf, table, key) == want
 
 
 def test_next_hop_matches_oracle_on_grown_network():

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from peerdeploy import build_network, join, leave, lookup, publish, serialize_metrics
+from peerdeploy import build_network, join, leave, lookup, publish, serialize_metrics, simnet
 from peerdeploy.errors import NoSuchNodeError, PeerDeployError
 from peerdeploy.ids import derive_key
-from peerdeploy.simnet import NodeStatus, SimConfig, SimNetwork
+from peerdeploy.simnet import MessageKind, NodeStatus, SimConfig, SimNetwork
 from peerdeploy.store import ComponentPayload
 
 
@@ -140,6 +140,86 @@ def test_fail_unknown_node_raises():
     net = SimNetwork(seed=0)
     with pytest.raises(NoSuchNodeError):
         net.fail(12345)
+
+
+# -- the four ways a message can fail to arrive
+
+
+@pytest.fixture
+def quiet_ring():
+    """A quiescent 4-node ring and its live ids, the sender first."""
+    net, _ = build_network(4, seed=1)
+    net.run_until_quiescent()
+    return net, *net.live_ids()
+
+
+def record_timeouts(monkeypatch, kind):
+    """Record (clock, receiver) for each timeout of `kind`."""
+    seen = []
+    monkeypatch.setitem(simnet._TIMEOUT, kind,
+                        lambda net, node, msg, op: seen.append((net.clock, msg.to_id)))
+    return seen
+
+
+def test_send_from_an_unknown_id_raises_as_node_does(quiet_ring):
+    net, _, receiver, *_ = quiet_ring
+    unknown = 12345
+    assert unknown not in net.nodes
+    sent = dict(net.metrics.sent)
+    with pytest.raises(NoSuchNodeError) as caught:
+        net.post(unknown, receiver, MessageKind.REPAIR)
+    assert str(caught.value) == f"unknown node {unknown:032x}"
+    with pytest.raises(NoSuchNodeError) as by_lookup:
+        net.node(unknown)
+    assert str(caught.value) == str(by_lookup.value)
+    assert net.metrics.sent == sent and not net._queue
+
+
+def test_send_from_a_departed_node_raises_and_counts_nothing(quiet_ring):
+    net, sender, receiver, *_ = quiet_ring
+    net.fail(sender)
+    sent = dict(net.metrics.sent)
+    with pytest.raises(NoSuchNodeError) as caught:
+        net.post(sender, receiver, MessageKind.REPAIR)
+    assert str(caught.value) == "departed nodes cannot send"
+    assert net.metrics.sent == sent and not net._queue
+
+
+def test_message_to_a_departed_node_times_out_at_its_deadline(quiet_ring, monkeypatch):
+    net, sender, receiver, *_ = quiet_ring
+    net.fail(receiver)
+    seen = record_timeouts(monkeypatch, MessageKind.REPAIR)
+    msg = net.post(sender, receiver, MessageKind.REPAIR)
+    assert msg.deadline == net.clock + net.config.timeout
+    net.run_until_quiescent()
+    assert seen == [(msg.deadline, receiver)]
+    assert net.metrics.timeouts == {"REPAIR": 1}
+
+
+def test_receiver_that_dies_in_flight_times_out_at_the_later_of_deadline_and_clock(
+        quiet_ring, monkeypatch):
+    net, sender, receiver, other, _ = quiet_ring
+    seen = record_timeouts(monkeypatch, MessageKind.REPAIR)
+
+    def queued():
+        return [(time, tag) for time, _, tag, _ in net._queue]
+
+    first = net.post(sender, receiver, MessageKind.REPAIR)
+    net.fail(receiver)
+    net._step()  # the delivery finds the receiver gone
+    # It landed before the deadline, which the timeout keeps.
+    assert queued() == [(first.deadline, "timeout")]
+    net.run_until_quiescent()
+    assert seen == [(first.deadline, receiver)]
+    # With the clock moved by hand past the deadline, the clock is kept.
+    second = net.post(sender, other, MessageKind.REPAIR)
+    net.fail(other)
+    net.clock = late = second.deadline + 7
+    net._step()
+    assert queued() == [(late, "timeout")]
+    net.run_until_quiescent()
+    assert seen == [(first.deadline, receiver), (late, other)]
+    assert net.metrics.timeouts == {"REPAIR": 2}
 
 
 def test_advance_moves_clock_exactly():
