@@ -101,7 +101,40 @@ def _load_document(path: str) -> dict[str, Any]:
     for field in ("clock", "seed", "live_nodes", "operations", "dumps"):
         if field not in document:
             raise ValueError(f"missing field {field!r}")
+    operations, dumps = document["operations"], document["dumps"]
+    if not isinstance(operations, dict) or not _objects(operations.values()):
+        raise ValueError("operations is not an object of objects")
+    for op_kind, op in operations.items():
+        hops = op.get("hops", {})
+        histogram = hops.get("histogram", {}) if isinstance(hops, dict) else None
+        if not isinstance(histogram, dict) or not all(
+                key.isdecimal() and _integer(count) for key, count in histogram.items()):
+            raise ValueError(f"{op_kind} hops histogram does not map integers to integers")
+        if not all(map(_integer, (op.get("count", 0), op.get("failures", 0), hops.get("max", 0)))) \
+                or not isinstance(hops.get("mean", 0.0), (int, float)):
+            raise ValueError(f"{op_kind} count, failures, max or mean is not a number")
+    if not isinstance(dumps, list) or not _objects(dumps):
+        raise ValueError("dumps is not a list of objects")
+    nodes = dumps[-1].get("nodes", []) if dumps else []  # only the last dump is shown
+    if not isinstance(nodes, list) or not _objects(nodes):
+        raise ValueError("the last dump's nodes are not a list of objects")
+    for node in nodes:
+        entries = node.get("entries", [])
+        if not isinstance(node.get("id", ""), str) or not _integer(node.get("bytes", 0)) \
+                or not isinstance(entries, list) or not all(
+                    isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and isinstance(entry.get("role"), str) for entry in entries):
+            raise ValueError("a dumped node needs a string id, integer bytes and a list of "
+                             "entry objects with a name and a role")
     return document
+
+
+def _objects(items) -> bool:
+    return all(isinstance(item, dict) for item in items)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _percentile(histogram: dict[int, int], q: float) -> int:
@@ -137,14 +170,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"{'mean':>7} {'p50':>4} {'p90':>4} {'p99':>4} {'max':>4}")
     for op_kind in sorted(operations):
         op = operations[op_kind]
-        raw = op.get("hops", {}).get("histogram", {})
-        histogram = {int(h): int(c) for h, c in raw.items()}
+        hops = op.get("hops", {})
+        histogram = {int(h): c for h, c in hops.get("histogram", {}).items()}
         print(f"{op_kind:<12} {op.get('count', 0):>7} {op.get('failures', 0):>7} "
-              f"{op.get('hops', {}).get('mean', 0.0):>7.3f} "
+              f"{hops.get('mean', 0.0):>7.3f} "
               f"{_percentile(histogram, 0.50):>4} "
               f"{_percentile(histogram, 0.90):>4} "
               f"{_percentile(histogram, 0.99):>4} "
-              f"{op.get('hops', {}).get('max', 0):>4}")
+              f"{hops.get('max', 0):>4}")
     if not operations:
         print("(no operations recorded)")
 

@@ -39,12 +39,6 @@ def to_hex(value: int) -> str:
     return f"{value:032x}"
 
 
-def from_hex(text: str) -> int:
-    if len(text) != DIGITS:
-        raise ValueError(f"expected {DIGITS} hex digits, got {len(text)}")
-    return int(text, 16)
-
-
 def shared_prefix_len(a: int, b: int) -> int:
     """Number of leading hex digits equal in a and b; 32 iff a == b."""
     if a == b:
@@ -56,11 +50,6 @@ def shared_prefix_len(a: int, b: int) -> int:
 def circular_distance(a: int, b: int) -> int:
     d = a - b if a >= b else b - a
     return d if d <= ID_SPACE - d else ID_SPACE - d
-
-
-def cw_offset(origin: int, target: int) -> int:
-    """Clockwise (increasing-id) arc length from origin to target."""
-    return (target - origin) % ID_SPACE
 
 
 def root_of(live_ids: Iterable[int], k: Key) -> NodeId:

@@ -522,11 +522,9 @@ class SimNetwork:
             return
         handler(self, node, msg, op)
 
-    def run_until_quiescent(self) -> int:
-        start = self.clock
+    def run_until_quiescent(self) -> None:
         while self._queue:
             self._step()
-        return self.clock - start
 
     def advance(self, ticks: int) -> None:
         """Process everything due within `ticks`, sweeping eviction at each

@@ -85,10 +85,6 @@ class StoreEntry:
     hits: int = 0
 
     @property
-    def locations(self) -> set[int]:
-        return {loc for loc in (self.origin, self.root_hint) if loc is not None}
-
-    @property
     def pinned(self) -> bool:
         return self.role not in TRANSIENT_ROLES
 
@@ -125,34 +121,23 @@ class RemovalReport:
 class NodeStore:
     """One node's entries, keyed by the 128-bit component key.
 
-    Two marks let the maintenance sweep pass over a store that cannot evict
-    anything: `_oldest` is at most the last_access of every non-pinned entry
-    (None when there is none), and `_overflow` is set once an insert may have
-    pushed the non-pinned count past cache_capacity. evict() resets both.
-    Simulated time only moves forward, so the program's direct writes of
-    `last_access` only raise it and leave `_oldest` a valid, if early, bound.
-    """
+    `entries` is read from outside; only put(), delete() and evict() change
+    it, and put() and hit() are the only writers of an entry's role, hits
+    and last_access. `_transient` holds the TRAIL and CACHE entries in the
+    order their last_access was last written; simulated time only moves
+    forward, so its first entry is the least recently used one. The config
+    may be swapped or edited in place: due_at() reads it on every call."""
 
     def __init__(self, config: StoreConfig | None = None):
-        self._config = config or StoreConfig()
+        self.config = config or StoreConfig()
         self.entries: dict[int, StoreEntry] = {}
-        self._oldest: Optional[int] = None
-        self._overflow = False
-
-    @property
-    def config(self) -> StoreConfig:
-        return self._config
-
-    @config.setter
-    def config(self, config: StoreConfig) -> None:
-        # A smaller capacity can leave the store over it without an insert.
-        self._config = config
-        self._overflow = True
+        self._transient: dict[int, StoreEntry] = {}
 
     def get(self, key: int) -> Optional[StoreEntry]:
         return self.entries.get(key)
 
     def delete(self, key: int) -> bool:
+        self._transient.pop(key, None)
         return self.entries.pop(key, None) is not None
 
     def put(self, key: int, name: str, role: Role, payload: Optional[ComponentPayload],
@@ -163,8 +148,7 @@ class NodeStore:
         TRAIL put (no payload) never downgrades an entry; it refreshes only
         the locations and last_access. Unknown locations (None) keep theirs."""
         entry = self.entries.get(key)
-        inserted = entry is None
-        if inserted:
+        if entry is None:
             entry = self.entries[key] = StoreEntry(key, name, Role.TRAIL, None, None, None, now)
         if payload is not None:
             entry.name = name
@@ -175,26 +159,32 @@ class NodeStore:
             entry.origin = origin
         if root_hint is not None:
             entry.root_hint = root_hint
-        entry.last_access = now
-        # Keep the eviction marks valid.
-        if not entry.pinned:
-            if self._oldest is None or now < self._oldest:
-                self._oldest = now
-            if inserted and len(self.entries) > self._config.cache_capacity:
-                self._overflow = True
+        self._touch(entry, now)
         return entry
 
+    def hit(self, entry: StoreEntry, now: int) -> None:
+        """Count a serve of `entry` and refresh its last_access."""
+        entry.hits += 1
+        self._touch(entry, now)
+
+    def _touch(self, entry: StoreEntry, now: int) -> None:
+        entry.last_access = now
+        self._transient.pop(entry.key, None)
+        if entry.role in TRANSIENT_ROLES:
+            self._transient[entry.key] = entry
+
     def due_at(self) -> float:
-        """Earliest time at which evict() can remove anything: 0 when the
-        cache may be over capacity, inf when nothing is evictable."""
-        if self._overflow:
-            return 0
-        if self._oldest is None:
+        """Earliest time at which evict() removes something: 0 while the
+        TRAIL/CACHE entries outnumber cache_capacity, inf when there is none."""
+        transient = self._transient
+        if not transient:
             return math.inf
-        return self._oldest + self._config.ttl + 1
+        if len(transient) > self.config.cache_capacity:
+            return 0
+        return next(iter(transient.values())).last_access + self.config.ttl + 1
 
     def non_pinned_count(self) -> int:
-        return sum(1 for e in self.entries.values() if not e.pinned)
+        return len(self._transient)
 
     def total_bytes(self) -> int:
         return sum(e.payload.size for e in self.entries.values() if e.payload)
@@ -204,16 +194,15 @@ class NodeStore:
         capacity. Pinned roles are structurally excluded from both passes.
         Both passes take the least recently used first, so together they
         remove a prefix of the transient entries in (last_access, key) order."""
-        transient = sorted((e for e in self.entries.values() if not e.pinned),
-                           key=lambda e: (e.last_access, e.key))
-        expired = bisect.bisect_left(transient, now - self._config.ttl,
+        # The index is in last_access order already; the sort puts ties in key order.
+        transient = sorted(self._transient.values(), key=lambda e: (e.last_access, e.key))
+        expired = bisect.bisect_left(transient, now - self.config.ttl,
                                      key=lambda e: e.last_access)
-        cut = max(expired, len(transient) - self._config.cache_capacity)
+        cut = max(expired, len(transient) - self.config.cache_capacity)
         evicted = [entry.key for entry in transient[:cut]]
         for key in evicted:
             del self.entries[key]
-        self._oldest = transient[cut].last_access if cut < len(transient) else None
-        self._overflow = False
+            del self._transient[key]
         return evicted
 
 
@@ -330,8 +319,7 @@ class LookupOp(RoutedOp):
 
     def serve(self, net: SimNetwork, node, entry: StoreEntry,
               payload: ComponentPayload) -> None:
-        entry.hits += 1
-        entry.last_access = net.clock
+        node.store.hit(entry, net.clock)
         self.served_by = node.id
         self.serve_hops = len(self.path) - 1
         self.reply_from(net, node, {"payload": payload, "origin": entry.origin,
@@ -390,8 +378,7 @@ def _fetch_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> None:
     entry = node.store.get(msg.data["key"])
     payload = None
     if entry is not None and entry.payload is not None:
-        entry.hits += 1
-        entry.last_access = net.clock
+        node.store.hit(entry, net.clock)
         payload = entry.payload
     net.post(node.id, msg.from_id, MessageKind.FETCH_REPLY, {"payload": payload}, op=op)
 

@@ -9,6 +9,7 @@ drives the package: it converges leaf sets by reading neighbour state.
 
 from __future__ import annotations
 
+import math
 import struct
 
 from peerdeploy.errors import LivelockSuspectedError
@@ -210,6 +211,22 @@ def stabilize(net) -> int:
             return rounds
         if rounds >= limit:
             raise LivelockSuspectedError("leaf gossip failed to converge")
+
+
+# --------------------------------------------------------------------------
+# when a store can next evict, by a scan of every entry
+
+
+def reference_due_at(store) -> float:
+    """0 while the TRAIL and CACHE entries outnumber the capacity; else the
+    first tick at which the least recently used of them is older than the
+    ttl; inf when there is none."""
+    transient = [e for e in store.entries.values() if e.role.value in ("TRAIL", "CACHE")]
+    if len(transient) > store.config.cache_capacity:
+        return 0
+    if not transient:
+        return math.inf
+    return min(e.last_access for e in transient) + store.config.ttl + 1
 
 
 # --------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Event-driven expiry: `advance` skips the maintenance boundaries at which no
 store can evict, and evicts exactly what a sweep at every boundary would."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peerdeploy import build_network, leave, lookup, publish, serialize_metrics
+from peerdeploy import build_network, leave, lookup, publish, route, serialize_metrics
 from peerdeploy import store
 from peerdeploy.errors import PeerDeployError
 from peerdeploy.ids import derive_key
 from peerdeploy.simnet import SimNetwork
 from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig
-from oracles import oracle_root
+from oracles import oracle_root, reference_due_at
 
 
 def payload_of(text: str) -> ComponentPayload:
@@ -61,16 +62,19 @@ def reference_evict(store_, now: int) -> list[int]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries=st.lists(st.tuples(st.sampled_from(list(Role)), st.integers(0, 30)),
-                        max_size=12),
+@given(entries=st.dictionaries(st.integers(0, 50),
+                               st.tuples(st.sampled_from(list(Role)), st.integers(0, 30)),
+                               max_size=12),
        capacity=st.integers(0, 5), ttl=st.integers(1, 20), now=st.integers(0, 60))
 def test_evict_matches_the_two_pass_reference(entries, capacity, ttl, now):
     stores = [NodeStore(StoreConfig(cache_capacity=capacity, ttl=ttl)) for _ in range(2)]
+    # Written in last_access order, as simulated time writes them; entries of
+    # equal last_access go in the order drawn, not in key order.
+    order = sorted(entries.items(), key=lambda item: item[1][1])
     for node_store in stores:
-        for key, (role, last_access) in enumerate(entries):
-            node_store.entries[key] = store.StoreEntry(
-                key=key, name=f"k{key}", role=role, payload=None, origin=None,
-                root_hint=None, last_access=last_access)
+        for key, (role, last_access) in order:
+            node_store.put(key, f"k{key}", role, None if role is Role.TRAIL else payload_of("k"),
+                           origin=None, root_hint=None, now=last_access)
     assert stores[0].evict(now) == reference_evict(stores[1], now)
     assert stores[0].entries.keys() == stores[1].entries.keys()
 
@@ -105,8 +109,12 @@ def script(seed: int, nodes: int, names: int, steps: int) -> list[tuple]:
             actions.append(("put", rng.randrange(nodes), rng.randrange(names)))
         elif draw < 0.96:
             actions.append(("leave", rng.randrange(nodes)))
-        else:
+        elif draw < 0.98:
             actions.append(("swap", rng.choice([300, 2500, 20_000]), rng.choice([0, 2, 64])))
+        else:
+            # fresh entries first, so that a smaller capacity has some to evict
+            actions.append(("put", rng.randrange(nodes), rng.randrange(names)))
+            actions.append(("edit", rng.choice([0, 1, 2, 64])))
     return actions
 
 
@@ -137,6 +145,11 @@ def apply(net, action: tuple, names: list[str], advance, sweep) -> str:
                                  cache_on_lookup=net.nodes[live[0]].store.config.cache_on_lookup)
             for node_id in live:
                 net.nodes[node_id].store.config = config
+        elif kind == "edit":
+            # Every live store holds the one config the net was built or
+            # swapped with. The boundary one interval on must see the edit.
+            net.nodes[live[0]].store.config.cache_capacity = action[1]
+            advance(net, net.config.maintenance_interval)
     except PeerDeployError as exc:
         return type(exc).__name__
     return "ok"
@@ -156,7 +169,8 @@ def state(net) -> tuple:
 ], ids=["capacity2", "default", "no_cache"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_advance_evicts_like_a_sweep_at_every_boundary(config, seed):
-    nets = [build_network(64, seed=seed, store_config=config)[0] for _ in range(2)]
+    nets = [build_network(64, seed=seed, store_config=dataclasses.replace(config))[0]
+            for _ in range(2)]
     names = [f"e{i}.jar" for i in range(24)]
     for net in nets:
         rng = random.Random(seed)
@@ -170,6 +184,9 @@ def test_advance_evicts_like_a_sweep_at_every_boundary(config, seed):
         ]
         assert outcomes[0] == outcomes[1], action
         assert state(nets[0]) == state(nets[1]), action
+        for node_id in nets[0].live_ids():
+            node_store = nets[0].nodes[node_id].store
+            assert node_store.due_at() == reference_due_at(node_store), action
     assert nets[0].metrics.evictions > 0
     documents = [serialize_metrics(net.metrics.to_document(net)) for net in nets]
     assert documents[0] == documents[1]
@@ -192,8 +209,8 @@ def evict_calls(monkeypatch):
     return calls
 
 
-def pinned_only_network():
-    net, _ = build_network(16, seed=4)
+def pinned_only_network(nodes: int = 16):
+    net, _ = build_network(nodes, seed=4)
     live = net.live_ids()
     for i in range(8):
         name = f"pin{i}.jar"
@@ -228,3 +245,21 @@ def test_one_cached_entry_expires_in_one_sweep(evict_calls, lag):
     assert evict_calls == [(first_past_ttl, [key])]
     assert node.store.get(key) is None
     assert net.metrics.evictions == 1
+
+
+def test_a_serve_that_refreshes_the_oldest_entry_moves_its_sweep(evict_calls):
+    net = pinned_only_network(64)
+    live = net.live_ids()
+    name, key = "pin0.jar", derive_key("pin0.jar")
+    client = next(node_id for node_id in live if len(route(net, node_id, key)) >= 3)
+    lookup(net, client, name)  # caches a copy on every node between client and root
+    cached = [node_id for node_id in live
+              if (e := net.nodes[node_id].store.get(key)) and e.role is Role.CACHE]
+    assert cached
+    ttl = net.nodes[client].store.config.ttl
+    net.advance(ttl // 2)
+    lookup(net, client, name)  # served by the first copy on the route, which it refreshes
+    evict_calls.clear()
+    net.advance(10 * ttl)
+    assert all(net.nodes[node_id].store.get(key) is None for node_id in cached)
+    assert evict_calls and all(evicted for _, evicted in evict_calls)

@@ -62,7 +62,7 @@ def test_hex_round_trip():
     rng = random.Random(0)
     for _ in range(200):
         value = rng.getrandbits(128)
-        assert ids.from_hex(ids.to_hex(value)) == value
+        assert int(ids.to_hex(value), 16) == value
         assert len(ids.to_hex(value)) == 32
 
 
@@ -72,7 +72,7 @@ def test_digit_matches_hex_reference(value, position):
 
 
 def test_digit_positions():
-    value = ids.from_hex("0123456789abcdef0123456789abcdef")
+    value = 0x0123456789abcdef0123456789abcdef
     assert ids.digit(value, 0) == 0x0
     assert ids.digit(value, 1) == 0x1
     assert ids.digit(value, 15) == 0xF

@@ -11,10 +11,10 @@ from peerdeploy.errors import (
     NoSuchNodeError,
     RoutingFailureError,
 )
-from peerdeploy.ids import cw_offset, derive_key
+from peerdeploy.ids import derive_key
 from peerdeploy.simnet import NodeStatus, SimNetwork
 from peerdeploy.store import ComponentPayload, Role
-from oracles import oracle_root, stabilize
+from oracles import RING, oracle_root, stabilize
 
 
 def test_first_node_joins_empty_network():
@@ -62,7 +62,7 @@ def test_leaf_sets_match_ring_neighbours():
     live = sorted(net.live_ids())
     for nid in live:
         node = net.nodes[nid]
-        ring = sorted((x for x in live if x != nid), key=lambda x: cw_offset(nid, x))
+        ring = sorted((x for x in live if x != nid), key=lambda x: (x - nid) % RING)
         assert node.leaf_set.right == ring[:4]
         assert node.leaf_set.left == list(reversed(ring[-4:]))
 

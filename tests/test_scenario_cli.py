@@ -327,10 +327,22 @@ def test_cli_stats_rejects_malformed_documents(tmp_path, capsys):
     assert main(["stats", str(garbage)]) == 2
     capsys.readouterr()
 
-    wrong_shape = tmp_path / "w.json"
-    wrong_shape.write_text('{"hello": 1}')
-    assert main(["stats", str(wrong_shape)]) == 2
-    capsys.readouterr()
+    head = '"clock": 0, "seed": 1, "live_nodes": 0'
+    for text in [
+        '{"hello": 1}',
+        '{%s, "operations": {"lookup": {"hops": {"histogram": {"x": 1}}}}, "dumps": []}' % head,
+        '{%s, "operations": {"a": 5}, "dumps": []}' % head,
+        '{%s, "operations": {"a": {"hops": {"histogram": {"1": "2"}}}}, "dumps": []}' % head,
+        '{%s, "operations": {"a": {"hops": {"mean": "x"}}}, "dumps": []}' % head,
+        '{%s, "operations": {}, "dumps": {"nodes": []}}' % head,
+        '{%s, "operations": {}, "dumps": [{"nodes": 5}]}' % head,
+        '{%s, "operations": {}, "dumps": [{"nodes": [{"id": null}]}]}' % head,
+        '{%s, "operations": {}, "dumps": [{"nodes": [{"entries": [{"role": "ROOT"}]}]}]}' % head,
+    ]:
+        wrong_shape = tmp_path / "w.json"
+        wrong_shape.write_text(text)
+        assert main(["stats", str(wrong_shape)]) == 2, text
+        assert "malformed metrics document" in capsys.readouterr().err
 
     assert main(["stats", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

@@ -18,7 +18,7 @@ from peerdeploy.ids import derive_key
 from peerdeploy.overlay import route
 from peerdeploy.simnet import SimNetwork
 from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig, content_digest
-from oracles import oracle_root
+from oracles import oracle_root, reference_due_at
 
 
 def payload_of(text: str, repeat: int = 50) -> ComponentPayload:
@@ -56,7 +56,7 @@ def test_publish_deposits_trail_on_every_path_node():
             entry = net.nodes[nid].store.get(key)
             assert entry.role is Role.TRAIL
             assert entry.payload is None
-            assert entry.locations
+            assert (entry.origin, entry.root_hint) == (trail.source, trail.root)
 
 
 def test_publish_single_node_collapses_roles():
@@ -190,6 +190,9 @@ def test_lookup_unavailable_when_all_holders_dead_but_trail_survives():
     # the stale trail was discarded; the network converges to not-found
     with pytest.raises(NotFoundError):
         lookup(net, trail_holders[0], name)
+    junction = net.nodes[trail_holders[0]].store
+    assert junction.get(key) is None
+    assert junction.due_at() == reference_due_at(junction)
 
 
 # -- remove
@@ -338,16 +341,16 @@ PRECEDENCE = {
     (R, C): (R, "new.jar", NEW, 1, 4, INF),
     (R, K): (K, "new.jar", NEW, 1, 4, INF),
     (R, T): (R, "old.jar", OLD, 1, 4, INF),
-    (T, S): (S, "new.jar", NEW, 1, 4, 1011),
-    (T, R): (R, "new.jar", NEW, 1, 4, 1011),
-    (T, C): (C, "new.jar", NEW, 1, 4, 1011),
-    (T, K): (K, "new.jar", NEW, 1, 4, 1011),
-    (T, T): (T, "old.jar", None, 1, 4, 1011),
-    (C, S): (S, "new.jar", NEW, 1, 4, 1011),
-    (C, R): (R, "new.jar", NEW, 1, 4, 1011),
-    (C, C): (C, "new.jar", NEW, 1, 4, 1011),
-    (C, K): (K, "new.jar", NEW, 1, 4, 1011),
-    (C, T): (C, "old.jar", OLD, 1, 4, 1011),
+    (T, S): (S, "new.jar", NEW, 1, 4, INF),
+    (T, R): (R, "new.jar", NEW, 1, 4, INF),
+    (T, C): (C, "new.jar", NEW, 1, 4, 1021),
+    (T, K): (K, "new.jar", NEW, 1, 4, INF),
+    (T, T): (T, "old.jar", None, 1, 4, 1021),
+    (C, S): (S, "new.jar", NEW, 1, 4, INF),
+    (C, R): (R, "new.jar", NEW, 1, 4, INF),
+    (C, C): (C, "new.jar", NEW, 1, 4, 1021),
+    (C, K): (K, "new.jar", NEW, 1, 4, INF),
+    (C, T): (C, "old.jar", OLD, 1, 4, 1021),
     (K, S): (S, "new.jar", NEW, 1, 4, INF),
     (K, R): (R, "new.jar", NEW, 1, 4, INF),
     (K, C): (K, "new.jar", NEW, 1, 4, INF),
