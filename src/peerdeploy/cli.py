@@ -17,10 +17,10 @@ from typing import Any, Optional
 
 from .errors import ScenarioParseError
 from .scenario import DEFAULT_PAYLOAD_SIZE, MAX_PAYLOAD_SIZE, run_scenario
+from .simnet import check_document
+from .store import Role
 
 SEED_ENV = "PEERDEPLOY_SEED"
-
-_PAYLOAD_ROLE_NAMES = frozenset({"SOURCE", "ROOT", "CACHE", "RETAINED"})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -96,45 +96,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _load_document(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         document = json.load(fh)
-    if not isinstance(document, dict):
-        raise ValueError("top level is not an object")
-    for field in ("clock", "seed", "live_nodes", "operations", "dumps"):
-        if field not in document:
-            raise ValueError(f"missing field {field!r}")
-    operations, dumps = document["operations"], document["dumps"]
-    if not isinstance(operations, dict) or not _objects(operations.values()):
-        raise ValueError("operations is not an object of objects")
-    for op_kind, op in operations.items():
-        hops = op.get("hops", {})
-        histogram = hops.get("histogram", {}) if isinstance(hops, dict) else None
-        if not isinstance(histogram, dict) or not all(
-                key.isdecimal() and _integer(count) for key, count in histogram.items()):
-            raise ValueError(f"{op_kind} hops histogram does not map integers to integers")
-        if not all(map(_integer, (op.get("count", 0), op.get("failures", 0), hops.get("max", 0)))) \
-                or not isinstance(hops.get("mean", 0.0), (int, float)):
-            raise ValueError(f"{op_kind} count, failures, max or mean is not a number")
-    if not isinstance(dumps, list) or not _objects(dumps):
-        raise ValueError("dumps is not a list of objects")
-    nodes = dumps[-1].get("nodes", []) if dumps else []  # only the last dump is shown
-    if not isinstance(nodes, list) or not _objects(nodes):
-        raise ValueError("the last dump's nodes are not a list of objects")
-    for node in nodes:
-        entries = node.get("entries", [])
-        if not isinstance(node.get("id", ""), str) or not _integer(node.get("bytes", 0)) \
-                or not isinstance(entries, list) or not all(
-                    isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                    and isinstance(entry.get("role"), str) for entry in entries):
-            raise ValueError("a dumped node needs a string id, integer bytes and a list of "
-                             "entry objects with a name and a role")
+    check_document(document)
     return document
-
-
-def _objects(items) -> bool:
-    return all(isinstance(item, dict) for item in items)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _percentile(histogram: dict[int, int], q: float) -> int:
@@ -155,14 +118,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         document = _load_document(args.metrics)
     except OSError as exc:
         return _fail(f"cannot read metrics: {exc}", 2)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
         return _fail(f"malformed metrics document: {exc}", 2)
 
     print(f"clock {document['clock']}  seed {document['seed']}  "
           f"live nodes {document['live_nodes']}")
-    print(f"events {document.get('events_processed', 0)}  "
-          f"evictions {document.get('evictions', 0)}  "
-          f"node failures {document.get('node_failures', 0)}")
+    print(f"events {document['events_processed']}  "
+          f"evictions {document['evictions']}  "
+          f"node failures {document['node_failures']}")
 
     operations = document["operations"]
     print()
@@ -170,14 +133,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"{'mean':>7} {'p50':>4} {'p90':>4} {'p99':>4} {'max':>4}")
     for op_kind in sorted(operations):
         op = operations[op_kind]
-        hops = op.get("hops", {})
-        histogram = {int(h): c for h, c in hops.get("histogram", {}).items()}
-        print(f"{op_kind:<12} {op.get('count', 0):>7} {op.get('failures', 0):>7} "
-              f"{hops.get('mean', 0.0):>7.3f} "
+        hops = op["hops"]
+        histogram = {int(h): c for h, c in hops["histogram"].items()}
+        print(f"{op_kind:<12} {op['count']:>7} {op['failures']:>7} "
+              f"{hops['mean']:>7.3f} "
               f"{_percentile(histogram, 0.50):>4} "
               f"{_percentile(histogram, 0.90):>4} "
               f"{_percentile(histogram, 0.99):>4} "
-              f"{hops.get('max', 0):>4}")
+              f"{hops['max']:>4}")
     if not operations:
         print("(no operations recorded)")
 
@@ -189,15 +152,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 0
 
     latest = dumps[-1]
-    print(f"per-node load (dump at clock {latest.get('clock', '?')}):")
+    print(f"per-node load (dump at clock {latest['clock']}):")
     print(f"  {'node':<12} {'id':<32} {'entries':>7} {'bytes':>10}")
     replicas: dict[str, int] = {}
-    for node in latest.get("nodes", []):
-        entries = node.get("entries", [])
-        print(f"  {str(node.get('name')):<12} {node.get('id', ''):<32} "
-              f"{len(entries):>7} {node.get('bytes', 0):>10}")
+    for node in latest["nodes"]:
+        entries = node["entries"]
+        print(f"  {node['name']:<12} {node['id']:<32} {len(entries):>7} {node['bytes']:>10}")
         for entry in entries:
-            if entry.get("role") in _PAYLOAD_ROLE_NAMES:
+            if entry["role"] != Role.TRAIL.value:
                 replicas[entry["name"]] = replicas.get(entry["name"], 0) + 1
 
     print()

@@ -165,15 +165,10 @@ def serialize_index(index: RepositoryIndex) -> str:
     """Byte-deterministic text form: entries sorted by name, fixed key order."""
     lines = [f"# generated_at: {index.generated_at}"]
     for d in index.entries():
+        values = (d.name, d.version, d.digest, d.size, d.start_entry or "",
+                  ",".join(d.imports), ",".join(d.exports), d.source_uri)
         lines.append("")
-        lines.append(f"name: {d.name}")
-        lines.append(f"version: {d.version}")
-        lines.append(f"digest: {d.digest}")
-        lines.append(f"size: {d.size}")
-        lines.append(f"start: {d.start_entry or ''}")
-        lines.append(f"imports: {','.join(d.imports)}")
-        lines.append(f"exports: {','.join(d.exports)}")
-        lines.append(f"uri: {d.source_uri}")
+        lines.extend(f"{field}: {value}" for field, value in zip(INDEX_FIELDS, values))
     return "\n".join(lines) + "\n"
 
 
@@ -262,10 +257,7 @@ def parse_index(text: str) -> RepositoryIndex:
         if descriptor.name in index:
             raise IndexParseError(f"duplicate record for {descriptor.name!r}",
                                   line=lineno, field="name")
-        try:
-            index.add(descriptor)
-        except VersionConflictError as exc:
-            raise IndexParseError(str(exc), line=lineno, field="name") from exc
+        index.add(descriptor)
 
 
 def save_index(index: RepositoryIndex, path: str) -> None:

@@ -285,10 +285,14 @@ def parse_scenario(text: str) -> Scenario:
                                   maximum=MAX_REQUESTS)
             try:
                 exponent = float(rest[4])
+                float(bundles) ** exponent  # the rarest bundle's weight is its inverse
             except ValueError:
                 raise ScenarioParseError("zipf exponent must be a number", line=lineno)
-            if exponent < 0:
-                raise ScenarioParseError("zipf exponent must be >= 0", line=lineno)
+            except OverflowError:
+                raise ScenarioParseError(f"zipf exponent too large for {bundles} bundles",
+                                         line=lineno)
+            if not 0 <= exponent < math.inf:
+                raise ScenarioParseError("zipf exponent must be finite and >= 0", line=lineno)
             if not live:
                 raise ScenarioParseError("workload needs live nodes", line=lineno)
             args = (nodes, bundles, requests, exponent)
@@ -507,10 +511,10 @@ class ScenarioRunner:
         self.net.metrics.workloads.append({
             "kind": "zipf", "nodes": nodes, "bundles": bundles,
             "requests": requests, "exponent": exponent,
-            "outcomes": dict(sorted(outcomes.items())),
+            "outcomes": outcomes,
         })
         self.net.metrics.replica_samples.append(
-            {"clock": self.net.clock, "counts": dict(sorted(counts.items()))})
+            {"clock": self.net.clock, "counts": counts})
 
     def _pick_publisher(self, key: int, rng) -> int:
         """Any live node except the key's root, so the source copy adds a

@@ -12,7 +12,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from hashlib import blake2b
 from typing import Any, Callable, Optional
@@ -74,6 +74,8 @@ class SimConfig:
             raise ValueError("latency bounds must satisfy 0 <= min < max")
         if self.timeout <= self.latency_max:
             raise ValueError("timeout must exceed the maximum latency")
+        if self.retries < 0 or self.maintenance_interval <= 0:
+            raise ValueError("retries must be >= 0 and maintenance_interval > 0")
 
 
 @dataclass(slots=True)
@@ -308,16 +310,17 @@ class Metrics:
             hist[hops] = hist.get(hops, 0) + 1
 
     def to_document(self, net: "SimNetwork") -> dict[str, Any]:
+        """The document DOCUMENT_SHAPE declares; `serialize_metrics` orders its keys."""
         ops: dict[str, Any] = {}
-        for op_kind in sorted(self.op_counts):
+        for op_kind, count in self.op_counts.items():
             hist = self.hop_histograms.get(op_kind, {})
             total = sum(hist.values())
             weighted = sum(h * c for h, c in hist.items())
             ops[op_kind] = {
-                "count": self.op_counts[op_kind],
+                "count": count,
                 "failures": self.op_failures.get(op_kind, 0),
                 "hops": {
-                    "histogram": {str(h): hist[h] for h in sorted(hist)},
+                    "histogram": {str(h): c for h, c in hist.items()},
                     "mean": round(weighted / total, 6) if total else 0.0,
                     "max": max(hist) if hist else 0,
                 },
@@ -325,17 +328,11 @@ class Metrics:
         return {
             "clock": net.clock,
             "seed": net.seed,
-            "config": {
-                "latency_min": net.config.latency_min,
-                "latency_max": net.config.latency_max,
-                "timeout": net.config.timeout,
-                "retries": net.config.retries,
-                "maintenance_interval": net.config.maintenance_interval,
-            },
+            "config": asdict(net.config),
             "messages": {
-                "sent": dict(sorted(self.sent.items())),
-                "delivered": dict(sorted(self.delivered.items())),
-                "timeouts": dict(sorted(self.timeouts.items())),
+                "sent": dict(self.sent),
+                "delivered": dict(self.delivered),
+                "timeouts": dict(self.timeouts),
             },
             "operations": ops,
             "events_processed": self.events_processed,
@@ -347,6 +344,54 @@ class Metrics:
             "assertions": self.assertions,
             "workloads": self.workloads,
         }
+
+
+# Every field of the metrics document. A type is a leaf: an int is never a
+# bool, and a float may be written as an int. A dict is an object with
+# exactly those fields, except that a dict keyed by `str` (any text) or by
+# `int` (decimal digits) is an object whose keys are data. A one-item list is
+# a list whose items all have that shape.
+_COUNTS = {str: int}
+DOCUMENT_SHAPE: dict[str, Any] = {
+    "clock": int, "seed": int, "live_nodes": int,
+    "events_processed": int, "evictions": int, "node_failures": int,
+    "config": {f.name: int for f in fields(SimConfig)},
+    "messages": {"sent": _COUNTS, "delivered": _COUNTS, "timeouts": _COUNTS},
+    "operations": {str: {"count": int, "failures": int,
+                         "hops": {"histogram": {int: int}, "mean": float, "max": int}}},
+    "dumps": [{"clock": int, "nodes": [{
+        "id": str, "name": str, "bytes": int,
+        "entries": [{"key": str, "name": str, "role": str, "hits": int, "last_access": int}],
+    }]}],
+    "replica_samples": [{"clock": int, "counts": _COUNTS}],
+    "assertions": [{"index": int, "predicate": str, "passed": bool}],
+    "workloads": [{"kind": str, "nodes": int, "bundles": int, "requests": int,
+                   "exponent": float, "outcomes": _COUNTS}],
+}
+_KINDS = {dict: "an object", list: "a list", int: "an integer", float: "a number",
+          str: "a string", bool: "a boolean"}
+
+
+def check_document(value: Any, shape: Any = DOCUMENT_SHAPE, where: str = "document") -> None:
+    """Raise ValueError naming the path of the first field that `shape` does not allow."""
+    kind = shape if isinstance(shape, type) else type(shape)
+    if not isinstance(value, (int, float) if kind is float else kind) \
+            or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{where} is not {_KINDS[kind]}")
+    if kind is list:
+        for i, item in enumerate(value):
+            check_document(item, shape[0], f"{where}[{i}]")
+    elif kind is dict and (keys := next(iter(shape))) in (str, int):
+        for key, item in value.items():
+            if keys is int and not key.isdecimal():
+                raise ValueError(f"{where}.{key} is not an integer key")
+            check_document(item, shape[keys], f"{where}.{key}")
+    elif kind is dict:
+        if value.keys() != shape.keys():
+            odd = min(value.keys() ^ shape.keys())
+            raise ValueError(f"{where}.{odd} is {'missing' if odd in shape else 'not a field'}")
+        for key, item in shape.items():
+            check_document(value[key], item, f"{where}.{key}")
 
 
 def serialize_metrics(document: dict[str, Any]) -> str:

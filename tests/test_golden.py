@@ -10,12 +10,14 @@ to alter behaviour regenerates them with
 and says in its description which fields moved and why.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from peerdeploy.scenario import run_scenario
+from peerdeploy.simnet import check_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -50,6 +52,7 @@ def replay(scenario: str, seed, random_ids: bool) -> str:
 def test_metrics_document_matches_golden(scenario, seed, random_ids):
     expected = golden_path(scenario, seed, random_ids).read_text(encoding="utf-8")
     assert replay(scenario, seed, random_ids) == expected
+    check_document(json.loads(expected))
 
 
 if __name__ == "__main__":

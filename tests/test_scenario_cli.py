@@ -1,6 +1,9 @@
 """Scenario files and the command line front end."""
 
+import itertools
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from peerdeploy.scenario import (
 )
 from peerdeploy.repo import RepositoryIndex, describe_payload, save_index
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GOOD = """\
 # exercises most commands
@@ -321,11 +325,25 @@ def test_cli_stats_lists_every_live_node_once(tmp_path, capsys):
     assert "per-key replicas" in out
 
 
+def test_cli_stats_counts_every_role_but_trail_as_a_replica(tmp_path, capsys):
+    document = json.loads((GOLDEN / "every_verb.json").read_text())
+    entries = [entry for node in document["dumps"][-1]["nodes"] for entry in node["entries"]]
+    for entry, role in zip(entries, itertools.cycle(["TRAIL", "CACHE", "RETAINED"])):
+        entry["role"] = role
+    path = tmp_path / "roles.json"
+    path.write_text(json.dumps(document))
+    assert main(["stats", str(path)]) == 0
+    listed = capsys.readouterr().out.split("per-key replicas")[1].splitlines()[1:]
+    assert {name: int(count) for name, count in map(str.split, listed)} == \
+        Counter(entry["name"] for entry in entries if entry["role"] != "TRAIL")
+
+
 def test_cli_stats_rejects_malformed_documents(tmp_path, capsys):
     garbage = tmp_path / "g.json"
-    garbage.write_text("{not json")
-    assert main(["stats", str(garbage)]) == 2
-    capsys.readouterr()
+    for text in ["{not json", "[" * 100_000 + "]" * 100_000]:
+        garbage.write_text(text)
+        assert main(["stats", str(garbage)]) == 2
+        assert "malformed metrics document" in capsys.readouterr().err
 
     head = '"clock": 0, "seed": 1, "live_nodes": 0'
     for text in [
@@ -343,6 +361,24 @@ def test_cli_stats_rejects_malformed_documents(tmp_path, capsys):
         wrong_shape.write_text(text)
         assert main(["stats", str(wrong_shape)]) == 2, text
         assert "malformed metrics document" in capsys.readouterr().err
+
+    # A document `run` wrote, broken in one field: the error names its path.
+    document = json.loads((GOLDEN / "every_verb.json").read_text())
+    without_evictions = {k: v for k, v in document.items() if k != "evictions"}
+    lookup = document["operations"]["lookup"]
+    lookup = {**lookup, "hops": {**lookup["hops"], "histogram": {"x": 1}}}
+    for broken, path in [
+        ([document], "document is not an object"),
+        (without_evictions, "document.evictions is missing"),
+        ({**document, "bogus": 1}, "document.bogus is not a field"),
+        ({**document, "clock": True}, "document.clock is not an integer"),
+        ({**document, "operations": {"lookup": lookup}},
+         "document.operations.lookup.hops.histogram.x is not an integer key"),
+        ({**document, "dumps": [{"clock": 0, "nodes": 5}]}, "document.dumps[0].nodes is not a list"),
+    ]:
+        wrong_shape.write_text(json.dumps(broken))
+        assert main(["stats", str(wrong_shape)]) == 2, path
+        assert path in capsys.readouterr().err
 
     assert main(["stats", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
@@ -368,6 +404,9 @@ def test_cli_stats_handles_empty_run(tmp_path, capsys):
     ("create 2\nworkload zipf 1 10001 1 1.0", "workload bundle count must be <= 10000"),
     ("create 2\nworkload zipf 1 1 1000001 1.0",
      "workload request count must be <= 1000000"),
+    ("create 2\nworkload zipf 4 2 10 nan", "zipf exponent must be finite"),
+    ("create 2\nworkload zipf 4 2 10 inf", "zipf exponent must be finite"),
+    ("create 2\nworkload zipf 4 2 10 1e308", "zipf exponent too large for 2 bundles"),
 ])
 def test_parse_rejects_sizes_above_their_bound(text, fragment):
     with pytest.raises(ScenarioParseError) as err:

@@ -27,6 +27,13 @@ def test_latency_is_deterministic_and_bounded():
     assert len(set(samples_a)) > 1
 
 
+@pytest.mark.parametrize("settings", [
+    {"maintenance_interval": 0}, {"maintenance_interval": -100}, {"retries": -1}])
+def test_config_rejects_settings_that_break_the_run(settings):
+    with pytest.raises(ValueError):
+        SimConfig(**settings)
+
+
 def test_latency_depends_on_endpoints():
     net = SimNetwork(seed=5)
     a = [net._latency(1, 2) for _ in range(20)]

@@ -3,9 +3,10 @@
     python3 tools/fingerprints.py [CHECKOUT] > fingerprints.txt
 
 One line per run: the sha1 of `peerdeploy run demos/sample.scenario` at
-seeds 42, 1 and 7, with hashed and with random ids, then for every perfbench
-workload at seeds 201 and 305 the `perfbench/run.py --trace 1` fingerprint,
-failed count and every per-layer metric that is not a timing. CHECKOUT
+seeds 42, 1 and 7, with hashed and with random ids; the exit code and the
+sha1 of `peerdeploy stats` on every tests/golden/*.json; then for every
+perfbench workload at seeds 201 and 305 the `perfbench/run.py --trace 1`
+fingerprint, failed count and every per-layer metric that is not a timing. CHECKOUT
 defaults to the checkout this script sits in. Run it in two checkouts and
 diff the outputs: an empty diff means the two behave alike on these runs.
 Uses only the standard library; perfbench runs as a subprocess, unchanged.
@@ -39,6 +40,13 @@ def scenario_line(root: Path, seed: int, random_ids: bool) -> str:
             f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
 
 
+def stats_line(root: Path, document: Path) -> str:
+    done = subprocess.run([sys.executable, "-c", CLI, "stats", str(document)],
+                          cwd=root, capture_output=True)
+    return (f"stats {document.relative_to(root)} exit {done.returncode} "
+            f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
+
+
 def bench_line(root: Path, workload: str, seed: int) -> str:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", "1"]
@@ -62,6 +70,8 @@ def main(argv: list[str]) -> int:
     for seed in SCENARIO_SEEDS:
         for random_ids in (False, True):
             print(scenario_line(root, seed, random_ids), flush=True)
+    for document in sorted(root.glob("tests/golden/*.json")):
+        print(stats_line(root, document), flush=True)
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             print(bench_line(root, workload, seed), flush=True)
