@@ -73,7 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = run_scenario(args.scenario, seed=seed,
                               random_ids=args.random_ids,
                               payload_size=args.payload_size)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read scenario: {exc}", 2)
     except ScenarioParseError as exc:
         where = f"{args.scenario}:{exc.line}: " if exc.line else ""

@@ -14,7 +14,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import store as _store
 from .errors import (
@@ -71,18 +71,20 @@ def parse_uri(text: str) -> Union[P2pUri, PassthroughUri]:
 # --------------------------------------------------------------------------
 # descriptors and the index
 
-_DIGEST_RE = re.compile(r"^[0-9a-f]{32}$")
-_VERSION_RE = re.compile(r"^\d+(\.\d+)*$")
+_DIGEST_RE = re.compile(r"[0-9a-f]{32}")
+_VERSION_RE = re.compile(r"\d+(\.\d+)*")
 
 
 def version_key(version: str) -> tuple[int, ...]:
-    if not _VERSION_RE.match(version):
+    if not _VERSION_RE.fullmatch(version):
         raise ValueError(f"not a dotted numeric version: {version!r}")
     return tuple(int(part) for part in version.split("."))
 
 
 @dataclass(frozen=True)
 class ComponentDescriptor:
+    """One bundle's metadata; the one check of its fields, naming the field it rejects."""
+
     name: str
     version: str
     digest: str
@@ -93,13 +95,14 @@ class ComponentDescriptor:
     source_uri: str = ""
 
     def __post_init__(self):
-        if not self.name or "/" in self.name:
-            raise ValueError(f"bad bundle name: {self.name!r}")
-        version_key(self.version)
-        if not _DIGEST_RE.match(self.digest):
-            raise ValueError("digest must be 32 lowercase hex digits")
+        if not self.name or "/" in self.name or "\n" in self.name:
+            raise IndexParseError(f"bad bundle name {self.name!r}", field="name")
+        if not _VERSION_RE.fullmatch(self.version):
+            raise IndexParseError("version must be dotted numeric", field="version")
+        if not _DIGEST_RE.fullmatch(self.digest):
+            raise IndexParseError("digest must be 32 lowercase hex digits", field="digest")
         if self.size < 0:
-            raise ValueError("size must be >= 0")
+            raise IndexParseError("size must be a non-negative integer", field="size")
         object.__setattr__(self, "imports", tuple(self.imports))
         object.__setattr__(self, "exports", tuple(self.exports))
 
@@ -173,18 +176,24 @@ def serialize_index(index: RepositoryIndex) -> str:
 
 
 def _parse_packages(value: str, lineno: int, field: str) -> tuple[str, ...]:
-    if not value:
-        return ()
-    parts = value.split(",")
-    if any(not p for p in parts):
+    parts = value.split(",") if value else []
+    if "" in parts:
         raise IndexParseError(f"empty package name in {field} list", line=lineno, field=field)
     return tuple(parts)
+
+
+def _parse_count(value: str, lineno: int, field: str) -> int:
+    if not (value.isascii() and value.isdigit()):
+        raise IndexParseError(f"{field} must be a non-negative integer",
+                              line=lineno, field=field)
+    return int(value)
 
 
 def parse_index(text: str) -> RepositoryIndex:
     """Strict parser: all eight keys, fixed order, or a diagnostic error.
 
-    Truncated or reordered files never yield a partial index.
+    Truncated or reordered files never yield a partial index. Record values
+    are ComponentDescriptor's to check; its error gets the record's line.
     """
     lines = text.split("\n")
     generated_at = 0
@@ -192,11 +201,8 @@ def parse_index(text: str) -> RepositoryIndex:
     while pos < len(lines) and lines[pos].startswith("#"):
         comment = lines[pos][1:].strip()
         if comment.startswith("generated_at:"):
-            stamp = comment.partition(":")[2].strip()
-            if not stamp.isdigit():
-                raise IndexParseError("generated_at must be an integer",
-                                      line=pos + 1, field="generated_at")
-            generated_at = int(stamp)
+            generated_at = _parse_count(comment.partition(":")[2].strip(),
+                                        pos + 1, "generated_at")
         pos += 1
 
     index = RepositoryIndex(generated_at=generated_at)
@@ -210,50 +216,38 @@ def parse_index(text: str) -> RepositoryIndex:
             if pos >= len(lines) or not lines[pos]:
                 raise IndexParseError(f"record truncated before {field!r}",
                                       line=pos + 1, field=field)
-            line = lines[pos]
-            key, sep, value = line.partition(": ")
-            if not sep and line.endswith(":"):
-                key, value = line[:-1], ""
-                sep = ":"
-            if not sep:
-                raise IndexParseError(f"expected 'key: value', got {line!r}",
+            key, sep, value = lines[pos].partition(":")
+            if not sep or value[:1] not in ("", " "):
+                raise IndexParseError(f"expected 'key: value', got {lines[pos]!r}",
                                       line=pos + 1, field=field)
             if key != field:
                 if key in INDEX_FIELDS:
                     raise IndexParseError(f"field {key!r} out of order, expected {field!r}",
                                           line=pos + 1, field=key)
                 raise IndexParseError(f"unknown key {key!r}", line=pos + 1, field=key)
-            values[field] = value
+            values[field] = value[1:]
             pos += 1
         lineno = pos  # first line after the record, for whole-record diagnostics
-        if not values["size"].isdigit():
-            raise IndexParseError("size must be a non-negative integer",
-                                  line=lineno, field="size")
-        if not _DIGEST_RE.match(values["digest"]):
-            raise IndexParseError("digest must be 32 lowercase hex digits",
-                                  line=lineno, field="digest")
-        if not _VERSION_RE.match(values["version"]):
-            raise IndexParseError("version must be dotted numeric",
-                                  line=lineno, field="version")
-        if not values["name"] or "/" in values["name"]:
-            raise IndexParseError(f"bad bundle name {values['name']!r}",
-                                  line=lineno, field="name")
         # uri is blank until the bundle has been published somewhere
         if values["uri"]:
             try:
                 parse_uri(values["uri"])
             except MalformedUriError as exc:
                 raise IndexParseError(str(exc), line=lineno, field="uri") from exc
-        descriptor = ComponentDescriptor(
-            name=values["name"],
-            version=values["version"],
-            digest=values["digest"],
-            size=int(values["size"]),
-            start_entry=values["start"] or None,
-            imports=_parse_packages(values["imports"], lineno, "imports"),
-            exports=_parse_packages(values["exports"], lineno, "exports"),
-            source_uri=values["uri"],
-        )
+        try:
+            descriptor = ComponentDescriptor(
+                name=values["name"],
+                version=values["version"],
+                digest=values["digest"],
+                size=_parse_count(values["size"], lineno, "size"),
+                start_entry=values["start"] or None,
+                imports=_parse_packages(values["imports"], lineno, "imports"),
+                exports=_parse_packages(values["exports"], lineno, "exports"),
+                source_uri=values["uri"],
+            )
+        except IndexParseError as exc:
+            exc.line = lineno
+            raise
         if descriptor.name in index:
             raise IndexParseError(f"duplicate record for {descriptor.name!r}",
                                   line=lineno, field="name")
@@ -267,7 +261,10 @@ def save_index(index: RepositoryIndex, path: str) -> None:
 
 def load_index(path: str) -> RepositoryIndex:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_index(fh.read())
+        try:
+            return parse_index(fh.read())
+        except UnicodeDecodeError as exc:
+            raise IndexParseError(f"not UTF-8 text ({exc})") from exc
 
 
 # --------------------------------------------------------------------------
@@ -314,88 +311,73 @@ def resolve(index: RepositoryIndex, name: str,
         providers[current] = wanted
         worklist.extend(sorted(wanted - providers.keys(), reverse=True))
 
-    groups = _condense(providers)
-    return _order_groups(groups, providers)
+    return _order_groups(_condense(providers), providers)
 
 
-def _condense(providers: dict[str, set[str]]) -> list[frozenset[str]]:
-    """Strongly connected components of the dependency graph, found with an
-    iterative Tarjan walk (recursion depth is unbounded otherwise)."""
+def _condense(providers: dict[str, set[str]]) -> list[tuple[str, ...]]:
+    """Strongly connected components of the dependency graph, each as its
+    sorted members, found with an iterative Tarjan walk (recursion depth is
+    unbounded otherwise). `low` holds exactly the nodes still on the stack."""
     order: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
-    sccs: list[frozenset[str]] = []
-    counter = 0
+    work: list[tuple[str, Iterator[str]]] = []
+    sccs: list[tuple[str, ...]] = []
 
-    for start in sorted(providers):
-        if start in order:
+    def visit(node: str) -> None:
+        order[node] = low[node] = len(order)
+        stack.append(node)
+        work.append((node, iter(sorted(providers[node]))))
+
+    for root in sorted(providers):
+        if root in order:
             continue
-        work: list[tuple[str, list[str], int]] = [(start, sorted(providers[start]), 0)]
-        order[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack.add(start)
+        visit(root)
         while work:
-            node, edges, i = work.pop()
-            advanced = False
-            while i < len(edges):
-                nxt = edges[i]
-                i += 1
+            node, edges = work[-1]
+            for nxt in edges:
                 if nxt not in order:
-                    work.append((node, edges, i))
-                    order[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, sorted(providers[nxt]), 0))
-                    advanced = True
+                    visit(nxt)
                     break
-                if nxt in on_stack:
+                if nxt in low:
                     low[node] = min(low[node], order[nxt])
-            if advanced:
-                continue
-            if low[node] == order[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                sccs.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                if low[node] < order[node]:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    continue
+                component = {stack.pop()}
+                while node not in component:
+                    component.add(stack.pop())
+                for member in component:
+                    del low[member]
+                sccs.append(tuple(sorted(component)))
     return sccs
 
 
-def _order_groups(sccs: list[frozenset[str]],
+def _order_groups(sccs: list[tuple[str, ...]],
                   providers: dict[str, set[str]]) -> list[InstallGroup]:
-    of_group: dict[str, int] = {}
-    for gi, component in enumerate(sccs):
-        for member in component:
-            of_group[member] = gi
-    indegree = [0] * len(sccs)
-    dependents: list[set[int]] = [set() for _ in sccs]
-    for bundle, wants in providers.items():
-        for provider in wants:
-            gp, gb = of_group[provider], of_group[bundle]
-            if gp != gb and gb not in dependents[gp]:
-                dependents[gp].add(gb)
-                indegree[gb] += 1
-    heap = [(min(sccs[gi]), gi) for gi in range(len(sccs)) if indegree[gi] == 0]
-    heapq.heapify(heap)
+    """Kahn's walk over the condensed graph: of the groups whose providers
+    are all placed, the one holding the smallest name goes next. A group is
+    its sorted members, so groups compare by their smallest name."""
+    group_of = {member: scc for scc in sccs for member in scc}
+    waiting = {scc: {group_of[p] for member in scc for p in providers[member]} - {scc}
+               for scc in sccs}
+    dependents: dict[tuple[str, ...], list[tuple[str, ...]]] = {scc: [] for scc in sccs}
+    for group, needs in waiting.items():
+        for provider in needs:
+            dependents[provider].append(group)
+    ready = sorted(group for group, needs in waiting.items() if not needs)
     ordered: list[InstallGroup] = []
-    while heap:
-        _, gi = heapq.heappop(heap)
-        members = tuple(sorted(sccs[gi]))
-        ordered.append(InstallGroup(members=members, cycle=len(members) > 1))
-        for gb in dependents[gi]:
-            indegree[gb] -= 1
-            if indegree[gb] == 0:
-                heapq.heappush(heap, (min(sccs[gb]), gb))
-    assert sum(len(g.members) for g in ordered) == len(providers)
+    while ready:
+        group = heapq.heappop(ready)
+        ordered.append(InstallGroup(members=group, cycle=len(group) > 1))
+        for dependent in dependents[group]:
+            waiting[dependent].discard(group)
+            if not waiting[dependent]:
+                heapq.heappush(ready, dependent)
+    assert len(ordered) == len(sccs)
     return ordered
 
 
@@ -474,16 +456,20 @@ def install(gw: GatewayState, net: SimNetwork, uri_text: str) -> InstallReport:
                          installed=newly, skipped=skipped)
 
 
-def start(gw: GatewayState, name: str) -> LifecycleState:
+def _state(gw: GatewayState, name: str) -> LifecycleState:
     state = gw.installed.get(name)
     if state is None:
         raise LifecycleError(f"{name!r} is not installed")
-    if state is LifecycleState.ACTIVE:
+    return state
+
+
+def start(gw: GatewayState, name: str) -> LifecycleState:
+    if _state(gw, name) is LifecycleState.ACTIVE:
         raise LifecycleError(f"{name!r} is already ACTIVE")
     descriptor = gw.index.get(name)
     if descriptor is None:
         raise LifecycleError(f"{name!r} has no descriptor in the index")
-    available = gw._exports_besides(None) | set(descriptor.exports)
+    available = gw._exports_besides()
     for package in descriptor.imports:
         if package not in available:
             raise LifecycleError(
@@ -493,9 +479,7 @@ def start(gw: GatewayState, name: str) -> LifecycleState:
 
 
 def stop(gw: GatewayState, name: str) -> LifecycleState:
-    state = gw.installed.get(name)
-    if state is None:
-        raise LifecycleError(f"{name!r} is not installed")
+    state = _state(gw, name)
     if state is not LifecycleState.ACTIVE:
         raise LifecycleError(f"{name!r} is {state.value}, not ACTIVE")
     gw.installed[name] = LifecycleState.INSTALLED
@@ -503,27 +487,20 @@ def stop(gw: GatewayState, name: str) -> LifecycleState:
 
 
 def uninstall(gw: GatewayState, name: str) -> None:
-    state = gw.installed.get(name)
-    if state is None:
-        raise LifecycleError(f"{name!r} is not installed")
-    if state is LifecycleState.ACTIVE:
+    """Refused while ACTIVE, or while an ACTIVE bundle imports a package only it provides."""
+    if _state(gw, name) is LifecycleState.ACTIVE:
         raise LifecycleError(f"{name!r} is ACTIVE; stop it first")
     descriptor = gw.index.get(name)
-    exports = set(descriptor.exports) if descriptor is not None else set()
-    if exports:
-        remaining = gw._exports_besides(name)
-        for other, other_state in gw.installed.items():
-            if other == name or other_state is not LifecycleState.ACTIVE:
-                continue
-            other_desc = gw.index.get(other)
-            if other_desc is None:
-                continue
-            for package in other_desc.imports:
-                if package in exports and package not in remaining \
-                        and package not in other_desc.exports:
-                    raise LifecycleError(
-                        f"cannot uninstall {name!r}: ACTIVE bundle {other!r} "
-                        f"imports {package!r} from it")
+    lost = set(descriptor.exports if descriptor else ()) - gw._exports_besides(name)
+    for other, other_state in gw.installed.items():
+        other_desc = gw.index.get(other)
+        if other_state is not LifecycleState.ACTIVE or other_desc is None:
+            continue
+        for package in other_desc.imports:
+            if package in lost:
+                raise LifecycleError(
+                    f"cannot uninstall {name!r}: ACTIVE bundle {other!r} "
+                    f"imports {package!r} from it")
     del gw.installed[name]
     gw.artifacts.pop(name, None)
 

@@ -531,7 +531,6 @@ class ScenarioRunner:
                 return candidate
 
     def _cmd_dump(self, cmd: Command) -> None:
-        id_to_name = {node_id: name for name, node_id in self.names.items()}
         nodes = []
         for node_id in self.net.live_ids():
             node = self.net.nodes[node_id]
@@ -545,7 +544,7 @@ class ScenarioRunner:
                 })
             nodes.append({
                 "id": to_hex(node_id),
-                "name": id_to_name.get(node_id, node.name),
+                "name": node.name,
                 "entries": entries,
                 "bytes": node.store.total_bytes(),
             })
@@ -596,11 +595,7 @@ class ScenarioRunner:
         live = self.net.live_ids()
         if not live:
             return None
-        root_id = root_of(live, derive_key(name))
-        for node_name, node_id in self.names.items():
-            if node_id == root_id:
-                return node_name
-        return to_hex(root_id)
+        return self.net.nodes[root_of(live, derive_key(name))].name
 
 
 def run_scenario(path: str, seed: Optional[int] = None,

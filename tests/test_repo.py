@@ -95,14 +95,15 @@ def test_descriptor_validation():
     assert good.digest == payload.digest
     assert good.size == payload.size
     assert good.source_uri == "p2p://v.jar"
-    with pytest.raises(Exception):
-        ComponentDescriptor(name="", version="1.0", digest=payload.digest, size=1)
-    with pytest.raises(Exception):
-        ComponentDescriptor(name="x", version="1.a", digest=payload.digest, size=1)
-    with pytest.raises(Exception):
-        ComponentDescriptor(name="x", version="1.0", digest="zz", size=1)
-    with pytest.raises(Exception):
-        ComponentDescriptor(name="x", version="1.0", digest=payload.digest, size=-1)
+    for field, bad in [("name", ""), ("name", "a/b"), ("name", "a\nb"),
+                       ("version", "1.a"), ("version", "1.0\n"),
+                       ("digest", "zz"), ("digest", payload.digest + "\n"),
+                       ("size", -1)]:
+        values = dict(name="x", version="1.0", digest=payload.digest, size=1)
+        values[field] = bad
+        with pytest.raises(IndexParseError) as err:
+            ComponentDescriptor(**values)
+        assert (err.value.field, err.value.line) == (field, None), (field, bad)
 
 
 def test_version_ordering():
@@ -184,6 +185,22 @@ def test_parse_index_rejects_out_of_order_fields():
     lines[record_start], lines[record_start + 1] = lines[record_start + 1], lines[record_start]
     with pytest.raises(IndexParseError):
         parse_index("\n".join(lines))
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("name", "a/b"), ("version", "1.x"), ("digest", "ab"), ("size", "-3"),
+])
+def test_parse_index_names_the_line_of_a_bad_descriptor(field, bad):
+    index = RepositoryIndex()
+    index.add(desc("first.jar"))
+    index.add(desc("second.jar"))
+    lines = serialize_index(index).split("\n")
+    spoiled = max(i for i, line in enumerate(lines) if line.startswith(f"{field}: "))
+    lines[spoiled] = f"{field}: {bad}"
+    with pytest.raises(IndexParseError) as err:
+        parse_index("\n".join(lines))
+    assert err.value.field == field
+    assert err.value.line == len(lines) - 1  # the second record's last line
 
 
 def test_parse_index_rejects_duplicate_names():
@@ -295,6 +312,22 @@ def test_resolve_random_graphs_against_checker():
         problems = check_resolution(
             {n: descriptors[n] for n in emitted}, requested, groups)
         assert not problems, f"trial {trial}: {problems}"
+        assert_smallest_ready_group_first(descriptors, groups)
+
+
+def assert_smallest_ready_group_first(descriptors, groups):
+    """Each group is, of the groups whose providers are all emitted, the one
+    holding the smallest name. Every package here has a single exporter."""
+    exporter = {p: name for name, d in descriptors.items() for p in d.exports}
+    group_of = {m: g.members for g in groups for m in g.members}
+    needs = {g.members: {group_of[exporter[p]] for m in g.members
+                         for p in descriptors[m].imports} - {g.members}
+             for g in groups}
+    emitted = set()
+    for group in groups:
+        ready = [g for g, wants in needs.items() if g not in emitted and wants <= emitted]
+        assert group.members == min(ready, key=min), (group.members, ready)
+        emitted.add(group.members)
 
 
 def test_resolve_is_deterministic():
@@ -436,6 +469,31 @@ def test_uninstall_refuses_while_active_importer_remains():
         uninstall(client, "lib.jar")  # use.jar is ACTIVE and imports lib
     stop(client, "use.jar")
     uninstall(client, "lib.jar")
+
+
+def test_import_rule_counts_every_installed_exporter():
+    gw = GatewayState(0, index=make_index(
+        desc("self.jar", imports=("own",), exports=("own",)),
+        desc("lib.jar", exports=("lib",)),
+        desc("twin.jar", exports=("lib",)),
+        desc("use.jar", imports=("lib",)),
+        desc("both.jar", imports=("lib",), exports=("lib",)),
+    ))
+    for name in ("self.jar", "lib.jar", "twin.jar", "use.jar"):
+        gw.installed[name] = LifecycleState.INSTALLED
+    start(gw, "self.jar")  # its own export satisfies its import
+    start(gw, "use.jar")
+    uninstall(gw, "twin.jar")  # lib.jar still exports lib
+    with pytest.raises(LifecycleError, match="ACTIVE bundle 'use.jar' imports 'lib'"):
+        uninstall(gw, "lib.jar")  # the last exporter of lib
+    stop(gw, "use.jar")
+    gw.installed["both.jar"] = LifecycleState.INSTALLED
+    start(gw, "both.jar")
+    uninstall(gw, "lib.jar")  # both.jar exports lib itself
+    stop(gw, "both.jar")
+    uninstall(gw, "both.jar")
+    with pytest.raises(LifecycleError, match="import 'lib' is unsatisfied"):
+        start(gw, "use.jar")
 
 
 def test_publish_local_digest_mismatch():

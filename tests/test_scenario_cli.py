@@ -2,20 +2,27 @@
 
 import itertools
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from peerdeploy.cli import main
-from peerdeploy.errors import ScenarioParseError
+from peerdeploy.errors import IndexParseError, ScenarioParseError
 from peerdeploy.scenario import (
     ScenarioRunner,
     parse_scenario,
     run_scenario,
     synthesize_payload,
 )
-from peerdeploy.repo import RepositoryIndex, describe_payload, save_index
+from peerdeploy.repo import (
+    RepositoryIndex,
+    describe_payload,
+    load_index,
+    save_index,
+    serialize_index,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -181,6 +188,26 @@ def test_missing_descriptor_file_rejects_before_execution(tmp_path):
         run_scenario(str(path))
 
 
+@pytest.mark.parametrize("spoil, field", [
+    (lambda text: text.encode() + b"\xff\n", None),
+    (lambda text: re.sub(r"generated_at: \d+", "generated_at: \u00b2", text).encode(),
+     "generated_at"),
+    (lambda text: re.sub(r"size: \d+", "size: \u00b2", text).encode(), "size"),
+], ids=["not-utf8", "generated_at", "size"])
+def test_bad_descriptor_file_rejects_with_exit_two(tmp_path, capsys, spoil, field):
+    index = RepositoryIndex()
+    index.add(describe_payload("desc.jar", synthesize_payload(3, "desc.jar")))
+    bad = tmp_path / "bundle.index"
+    bad.write_bytes(spoil(serialize_index(index)))
+    with pytest.raises(IndexParseError) as err:
+        load_index(str(bad))
+    assert err.value.field == field
+    path = tmp_path / "desc.scenario"
+    path.write_text("create 2\npublish n1 desc.jar bundle.index\n")
+    assert main(["run", str(path)]) == 2
+    assert "descriptor file 'bundle.index'" in capsys.readouterr().err
+
+
 def test_workload_records_outcomes_and_replicas(tmp_path):
     path = tmp_path / "wl.scenario"
     path.write_text("seed 2\ncreate 12\nworkload zipf 12 5 200 1.0\n"
@@ -263,6 +290,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "live_nodes==3" in err
 
     assert main(["run", str(tmp_path / "absent.scenario")]) == 2
+    assert "cannot read scenario" in capsys.readouterr().err
+    latin = tmp_path / "latin.scenario"
+    latin.write_bytes(b"create 2\n\xff\n")
+    assert main(["run", str(latin)]) == 2
+    assert "cannot read scenario" in capsys.readouterr().err
 
 
 def test_cli_seed_precedence(tmp_path, capsys, monkeypatch):

@@ -4,9 +4,12 @@
 
 One line per run: the sha1 of `peerdeploy run demos/sample.scenario` at
 seeds 42, 1 and 7, with hashed and with random ids; the exit code and the
-sha1 of `peerdeploy stats` on every tests/golden/*.json; then for every
-perfbench workload at seeds 201 and 305 the `perfbench/run.py --trace 1`
-fingerprint, failed count and every per-layer metric that is not a timing. CHECKOUT
+sha1 of `peerdeploy stats` on every tests/golden/*.json; the sha1 of
+`repo.resolve` on every bundle of 300 seeded random indexes (cycles, shared
+exports, mixed versions, unexported imports), which pins install order; then
+for every perfbench workload at seeds 201 and 305 the `perfbench/run.py
+--trace 1` fingerprint, failed count and every per-layer metric that is not a
+timing. CHECKOUT
 defaults to the checkout this script sits in. Run it in two checkouts and
 diff the outputs: an empty diff means the two behave alike on these runs.
 Uses only the standard library; perfbench runs as a subprocess, unchanged.
@@ -30,6 +33,37 @@ CLI = ("import sys; sys.path.insert(0, 'src'); from peerdeploy.cli import main; 
        "sys.exit(main())")
 
 
+# Resolves every bundle of each of argv[1] seeded indexes with the checkout's
+# own sources and prints the sha1 of the install orders, or of the error each
+# resolve raised.
+RESOLVE = """
+import hashlib, random, sys
+sys.path.insert(0, 'src')
+from peerdeploy.errors import PeerDeployError
+from peerdeploy.repo import ComponentDescriptor, RepositoryIndex, resolve
+digest = hashlib.sha1()
+for seed in range(int(sys.argv[1])):
+    rng = random.Random(seed)
+    count = rng.randrange(1, 41)
+    packages = [f"p{i}" for i in range(rng.randrange(1, count + 1))]
+    index = RepositoryIndex()
+    for i in range(count):
+        index.add(ComponentDescriptor(
+            name=f"b{i}", version=f"{rng.randrange(3)}.{rng.randrange(3)}",
+            digest=f"{i:032x}", size=i,
+            imports=rng.sample(packages, rng.randrange(min(4, len(packages)) + 1)),
+            exports=rng.sample(packages, rng.randrange(min(3, len(packages)) + 1))))
+    for i in range(count):
+        try:
+            order = [(group.members, group.cycle) for group in resolve(index, f"b{i}")]
+        except PeerDeployError as exc:
+            order = type(exc).__name__
+        digest.update(repr((seed, i, order)).encode())
+print(digest.hexdigest())
+"""
+RESOLVE_INDEXES = 300
+
+
 def scenario_line(root: Path, seed: int, random_ids: bool) -> str:
     command = [sys.executable, "-c", CLI, "run", SCENARIO, "--seed", str(seed)]
     if random_ids:
@@ -45,6 +79,13 @@ def stats_line(root: Path, document: Path) -> str:
                           cwd=root, capture_output=True)
     return (f"stats {document.relative_to(root)} exit {done.returncode} "
             f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
+
+
+def resolve_line(root: Path) -> str:
+    done = subprocess.run([sys.executable, "-c", RESOLVE, str(RESOLVE_INDEXES)], cwd=root,
+                          capture_output=True, text=True)
+    return (f"resolve {RESOLVE_INDEXES} random indexes exit {done.returncode} "
+            f"sha1 {done.stdout.strip()}")
 
 
 def bench_line(root: Path, workload: str, seed: int) -> str:
@@ -72,6 +113,7 @@ def main(argv: list[str]) -> int:
             print(scenario_line(root, seed, random_ids), flush=True)
     for document in sorted(root.glob("tests/golden/*.json")):
         print(stats_line(root, document), flush=True)
+    print(resolve_line(root), flush=True)
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             print(bench_line(root, workload, seed), flush=True)
