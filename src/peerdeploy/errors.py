@@ -118,7 +118,7 @@ class IndexParseError(PeerDeployError):
 # --- simnet / scenario ---
 
 class LivelockSuspectedError(PeerDeployError):
-    """Event queue failed to drain within the allowed tick budget."""
+    """An operation was still open once the event queue had drained."""
 
 
 class ScenarioParseError(PeerDeployError):
@@ -127,11 +127,3 @@ class ScenarioParseError(PeerDeployError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
-
-
-class ScenarioExecutionError(PeerDeployError):
-    """A scenario command failed at run time (unknown node, failed op)."""
-
-    def __init__(self, message: str, command_index: int | None = None):
-        super().__init__(message)
-        self.command_index = command_index

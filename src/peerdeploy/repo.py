@@ -175,10 +175,10 @@ def serialize_index(index: RepositoryIndex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_packages(value: str, lineno: int, field: str) -> tuple[str, ...]:
+def _parse_packages(value: str, field: str) -> tuple[str, ...]:
     parts = value.split(",") if value else []
     if "" in parts:
-        raise IndexParseError(f"empty package name in {field} list", line=lineno, field=field)
+        raise IndexParseError(f"empty package name in {field} list", field=field)
     return tuple(parts)
 
 
@@ -193,7 +193,8 @@ def parse_index(text: str) -> RepositoryIndex:
     """Strict parser: all eight keys, fixed order, or a diagnostic error.
 
     Truncated or reordered files never yield a partial index. Record values
-    are ComponentDescriptor's to check; its error gets the record's line.
+    are ComponentDescriptor's to check; an error about a value gets the line
+    of the field it names.
     """
     lines = text.split("\n")
     generated_at = 0
@@ -212,6 +213,7 @@ def parse_index(text: str) -> RepositoryIndex:
         if pos >= len(lines):
             return index
         values: dict[str, str] = {}
+        line_of: dict[str, int] = {}
         for field in INDEX_FIELDS:
             if pos >= len(lines) or not lines[pos]:
                 raise IndexParseError(f"record truncated before {field!r}",
@@ -227,30 +229,30 @@ def parse_index(text: str) -> RepositoryIndex:
                 raise IndexParseError(f"unknown key {key!r}", line=pos + 1, field=key)
             values[field] = value[1:]
             pos += 1
-        lineno = pos  # first line after the record, for whole-record diagnostics
+            line_of[field] = pos
         # uri is blank until the bundle has been published somewhere
         if values["uri"]:
             try:
                 parse_uri(values["uri"])
             except MalformedUriError as exc:
-                raise IndexParseError(str(exc), line=lineno, field="uri") from exc
+                raise IndexParseError(str(exc), line=line_of["uri"], field="uri") from exc
         try:
             descriptor = ComponentDescriptor(
                 name=values["name"],
                 version=values["version"],
                 digest=values["digest"],
-                size=_parse_count(values["size"], lineno, "size"),
+                size=_parse_count(values["size"], line_of["size"], "size"),
                 start_entry=values["start"] or None,
-                imports=_parse_packages(values["imports"], lineno, "imports"),
-                exports=_parse_packages(values["exports"], lineno, "exports"),
+                imports=_parse_packages(values["imports"], "imports"),
+                exports=_parse_packages(values["exports"], "exports"),
                 source_uri=values["uri"],
             )
         except IndexParseError as exc:
-            exc.line = lineno
+            exc.line = line_of[exc.field]
             raise
         if descriptor.name in index:
             raise IndexParseError(f"duplicate record for {descriptor.name!r}",
-                                  line=lineno, field="name")
+                                  line=line_of["name"], field="name")
         index.add(descriptor)
 
 

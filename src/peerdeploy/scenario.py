@@ -1,9 +1,9 @@
 """Line-oriented scenario files: parse, validate fully, then execute.
 
 A scenario drives one deterministic simulation: build a network, publish and
-install bundles, inject churn, and check predicates. Validation happens
-entirely before execution, so an invalid scenario never runs half-way. Bundle
-payloads are synthesized from the seed and bundle name; fixtures stay text.
+install bundles, inject churn, and check predicates. `parse_scenario` checks
+everything, descriptor files included, before execution, so an invalid
+scenario never runs half-way. Payloads are synthesized; fixtures stay text.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     NotFoundError,
     PeerDeployError,
     RoutingFailureError,
-    ScenarioExecutionError,
     ScenarioParseError,
     UnavailableError,
 )
@@ -199,10 +198,12 @@ def _parse_term(text: str, lineno: int, live: set[str]) -> tuple:
     return (fn,) if arg_kind in (None, "lookup") else (fn, arg)
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     """Parse and statically validate a scenario. Node references must name a
     node that the preceding commands leave alive; violations reject the whole
-    file before anything executes."""
+    file before anything executes. Descriptor files are read from `base_dir`
+    once the text is valid, and each publish command carries its descriptor,
+    or None to describe the synthesized payload."""
     seed: Optional[int] = None
     commands: list[Command] = []
     live: set[str] = set()
@@ -306,6 +307,24 @@ def parse_scenario(text: str) -> Scenario:
 
         commands.append(Command(index=len(commands), line=lineno,
                                 verb=verb, args=args, text=line))
+
+    for cmd in commands:
+        if cmd.verb != "publish" or cmd.args[2] is None:
+            continue
+        node, bundle, file_name = cmd.args
+        try:
+            descriptor = load_index(os.path.join(base_dir, file_name)).get(bundle)
+        except OSError as exc:
+            raise ScenarioParseError(f"cannot read descriptor file {file_name!r}: {exc}",
+                                     line=cmd.line) from exc
+        except IndexParseError as exc:
+            where = "" if exc.line is None else f" line {exc.line}"
+            raise ScenarioParseError(f"descriptor file {file_name!r}{where}: {exc}",
+                                     line=cmd.line) from exc
+        if descriptor is None:
+            raise ScenarioParseError(
+                f"descriptor file {file_name!r} has no record for {bundle!r}", line=cmd.line)
+        cmd.args = (node, bundle, descriptor)
     return Scenario(seed=seed, commands=commands)
 
 
@@ -354,10 +373,11 @@ class RunResult:
 
 class ScenarioRunner:
     """Executes a parsed scenario against one fresh SimNetwork. Each verb
-    runs through the method named `_cmd_<verb>`."""
+    runs through the method named `_cmd_<verb>`. It does no validation: it
+    relies on `parse_scenario` for every input check, and the first command
+    that fails stops the run."""
 
     def __init__(self, scenario: Scenario, seed: int,
-                 base_dir: str = ".",
                  random_ids: bool = False,
                  payload_size: int = DEFAULT_PAYLOAD_SIZE):
         self.scenario = scenario
@@ -369,35 +389,8 @@ class ScenarioRunner:
         self.index = RepositoryIndex()  # one index shared by every gateway
         self.gateways: dict[int, GatewayState] = {}
         self.last_lookup: Optional[dict[str, Any]] = None
-        # Descriptor files are part of scenario validity: load them before
-        # executing anything.
-        self.descriptors: dict[str, RepositoryIndex] = {}
-        for cmd in scenario.commands:
-            if cmd.verb != "publish" or cmd.args[2] is None:
-                continue
-            path = os.path.join(base_dir, cmd.args[2])
-            try:
-                loaded = load_index(path)
-            except OSError as exc:
-                raise ScenarioParseError(
-                    f"cannot read descriptor file {cmd.args[2]!r}: {exc}",
-                    line=cmd.line) from exc
-            except IndexParseError as exc:
-                raise ScenarioParseError(
-                    f"descriptor file {cmd.args[2]!r}: {exc}", line=cmd.line) from exc
-            if loaded.get(cmd.args[1]) is None:
-                raise ScenarioParseError(
-                    f"descriptor file {cmd.args[2]!r} has no record for {cmd.args[1]!r}",
-                    line=cmd.line)
-            self.descriptors[cmd.args[2]] = loaded
 
     # -- plumbing
-
-    def _node_id(self, name: str) -> int:
-        node_id = self.names.get(name)
-        if node_id is None:
-            raise ScenarioExecutionError(f"node {name!r} was never created")
-        return node_id
 
     def _gateway(self, node_id: int) -> GatewayState:
         gw = self.gateways.get(node_id)
@@ -427,28 +420,18 @@ class ScenarioRunner:
     # -- command execution
 
     def run(self) -> RunResult:
+        """Execute up to the first failed command or assert, and report it."""
         diagnostic = None
-        try:
-            for cmd in self.scenario.commands:
-                diagnostic = self._execute(cmd)
-                if diagnostic is not None:
-                    break
-        except ScenarioExecutionError as exc:
-            diagnostic = str(exc)
+        for cmd in self.scenario.commands:
+            try:
+                diagnostic = getattr(self, f"_cmd_{cmd.verb}")(cmd)
+            except PeerDeployError as exc:
+                diagnostic = f"command {cmd.index} (line {cmd.line}) {cmd.text!r} failed: {exc}"
+            if diagnostic is not None:
+                break
         return RunResult(exit_code=0 if diagnostic is None else 1,
                          document=self.net.metrics.to_document(self.net),
                          diagnostic=diagnostic)
-
-    def _execute(self, cmd: Command) -> Optional[str]:
-        """Returns a diagnostic string when an assert fails, else None."""
-        try:
-            return getattr(self, f"_cmd_{cmd.verb}")(cmd)
-        except ScenarioExecutionError:
-            raise
-        except PeerDeployError as exc:
-            raise ScenarioExecutionError(
-                f"command {cmd.index} (line {cmd.line}) {cmd.text!r} failed: {exc}",
-                command_index=cmd.index) from exc
 
     def _cmd_create(self, cmd: Command) -> None:
         for i in range(cmd.args[0]):
@@ -460,26 +443,21 @@ class ScenarioRunner:
 
     def _cmd_leave(self, cmd: Command) -> None:
         name, graceful = cmd.args
-        overlay.leave(self.net, self._node_id(name), graceful=graceful)
+        overlay.leave(self.net, self.names[name], graceful=graceful)
 
     def _cmd_publish(self, cmd: Command) -> None:
-        node, bundle, descriptor_file = cmd.args
-        node_id = self._node_id(node)
+        node, bundle, descriptor = cmd.args
         payload = synthesize_payload(self.seed, bundle, self.payload_size)
-        if descriptor_file is not None:
-            descriptor = self.descriptors[descriptor_file].get(bundle)
-            assert descriptor is not None  # checked at preload
-        else:
-            descriptor = describe_payload(bundle, payload)
-        repo.publish_local(self._gateway(node_id), self.net, descriptor, payload)
+        repo.publish_local(self._gateway(self.names[node]), self.net,
+                           descriptor or describe_payload(bundle, payload), payload)
 
     def _cmd_install(self, cmd: Command) -> None:
         node, bundle = cmd.args
-        repo.install(self._gateway(self._node_id(node)), self.net, f"p2p://{bundle}")
+        repo.install(self._gateway(self.names[node]), self.net, f"p2p://{bundle}")
 
     def _cmd_lookup(self, cmd: Command) -> None:
         node, name = cmd.args
-        self._lookup(self._node_id(node), name)
+        self._lookup(self.names[node], name)
 
     def _cmd_advance(self, cmd: Command) -> None:
         self.net.advance(cmd.args[0])
@@ -520,8 +498,6 @@ class ScenarioRunner:
         """Any live node except the key's root, so the source copy adds a
         second pinned replica. A single-node network has no choice."""
         live = self.net.live_ids()
-        if not live:
-            raise ScenarioExecutionError("workload needs live nodes")
         if len(live) == 1:
             return live[0]
         root = root_of(live, key)
@@ -565,7 +541,7 @@ class ScenarioRunner:
         kind = ast[0]
         if kind in ("installed", "active"):
             _, node, bundle = ast
-            gw = self.gateways.get(self._node_id(node))
+            gw = self.gateways.get(self.names[node])
             state = gw.state_of(bundle) if gw is not None else None
             if kind == "installed":
                 passed = state is not None
@@ -589,7 +565,7 @@ class ScenarioRunner:
         return store.replica_count(self.net, name)
 
     def _term_entries(self, node: str) -> int:
-        return len(self.net.node(self._node_id(node)).store.entries)
+        return len(self.net.node(self.names[node]).store.entries)
 
     def _term_root(self, name: str) -> Optional[str]:
         live = self.net.live_ids()
@@ -606,9 +582,8 @@ def run_scenario(path: str, seed: Optional[int] = None,
     file, returns a RunResult for everything that happens at run time."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    scenario = parse_scenario(text)
+    scenario = parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
     effective = seed if seed is not None else (scenario.seed or 0)
     runner = ScenarioRunner(scenario, seed=effective,
-                            base_dir=os.path.dirname(os.path.abspath(path)),
                             random_ids=random_ids, payload_size=payload_size)
     return runner.run()

@@ -189,6 +189,7 @@ def test_parse_index_rejects_out_of_order_fields():
 
 @pytest.mark.parametrize("field, bad", [
     ("name", "a/b"), ("version", "1.x"), ("digest", "ab"), ("size", "-3"),
+    ("imports", "a,,b"), ("exports", "a,"), ("uri", "p2p://a/b"),
 ])
 def test_parse_index_names_the_line_of_a_bad_descriptor(field, bad):
     index = RepositoryIndex()
@@ -200,7 +201,7 @@ def test_parse_index_names_the_line_of_a_bad_descriptor(field, bad):
     with pytest.raises(IndexParseError) as err:
         parse_index("\n".join(lines))
     assert err.value.field == field
-    assert err.value.line == len(lines) - 1  # the second record's last line
+    assert err.value.line == spoiled + 1  # the spoiled field's own line
 
 
 def test_parse_index_rejects_duplicate_names():
@@ -208,8 +209,10 @@ def test_parse_index_rejects_duplicate_names():
     index.add(desc("d.jar"))
     text = serialize_index(index)
     record = text.split("\n\n", 1)[1]
-    with pytest.raises(IndexParseError):
+    with pytest.raises(IndexParseError) as err:
         parse_index(text + "\n" + record)
+    # the second record's name line
+    assert (err.value.field, err.value.line) == ("name", text.count("\n") + 2)
 
 
 # -- resolution

@@ -2,12 +2,16 @@
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import peerdeploy
 from peerdeploy.cli import main
 from peerdeploy.errors import IndexParseError, ScenarioParseError
 from peerdeploy.scenario import (
@@ -178,7 +182,9 @@ def test_publish_descriptor_digest_mismatch_fails_run(tmp_path):
     path.write_text("seed 3\ncreate 4\npublish n1 desc.jar bundle.index\n")
     result = run_scenario(str(path))
     assert result.exit_code == 1
-    assert "desc.jar" in result.diagnostic
+    assert result.diagnostic.startswith(
+        "command 1 (line 3) 'publish n1 desc.jar bundle.index' failed: ")
+    assert "desc.jar" in result.diagnostic.split("failed: ", 1)[1]
 
 
 def test_missing_descriptor_file_rejects_before_execution(tmp_path):
@@ -206,6 +212,38 @@ def test_bad_descriptor_file_rejects_with_exit_two(tmp_path, capsys, spoil, fiel
     path.write_text("create 2\npublish n1 desc.jar bundle.index\n")
     assert main(["run", str(path)]) == 2
     assert "descriptor file 'bundle.index'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, bad, line", [("version", "1.x", 4), ("size", "12x", 6)])
+def test_descriptor_file_error_names_the_field_line(tmp_path, capsys, field, bad, line):
+    index = RepositoryIndex()
+    index.add(describe_payload("b.jar", synthesize_payload(0, "b.jar")))
+    text = re.sub(rf"^{field}: .*$", f"{field}: {bad}", serialize_index(index),
+                  flags=re.MULTILINE)
+    (tmp_path / "b.index").write_text(text)
+    path = tmp_path / "s.scenario"
+    path.write_text("create 2\npublish n1 b.jar b.index\n")
+    assert main(["run", str(path)]) == 2
+    assert f"s.scenario:2: descriptor file 'b.index' line {line}: {field} must" \
+        in capsys.readouterr().err
+
+
+def test_text_errors_come_before_descriptor_file_errors(tmp_path):
+    (tmp_path / "b.index").write_text("name: b.jar\n")
+    path = tmp_path / "s.scenario"
+    path.write_text("create 2\npublish n1 b.jar b.index\nfrobnicate\n")
+    with pytest.raises(ScenarioParseError, match="unknown command") as err:
+        run_scenario(str(path))
+    assert err.value.line == 3
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = Path(peerdeploy.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "peerdeploy.cli", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert "usage: peerdeploy" in done.stdout
 
 
 def test_workload_records_outcomes_and_replicas(tmp_path):

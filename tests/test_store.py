@@ -238,6 +238,25 @@ def test_remove_then_expiry_makes_all_lookups_not_found():
     assert replica_count(net, "temp.jar") == 0
 
 
+def test_lookup_deletes_a_trail_whose_holders_answer_empty():
+    net, names = build_network(64, seed=4)
+    key = derive_key("x0.jar")
+    trail = publish(net, names["n1"], "x0.jar", payload_of("x0"))
+    assert len(trail.path) == 3
+    remove(net, names["n1"], "x0.jar")
+    middle = net.nodes[trail.path[1]].store
+    assert middle.get(key).role is Role.TRAIL  # remove leaves the path's trail
+    sent = dict(net.metrics.sent)
+    for client in names.values():
+        with pytest.raises(NotFoundError):
+            lookup(net, client, "x0.jar")
+    # The first lookup to reach the trail asks root and origin, both answer
+    # without a payload, and the stale trail goes; no later lookup fetches.
+    assert net.metrics.sent["FETCH"] - sent.get("FETCH", 0) == 2
+    assert net.metrics.sent["FETCH_REPLY"] - sent.get("FETCH_REPLY", 0) == 2
+    assert middle.get(key) is None
+
+
 # -- eviction
 
 

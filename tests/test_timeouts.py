@@ -75,6 +75,22 @@ def test_route_fails_on_its_first_timeout():
     assert counts(net) == PINNED["route_timeout"]
 
 
+def test_route_fails_when_the_sender_of_a_lost_step_has_died(monkeypatch):
+    net, names = build_network(64, seed=4)
+    key = derive_key("x0.jar")
+    path = walk(net, names["n0"], key)
+    assert len(path) == 3
+    net.fail(path[2])
+    # path[1] forwards to the dead root and dies before that step times out.
+    kill_on_delivery(monkeypatch, net, MessageKind.ROUTE_STEP, lambda msg: path[1],
+                     after=True)
+    with pytest.raises(RoutingFailureError, match="lost a path node") as err:
+        route(net, names["n0"], key)
+    assert err.value.partial_path == path[:2]
+    assert not net.ops
+    assert counts(net) == PINNED["route_sender_dead"]
+
+
 def test_publish_reroutes_around_a_silently_dead_hop():
     net, names = build_network(64, seed=4)
     key = derive_key("x0.jar")
@@ -141,6 +157,45 @@ def test_lookup_fails_when_its_client_dies_during_the_reply(monkeypatch):
         lookup(net, client, "x0.jar")
     assert not net.ops
     assert counts(net) == PINNED["lookup_client_dies"]
+
+
+def test_lookup_fails_when_its_whole_reply_path_dies(monkeypatch):
+    net, names = build_network(64, seed=4)
+    client = names["n0"]
+    path = walk(net, client, derive_key("x0.jar"))
+    assert len(path) == 3
+    publish(net, path[-1], "x0.jar", payload_of("x0.jar"))
+    # The client dies as the reply reaches path[1], and path[1] dies once it
+    # has passed the reply on: no live node is left to skip the dead one.
+    kill_on_delivery(monkeypatch, net, MessageKind.LOOKUP_REPLY, lambda msg: client)
+    kill_on_delivery(monkeypatch, net, MessageKind.LOOKUP_REPLY, lambda msg: msg.to_id,
+                     after=True)
+    with pytest.raises(LookupFailedError, match="lost its reply path"):
+        lookup(net, client, "x0.jar")
+    assert not net.ops
+    assert counts(net) == PINNED["lookup_reply_path_lost"]
+
+
+@pytest.mark.parametrize("case", ["reply_lost", "fetch_lost"])
+def test_lookup_fails_when_its_junction_dies_during_a_fetch(monkeypatch, case):
+    net, names = build_network(64, seed=4)
+    key = derive_key("x0.jar")
+    trail = publish(net, names["n1"], "x0.jar", payload_of("x0.jar"))
+    assert len(trail.path) == 3
+    junction, client = trail.path[1], names["n16"]
+    assert walk(net, client, key)[:2] == [client, junction]
+    if case == "reply_lost":
+        # The junction dies once its FETCH is out; the holder's reply times out.
+        kill_on_delivery(monkeypatch, net, MessageKind.FETCH, lambda msg: msg.from_id)
+    else:
+        # The root is dead, so the FETCH times out after the junction has died.
+        net.fail(trail.root)
+        kill_on_delivery(monkeypatch, net, MessageKind.LOOKUP, lambda msg: msg.to_id,
+                         after=True)
+    with pytest.raises(LookupFailedError, match="lost its junction during a fetch"):
+        lookup(net, client, "x0.jar")
+    assert not net.ops
+    assert counts(net) == PINNED[f"lookup_junction_{case}"]
 
 
 def test_remove_retries_after_a_timeout():
@@ -296,6 +351,20 @@ PINNED = {
         {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
          "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 2, "LOOKUP_REPLY": 2},
         {"LOOKUP_REPLY": 1}, 3229),
+    "lookup_junction_fetch_lost": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 1, "FETCH": 1, "PUBLISH": 2,
+         "PUBLISH_ACK": 2},
+        {"FETCH": 1}, 3231),
+    "lookup_junction_reply_lost": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 1, "FETCH": 1, "FETCH_REPLY": 1,
+         "PUBLISH": 2, "PUBLISH_ACK": 2, "REPAIR": 2, "REPAIR_REPLY": 2},
+        {"FETCH_REPLY": 1}, 3236),
+    "lookup_reply_path_lost": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 2, "LOOKUP_REPLY": 2},
+        {"LOOKUP_REPLY": 1}, 3229),
     "lookup_reply_skip": (
         {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
          "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 3, "LOOKUP_REPLY": 3},
@@ -328,6 +397,10 @@ PINNED = {
          "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 2, "PUBLISH_ACK": 2, "REMOVE": 3,
          "REMOVE_REPLY": 1},
         {"REMOVE": 1}, 3233),
+    "route_sender_dead": (
+        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
+         "JOIN": 138, "JOIN_REPLY": 63, "ROUTE_STEP": 2},
+        {"ROUTE_STEP": 1}, 3227),
     "route_timeout": (
         {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
          "JOIN": 138, "JOIN_REPLY": 63, "ROUTE_STEP": 1},

@@ -4,7 +4,10 @@
 
 One line per run: the sha1 of `peerdeploy run demos/sample.scenario` at
 seeds 42, 1 and 7, with hashed and with random ids; the exit code and the
-sha1 of `peerdeploy stats` on every tests/golden/*.json; the sha1 of
+sha1 of stderr of `peerdeploy run` on each of a fixed list of invalid
+scenarios (text errors, every kind of descriptor-file error, and a file with
+both); the exit code and the sha1 of `peerdeploy stats` on every
+tests/golden/*.json; the sha1 of
 `repo.resolve` on every bundle of 300 seeded random indexes (cycles, shared
 exports, mixed versions, unexported imports), which pins install order; then
 for every perfbench workload at seeds 201 and 305 the `perfbench/run.py
@@ -22,6 +25,7 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCENARIO = "demos/sample.scenario"
@@ -29,8 +33,54 @@ SCENARIO_SEEDS = (42, 1, 7)
 WORKLOADS = ("zipf_fetch", "churn_deploy", "idle_expiry")
 BENCH_SEEDS = (201, 305)
 # Runs the CLI from the checkout's own sources, whatever else is installed.
-CLI = ("import sys; sys.path.insert(0, 'src'); from peerdeploy.cli import main; "
+CLI = ("import sys; sys.path.insert(0, {src!r}); from peerdeploy.cli import main; "
        "sys.exit(main())")
+
+# Invalid scenarios, run as `peerdeploy run s.scenario` next to a descriptor
+# file b.index: (scenario text, b.index text or None for no file). b.index is
+# written with surrogateescape, so "\udcff" stands for the byte 0xff.
+RECORD = """# generated_at: 0
+
+name: b.jar
+version: 1.0
+digest: 0123456789abcdef0123456789abcdef
+size: 4096
+start:
+imports: a
+exports: b
+uri: p2p://b.jar
+"""
+PUBLISH = "create 2\npublish n1 b.jar b.index\n"
+INVALID = {
+    "unknown-command": ("create 2\nfrobnicate 3\n", None),
+    "usage": ("create 2\npublish n0\n", None),
+    "not-live": ("create 2\nlookup n5 x.jar\n", None),
+    "not-an-integer": ("create x\n", None),
+    "too-many-nodes": ("create 4097\n", None),
+    "seed-after-commands": ("create 1\nseed 4\n", None),
+    "workload-without-nodes": ("workload zipf 1 1 1 1.0\n", None),
+    "bad-predicate": ("create 2\nassert bogus(n0)\n", None),
+    "not-p2p": ("create 2\ninstall n0 http://other/x.jar\n", None),
+    "descriptor-missing": (PUBLISH, None),
+    "descriptor-not-utf8": (PUBLISH, RECORD + "\udcff"),
+    "descriptor-truncated": (PUBLISH, RECORD.split("start:")[0]),
+    "descriptor-out-of-order": (PUBLISH, RECORD.replace("version: 1.0\ndigest", "digest")
+                                .replace("size:", "version: 1.0\nsize:")),
+    "descriptor-unknown-key": (PUBLISH, RECORD.replace("start:", "entry:")),
+    "descriptor-not-key-value": (PUBLISH, RECORD.replace("start:", "start")),
+    "descriptor-name": (PUBLISH, RECORD.replace("name: b.jar", "name: b/jar")),
+    "descriptor-version": (PUBLISH, RECORD.replace("version: 1.0", "version: 1.x")),
+    "descriptor-digest": (PUBLISH, RECORD.replace("digest: 0123", "digest: 0")),
+    "descriptor-size": (PUBLISH, RECORD.replace("size: 4096", "size: 12x")),
+    "descriptor-generated-at": (PUBLISH, RECORD.replace("at: 0", "at: x")),
+    "descriptor-imports": (PUBLISH, RECORD.replace("imports: a", "imports: a,")),
+    "descriptor-exports": (PUBLISH, RECORD.replace("exports: b", "exports: ,b")),
+    "descriptor-uri": (PUBLISH, RECORD.replace("uri: p2p://b.jar", "uri: p2p://b/c")),
+    "descriptor-duplicate": (PUBLISH, RECORD + RECORD.split("\n", 1)[1]),
+    "descriptor-no-record": (PUBLISH, RECORD.replace("b.jar", "c.jar")),
+    "text-and-descriptor": (PUBLISH + "frobnicate\n",
+                            RECORD.replace("size: 4096", "size: 12x")),
+}
 
 
 # Resolves every bundle of each of argv[1] seeded indexes with the checkout's
@@ -64,8 +114,12 @@ print(digest.hexdigest())
 RESOLVE_INDEXES = 300
 
 
+def cli(root: Path, *args: str) -> list[str]:
+    return [sys.executable, "-c", CLI.format(src=str(root / "src")), *args]
+
+
 def scenario_line(root: Path, seed: int, random_ids: bool) -> str:
-    command = [sys.executable, "-c", CLI, "run", SCENARIO, "--seed", str(seed)]
+    command = cli(root, "run", SCENARIO, "--seed", str(seed))
     if random_ids:
         command.append("--random-ids")
     done = subprocess.run(command, cwd=root, capture_output=True)
@@ -74,9 +128,22 @@ def scenario_line(root: Path, seed: int, random_ids: bool) -> str:
             f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
 
 
+def invalid_line(root: Path, name: str) -> str:
+    scenario, index = INVALID[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp).resolve()
+        (work / "s.scenario").write_text(scenario, encoding="utf-8")
+        if index is not None:
+            (work / "b.index").write_bytes(index.encode("utf-8", "surrogateescape"))
+        done = subprocess.run(cli(root, "run", "s.scenario"), cwd=work, capture_output=True)
+    # The directory's name varies from run to run; an OS error message quotes it.
+    stderr = done.stderr.replace(str(work).encode(), b"<dir>")
+    return (f"invalid {name} exit {done.returncode} "
+            f"sha1 {hashlib.sha1(stderr).hexdigest()}")
+
+
 def stats_line(root: Path, document: Path) -> str:
-    done = subprocess.run([sys.executable, "-c", CLI, "stats", str(document)],
-                          cwd=root, capture_output=True)
+    done = subprocess.run(cli(root, "stats", str(document)), cwd=root, capture_output=True)
     return (f"stats {document.relative_to(root)} exit {done.returncode} "
             f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
 
@@ -111,6 +178,8 @@ def main(argv: list[str]) -> int:
     for seed in SCENARIO_SEEDS:
         for random_ids in (False, True):
             print(scenario_line(root, seed, random_ids), flush=True)
+    for name in INVALID:
+        print(invalid_line(root, name), flush=True)
     for document in sorted(root.glob("tests/golden/*.json")):
         print(stats_line(root, document), flush=True)
     print(resolve_line(root), flush=True)
