@@ -7,7 +7,7 @@ each hop with the length of the hex prefix it shares with the key.
 import random
 
 from peerdeploy import build_network
-from peerdeploy.ids import derive_key, root_of, shared_prefix_len, to_hex
+from peerdeploy.ids import derive_key, ring_root, shared_prefix_len, to_hex
 from peerdeploy.overlay import route
 
 
@@ -24,8 +24,8 @@ def main() -> None:
         for hop, nid in enumerate(path):
             common = shared_prefix_len(nid, key)
             print(f"  hop {hop}: {to_hex(nid)}  shares {common} digit(s)")
-        owner = root_of(live, key)
-        print(f"  root by full scan: {to_hex(owner)}  "
+        owner = ring_root(live, key)
+        print(f"  closest live id:  {to_hex(owner)}  "
               f"{'(match)' if owner == path[-1] else '(MISMATCH)'}\n")
 
     print(f"messages sent: {sum(net.metrics.sent.values())}, "

@@ -11,7 +11,7 @@ import random
 
 from peerdeploy import build_network, join, leave, lookup, publish, replica_count
 from peerdeploy.errors import NotFoundError, UnavailableError
-from peerdeploy.ids import derive_key, root_of, to_hex
+from peerdeploy.ids import derive_key, ring_root, to_hex
 from peerdeploy.store import ComponentPayload, Role
 
 
@@ -33,20 +33,20 @@ def main() -> None:
     payload = ComponentPayload.from_bytes(rng.randbytes(1024))
     publish(net, live[0], "churn.jar", payload)
     key = derive_key("churn.jar")
-    old_root = root_of(net.live_ids(), key)
+    old_root = ring_root(net.live_ids(), key)
     print(f"root before churn: {to_hex(old_root)}")
 
     # craft a joiner that lands between the key and the current root
     joiner = key ^ 1
     join(net, joiner, live[0], name="newcomer")
-    new_root = root_of(net.live_ids(), key)
+    new_root = ring_root(net.live_ids(), key)
     print(f"root after join:   {to_hex(new_root)}")
     for nid, role in sorted(holder_roles(net, "churn.jar").items()):
         print(f"  {to_hex(nid)} holds {role.value}")
 
     leave(net, joiner, graceful=True)
     print(f"\nafter the newcomer leaves gracefully, root is "
-          f"{to_hex(root_of(net.live_ids(), key))}")
+          f"{to_hex(ring_root(net.live_ids(), key))}")
     got, _, _ = lookup(net, net.live_ids()[5], "churn.jar")
     print(f"lookup still returns {got.size} bytes, "
           f"{replica_count(net, 'churn.jar')} replicas")

@@ -7,7 +7,8 @@ Identifiers are plain ints in [0, 2**128). Viewed as digit strings they are
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
+from bisect import bisect_left
+from collections.abc import Sequence
 
 from .errors import InvalidNameError, NoNodesError
 
@@ -52,15 +53,15 @@ def circular_distance(a: int, b: int) -> int:
     return d if d <= ID_SPACE - d else ID_SPACE - d
 
 
-def root_of(live_ids: Iterable[int], k: Key) -> NodeId:
-    """Brute-force owner of k: minimal circular distance, ties to smaller id."""
-    best: int | None = None
-    best_key: tuple[int, int] | None = None
-    for node_id in live_ids:
-        cand = (circular_distance(node_id, k), node_id)
-        if best_key is None or cand < best_key:
-            best_key = cand
-            best = node_id
-    if best is None:
-        raise NoNodesError("root_of needs at least one live node")
-    return best
+def ring_root(sorted_ids: Sequence[int], k: Key) -> NodeId:
+    """Owner of k among ascending ids: of the ids just below and just above
+    k, wrapping at both ends, the nearer one; distance ties go to the smaller."""
+    if not sorted_ids:
+        raise NoNodesError("ring_root needs at least one live node")
+    i = bisect_left(sorted_ids, k)
+    below, above = sorted_ids[i - 1], sorted_ids[i % len(sorted_ids)]
+    # No id is nearer to k clockwise than above, nor counter-clockwise than
+    # below (bar k itself, which is above). So when one of the two is nearer
+    # the long way round, the other is nearer still, and comparing the two
+    # offsets orders them as their ring distances do.
+    return min(((k - below) % ID_SPACE, below), ((above - k) % ID_SPACE, above))[1]

@@ -5,11 +5,10 @@ from __future__ import annotations
 from bisect import insort
 
 from .ids import (DIGIT_BITS, DIGITS, ID_SPACE, RADIX, circular_distance, digit,
-                  shared_prefix_len)
+                  ring_root, shared_prefix_len)
 
 LEAF_SET_SIZE = 8
 HALF_LEAF = LEAF_SET_SIZE // 2
-_HALF_RING = ID_SPACE // 2
 _DIGIT_MASK = RADIX - 1
 
 
@@ -75,17 +74,7 @@ class LeafSet:
 
     def closest_to(self, k: int) -> int:
         """Member (or owner) nearest to k; distance ties go to the smaller id."""
-        best = self.owner
-        best_dist = (k - best) % ID_SPACE
-        if best_dist > _HALF_RING:
-            best_dist = ID_SPACE - best_dist
-        for member in self.left + self.right:
-            dist = (k - member) % ID_SPACE
-            if dist > _HALF_RING:
-                dist = ID_SPACE - dist
-            if dist < best_dist or (dist == best_dist and member < best):
-                best, best_dist = member, dist
-        return best
+        return ring_root(sorted((self.owner, *self.left, *self.right)), k)
 
 
 def _insert_side(side: list[int], candidate: int, offset) -> bool:

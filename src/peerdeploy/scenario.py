@@ -15,6 +15,7 @@ import math
 import operator
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
@@ -29,7 +30,7 @@ from .errors import (
     ScenarioParseError,
     UnavailableError,
 )
-from .ids import derive_key, root_of, to_hex
+from .ids import derive_key, ring_root, to_hex
 from .repo import (
     GatewayState,
     PassthroughUri,
@@ -201,9 +202,9 @@ def _parse_term(text: str, lineno: int, live: set[str]) -> tuple:
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     """Parse and statically validate a scenario. Node references must name a
     node that the preceding commands leave alive; violations reject the whole
-    file before anything executes. Descriptor files are read from `base_dir`
-    once the text is valid, and each publish command carries its descriptor,
-    or None to describe the synthesized payload."""
+    file before anything executes. Descriptor files are read from `base_dir`,
+    each once, when the text is valid, and each publish command carries its
+    descriptor, or None to describe the synthesized payload."""
     seed: Optional[int] = None
     commands: list[Command] = []
     live: set[str] = set()
@@ -308,19 +309,22 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         commands.append(Command(index=len(commands), line=lineno,
                                 verb=verb, args=args, text=line))
 
+    indexes: dict[str, RepositoryIndex] = {}
     for cmd in commands:
         if cmd.verb != "publish" or cmd.args[2] is None:
             continue
         node, bundle, file_name = cmd.args
-        try:
-            descriptor = load_index(os.path.join(base_dir, file_name)).get(bundle)
-        except OSError as exc:
-            raise ScenarioParseError(f"cannot read descriptor file {file_name!r}: {exc}",
-                                     line=cmd.line) from exc
-        except IndexParseError as exc:
-            where = "" if exc.line is None else f" line {exc.line}"
-            raise ScenarioParseError(f"descriptor file {file_name!r}{where}: {exc}",
-                                     line=cmd.line) from exc
+        if file_name not in indexes:
+            try:
+                indexes[file_name] = load_index(os.path.join(base_dir, file_name))
+            except OSError as exc:
+                raise ScenarioParseError(f"cannot read descriptor file {file_name!r}: {exc}",
+                                         line=cmd.line) from exc
+            except IndexParseError as exc:
+                where = "" if exc.line is None else f" line {exc.line}"
+                raise ScenarioParseError(f"descriptor file {file_name!r}{where}: {exc}",
+                                         line=cmd.line) from exc
+        descriptor = indexes[file_name].get(bundle)
         if descriptor is None:
             raise ScenarioParseError(
                 f"descriptor file {file_name!r} has no record for {bundle!r}", line=cmd.line)
@@ -485,7 +489,11 @@ class ScenarioRunner:
             outcomes[self._lookup(client, names[idx])] += 1
             if (request + 1) % 100 == 0:
                 self.net.sweep_eviction()
-        counts = {name: store.replica_count(self.net, name) for name in names}
+        # replica_count of every bundle, in one walk over the live stores
+        held = Counter(key for node_id in self.net.live_ids()
+                       for key, entry in self.net.nodes[node_id].store.entries.items()
+                       if entry.payload is not None)
+        counts = {name: held[derive_key(name)] for name in names}
         self.net.metrics.workloads.append({
             "kind": "zipf", "nodes": nodes, "bundles": bundles,
             "requests": requests, "exponent": exponent,
@@ -500,7 +508,7 @@ class ScenarioRunner:
         live = self.net.live_ids()
         if len(live) == 1:
             return live[0]
-        root = root_of(live, key)
+        root = ring_root(live, key)
         while True:
             candidate = live[rng.randrange(len(live))]
             if candidate != root:
@@ -571,7 +579,7 @@ class ScenarioRunner:
         live = self.net.live_ids()
         if not live:
             return None
-        return self.net.nodes[root_of(live, derive_key(name))].name
+        return self.net.nodes[ring_root(live, derive_key(name))].name
 
 
 def run_scenario(path: str, seed: Optional[int] = None,

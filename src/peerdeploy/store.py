@@ -29,7 +29,7 @@ from .errors import (
     UnavailableError,
     VersionConflictError,
 )
-from .ids import derive_key, root_of
+from .ids import derive_key, ring_root
 from .simnet import (
     Message,
     MessageKind,
@@ -574,7 +574,7 @@ class RelinquishOp(TransferOp):
         members = [m for m in leaver.leaf_set.members() if m not in tried]
         if not members:
             return None
-        tried.append(root_of(members, key))
+        tried.append(ring_root(members, key))
         return tried[-1]
 
     def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
@@ -603,7 +603,7 @@ def _handoff_deliver(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None
     joiner = op.new_id
     for key in sorted(node.store.entries):
         entry = node.store.entries[key]
-        if entry.role is Role.ROOT and root_of((node.id, joiner), key) == joiner:
+        if entry.role is Role.ROOT and ring_root(sorted((node.id, joiner)), key) == joiner:
             op.transfer(net, node.id, joiner, entry)
     net.post(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=op)
 

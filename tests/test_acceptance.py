@@ -14,7 +14,7 @@ import pytest
 
 from peerdeploy import build_network, join, leave, lookup, publish, replica_count
 from peerdeploy.errors import LifecycleError, MalformedUriError
-from peerdeploy.ids import derive_key, root_of, to_hex
+from peerdeploy.ids import derive_key, to_hex
 from peerdeploy.overlay import route
 from peerdeploy.repo import (
     ComponentDescriptor,
@@ -69,7 +69,7 @@ def small_world_run():
     bundles = [f"wl{i}.jar" for i in range(100)]
     for name in bundles:
         key = derive_key(name)
-        root = root_of(live, key)
+        root = oracle_root(live, key)
         while True:
             publisher = live[rng.randrange(len(live))]
             if publisher != root:
@@ -222,12 +222,12 @@ def test_criterion_05_churn_survivability():
                 (name, nid) for name, nid in retained_expectations if nid != victim}
             leaves_done += 1
         else:
-            roots_before = {name: root_of(live, derive_key(name)) for name in names}
+            roots_before = {name: oracle_root(live, derive_key(name)) for name in names}
             new_id = rng.getrandbits(128)
             join(net, new_id, live[0], name=f"j{joins_done}")
             live_now = net.live_ids()
             for name in names:
-                new_root = root_of(live_now, derive_key(name))
+                new_root = oracle_root(live_now, derive_key(name))
                 old_root = roots_before[name]
                 if new_root == new_id and old_root != new_id and old_root in live_now:
                     retained_expectations.add((name, old_root))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from peerdeploy import ids
+from peerdeploy.errors import NoNodesError
 from oracles import (
     oracle_digit,
     oracle_distance,
@@ -108,16 +109,40 @@ def test_circular_distance_wraps():
 
 
 @given(st.lists(ids_strategy, min_size=1, max_size=40, unique=True), ids_strategy)
-def test_root_of_matches_full_scan(live, key):
-    assert ids.root_of(live, key) == oracle_root(live, key)
+def test_ring_root_matches_full_scan(live, key):
+    assert ids.ring_root(sorted(live), key) == oracle_root(live, key)
 
 
-def test_root_of_tie_prefers_lower_id():
+# One to twelve ids bunched within 2**8 of both ends of the ring, so that the
+# nearest id is often across the wrap; keys drawn from the ids, the midpoints
+# of pairs of them (distance ties, across the wrap too) and the ring's ends.
+near_ends = st.integers(min_value=0, max_value=1 << 8).flatmap(
+    lambda offset: st.sampled_from([offset, RING - 1 - offset]))
+
+
+@given(st.lists(near_ends, min_size=1, max_size=12, unique=True), st.data())
+def test_ring_root_matches_full_scan_at_the_wrap_and_on_ties(live, data):
+    a, b = data.draw(st.sampled_from(live)), data.draw(st.sampled_from(live))
+    keys = {a, (a + b) // 2, (a + (b - a) % RING // 2) % RING, 0, RING - 1,
+            data.draw(near_ends)}
+    for key in keys:
+        assert ids.ring_root(sorted(live), key) == oracle_root(live, key)
+
+
+def test_ring_root_of_no_ids_raises():
+    with pytest.raises(NoNodesError):
+        ids.ring_root([], 5)
+
+
+def test_ring_root_tie_prefers_lower_id():
     # key exactly between two ids: equidistant, lower id wins
-    assert ids.root_of([10, 20], 15) == 10
-    assert ids.root_of([20, 10], 15) == 10
+    assert ids.ring_root([10, 20], 15) == 10
+    # the same across the wrap: RING - 5 and 5 are both 5 from 0
+    assert ids.ring_root([5, RING - 5], 0) == 5
+    # and at the antipode, where both ways round are equally long
+    assert ids.ring_root([0, RING // 2 + 10], 5 + RING // 4) == 0
 
 
-def test_root_of_exact_match():
+def test_ring_root_exact_match():
     key = ids.derive_key("log.jar")
-    assert ids.root_of([key, key + 12345], key) == key
+    assert ids.ring_root([key, key + 12345], key) == key

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import peerdeploy
+from peerdeploy import replica_count
 from peerdeploy.cli import main
 from peerdeploy.errors import IndexParseError, ScenarioParseError
 from peerdeploy.scenario import (
@@ -237,6 +238,21 @@ def test_text_errors_come_before_descriptor_file_errors(tmp_path):
     assert err.value.line == 3
 
 
+def test_each_descriptor_file_is_read_once_per_parse(tmp_path, monkeypatch):
+    index = RepositoryIndex()
+    names = [f"b{i}.jar" for i in range(5)]
+    for name in names:
+        index.add(describe_payload(name, synthesize_payload(0, name)))
+    save_index(index, str(tmp_path / "b.index"))
+    loaded = []
+    monkeypatch.setattr("peerdeploy.scenario.load_index",
+                        lambda path: loaded.append(path) or load_index(path))
+    text = "create 2\n" + "".join(f"publish n1 {name} b.index\n" for name in names)
+    scenario = parse_scenario(text, base_dir=str(tmp_path))
+    assert loaded == [str(tmp_path / "b.index")]
+    assert [cmd.args[2] for cmd in scenario.commands[1:]] == [index.get(n) for n in names]
+
+
 def test_module_entry_point_runs_without_warnings():
     src = Path(peerdeploy.__file__).resolve().parent.parent
     done = subprocess.run(
@@ -262,22 +278,14 @@ def test_workload_records_outcomes_and_replicas(tmp_path):
 
 
 def test_runtime_failure_aborts_with_exit_one(tmp_path):
-    # joining a node whose id collides with a live one fails at run time
-    path = tmp_path / "dup.scenario"
-    path.write_text("create 2\nleave n1 --fail\njoin n1\njoin n1x\n")
-    # n1 rejoin works (fresh join over departed id), so craft a real failure:
-    # publish conflicting content under one name via two seeds is not
-    # expressible here, so use lookup on a departed-only network instead
-    crash = tmp_path / "crash.scenario"
-    crash.write_text("create 1\nleave n0 --fail\njoin n1\n")
-    result = run_scenario(str(crash))
-    # n0 dead leaves an empty network: the join bootstraps fresh and succeeds
-    assert result.exit_code == 0
-
-    conflict = tmp_path / "conflict.scenario"
-    conflict.write_text("create 2\npublish n0 same.jar\npublish n1 same.jar\n")
-    outcome = run_scenario(str(conflict), seed=1)
-    assert outcome.exit_code == 0  # identical payloads: refresh, not conflict
+    # nothing publishes missing.jar, so the install fails and the dump never runs
+    path = tmp_path / "crash.scenario"
+    path.write_text("create 2\ninstall n0 p2p://missing.jar\ndump\n")
+    result = run_scenario(str(path))
+    assert result.exit_code == 1
+    assert result.diagnostic.startswith(
+        "command 1 (line 2) 'install n0 p2p://missing.jar' failed:")
+    assert result.document["dumps"] == []
 
 
 # -- CLI
@@ -503,3 +511,15 @@ def test_cli_rejects_oversized_inputs_with_exit_two(tmp_path, capsys):
     assert main(["run", str(small), "--payload-size", str(1024 * 1024 + 1)]) == 2
     assert "--payload-size" in capsys.readouterr().err
     assert main(["run", str(small), "--payload-size", str(1024 * 1024)]) == 0
+
+
+def test_workload_replica_sample_matches_replica_count():
+    # 40 requests leave both caches and payload-less trails behind
+    runner = ScenarioRunner(parse_scenario("create 48\nworkload zipf 48 40 40 1.0\n"), seed=5)
+    assert runner.run().exit_code == 0
+    entries = [entry for node_id in runner.net.live_ids()
+               for entry in runner.net.nodes[node_id].store.entries.values()]
+    assert any(entry.payload is None for entry in entries)
+    sample = runner.net.metrics.replica_samples[0]["counts"]
+    assert len(sample) == 40 and len(set(sample.values())) > 1
+    assert sample == {name: replica_count(runner.net, name) for name in sample}

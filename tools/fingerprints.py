@@ -3,8 +3,11 @@
     python3 tools/fingerprints.py [CHECKOUT] > fingerprints.txt
 
 One line per run: the sha1 of `peerdeploy run demos/sample.scenario` at
-seeds 42, 1 and 7, with hashed and with random ids; the exit code and the
-sha1 of stderr of `peerdeploy run` on each of a fixed list of invalid
+seeds 42, 1 and 7, with hashed and with random ids; the sha1 of the metrics
+document of a runner workload (`create 1024`, `workload zipf 1024 3000 1000
+1.0`, seed 42, about 5 s), which pins every bundle's root and the replica
+sample; the exit code and the sha1 of stderr of `peerdeploy run` on each of
+a fixed list of invalid
 scenarios (text errors, every kind of descriptor-file error, and a file with
 both); the exit code and the sha1 of `peerdeploy stats` on every
 tests/golden/*.json; the sha1 of
@@ -30,6 +33,8 @@ from pathlib import Path
 
 SCENARIO = "demos/sample.scenario"
 SCENARIO_SEEDS = (42, 1, 7)
+WORKLOAD_SCENARIO = "create 1024\nworkload zipf 1024 3000 1000 1.0\n"
+WORKLOAD_SEED = 42
 WORKLOADS = ("zipf_fetch", "churn_deploy", "idle_expiry")
 BENCH_SEEDS = (201, 305)
 # Runs the CLI from the checkout's own sources, whatever else is installed.
@@ -128,6 +133,16 @@ def scenario_line(root: Path, seed: int, random_ids: bool) -> str:
             f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
 
 
+def workload_line(root: Path) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.scenario"
+        path.write_text(WORKLOAD_SCENARIO, encoding="utf-8")
+        done = subprocess.run(cli(root, "run", str(path), "--seed", str(WORKLOAD_SEED)),
+                              cwd=root, capture_output=True)
+    return (f"workload {WORKLOAD_SCENARIO.strip()!r} seed {WORKLOAD_SEED} "
+            f"exit {done.returncode} sha1 {hashlib.sha1(done.stdout).hexdigest()}")
+
+
 def invalid_line(root: Path, name: str) -> str:
     scenario, index = INVALID[name]
     with tempfile.TemporaryDirectory() as tmp:
@@ -178,6 +193,7 @@ def main(argv: list[str]) -> int:
     for seed in SCENARIO_SEEDS:
         for random_ids in (False, True):
             print(scenario_line(root, seed, random_ids), flush=True)
+    print(workload_line(root), flush=True)
     for name in INVALID:
         print(invalid_line(root, name), flush=True)
     for document in sorted(root.glob("tests/golden/*.json")):
