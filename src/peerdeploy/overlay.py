@@ -48,8 +48,8 @@ class OverlayNode:
         return sorted(set(self.leaf_set.members()) | set(self.routing_table.entries()))
 
     def learn(self, candidate: int) -> bool:
-        if candidate == self.id:
-            return False
+        """Adopt a contact; True when that changed the routing state. Both
+        structures refuse this node's own id."""
         in_leaf = self.leaf_set.insert(candidate)
         in_table = self.routing_table.insert(candidate)
         return in_leaf or in_table
@@ -59,9 +59,7 @@ class OverlayNode:
         True when that changed the routing state."""
         changed = False
         for cand in candidates:
-            peer = net.nodes.get(cand)
-            if cand != self.id and peer is not None and peer.status is _LIVE:
-                changed = self.learn(cand) or changed
+            changed = self.observe(net, cand) or changed
         return changed
 
     def forget(self, dead_id: int) -> bool:
@@ -69,12 +67,13 @@ class OverlayNode:
         in_table = self.routing_table.remove(dead_id)
         return in_leaf or in_table
 
-    def observe(self, net: SimNetwork, sender_id: int) -> None:
-        """Passive learning: every delivered message advertises its sender.
-        The same test as learn_live, written out for the hot path."""
-        peer = net.nodes.get(sender_id)
-        if sender_id != self.id and peer is not None and peer.status is _LIVE:
-            self.learn(sender_id)
+    def observe(self, net: SimNetwork, contact: int) -> bool:
+        """Learn `contact` if it is a live node other than this one; True when
+        that changed the routing state. Every delivered message advertises
+        its sender through here."""
+        peer = net.nodes.get(contact)
+        return (contact != self.id and peer is not None and peer.status is _LIVE
+                and self.learn(contact))
 
     def repair(self, net: SimNetwork, dead_id: int) -> None:
         """Drop a contact that timed out; losing a leaf member triggers a
@@ -98,7 +97,7 @@ class OverlayNode:
 class RouteOp(RoutedOp):
     kind = "route"
     message = MessageKind.ROUTE_STEP
-    RETRIES = 0  # the caller decides whether to retry
+    TRIES = 1  # the caller decides whether to retry
 
     def forward(self, net: SimNetwork, node: OverlayNode, nh: int) -> None:
         if nh in self.path:
@@ -113,10 +112,7 @@ class RouteOp(RoutedOp):
 def route(net: SimNetwork, start: int, k: int) -> list[int]:
     """Follow next_hop from start until some node names itself. The endpoint
     is the key's root. A mid-route timeout raises with the partial path."""
-    node = net.live_node(start)
-    op = net.new_op(RouteOp(k))
-    op.advance(net, node)
-    return net.drive(op)
+    return RouteOp(k).run(net, net.live_node(start))
 
 
 # --------------------------------------------------------------------------
@@ -227,13 +223,8 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
 def _join_reply_deliver(net: SimNetwork, joiner: OverlayNode, msg: Message,
                         op: JoinOp) -> None:
     joiner.learn_live(net, sorted(op.candidates))
-    targets = joiner.known_contacts()
-    op.announced = targets
-    op.pending = len(targets)
-    for target in targets:
-        net.post(joiner.id, target, MessageKind.ANNOUNCE, op=op)
-    if not targets:
-        net.complete_op(op, None)
+    op.announced = joiner.known_contacts()
+    op.fan_out(net, joiner.id, MessageKind.ANNOUNCE, op.announced)
 
 
 @on_timeout(MessageKind.JOIN_REPLY)

@@ -91,9 +91,14 @@ class Message:
 class Operation:
     """Bookkeeping for one driven protocol exchange (route, publish, ...).
     An op that fans out sets `pending` to the answers it awaits and settles
-    one per answer; the last one completes it."""
+    one per answer; the last one completes it.
+
+    The one retry rule: a message of the op that is lost may go again while
+    fewer than TRIES messages about its key were lost (None: one more than
+    SimConfig.retries). The count is per key, whichever node sent them."""
 
     kind = "op"
+    TRIES: int | None = None
 
     def __init__(self):
         self.op_id: int | None = None
@@ -101,6 +106,26 @@ class Operation:
         self.result: Any = None
         self.error: Exception | None = None
         self.pending = 0
+        self.lost: dict[int, int] | None = None  # made at the first loss
+
+    def tries(self, net: "SimNetwork") -> int:
+        return net.config.retries + 1 if self.TRIES is None else self.TRIES
+
+    def may_retry(self, net: "SimNetwork", key: int) -> bool:
+        """Count one more loss for `key`; True while the op may send it again."""
+        lost = self.lost = self.lost or {}
+        lost[key] = lost.get(key, 0) + 1
+        return lost[key] < self.tries(net)
+
+    def fan_out(self, net: "SimNetwork", sender: int, kind: MessageKind,
+                targets: list[int]) -> None:
+        """Send `kind` from `sender` to every target and await one answer from
+        each; with no target the op is complete at once."""
+        self.pending = len(targets)
+        for target in targets:
+            net.post(sender, target, kind, op=self)
+        if not targets:
+            net.complete_op(self, None)
 
     def settle(self, net: "SimNetwork") -> None:
         self.pending -= 1
@@ -121,19 +146,22 @@ class RoutedOp(Operation):
     `at_root`. A reply walks `path` backwards as `reply` messages, skipping
     nodes that died; `reply_at` runs on each node it passes and `reply_home`
     on path[0]. A forward timeout re-routes from the sender, whose repair
-    has already dropped the dead contact, until RETRIES retries are spent
-    (None: SimConfig.retries).
+    has already dropped the dead contact, while `may_retry` allows it.
     """
 
     message: MessageKind
     reply: MessageKind
-    RETRIES: int | None = None
 
     def __init__(self, key: int):
         super().__init__()
         self.key = key
         self.path: list[int] = []
-        self.retries = 0
+
+    def run(self, net: "SimNetwork", node) -> Any:
+        """Start the op at `node` and drive it to its end."""
+        net.new_op(self)
+        self.advance(net, node)
+        return net.drive(self)
 
     def advance(self, net: "SimNetwork", node) -> None:
         if not self.path or self.path[-1] != node.id:
@@ -152,11 +180,9 @@ class RoutedOp(Operation):
         if sender is None:
             net.fail_op(self, self.failure("lost a path node"))
             return
-        self.retries += 1
-        budget = net.config.retries if self.RETRIES is None else self.RETRIES
-        if self.retries > budget:
-            net.fail_op(self, self.failure(
-                f"timed out at {ids.to_hex(msg.to_id)} after {budget} retries"))
+        if not self.may_retry(net, self.key):
+            net.fail_op(self, self.failure(f"timed out at {ids.to_hex(msg.to_id)} "
+                                           f"after {self.tries(net) - 1} retries"))
             return
         self.retry(net, sender)
 

@@ -262,9 +262,7 @@ def publish(net: SimNetwork, source: int, name: str, payload: ComponentPayload) 
     if existing is not None and existing.payload is not None \
             and existing.payload.digest != payload.digest:
         raise VersionConflictError(f"{name!r} already held locally with different content")
-    op = net.new_op(PublishOp(key, name, payload, source))
-    op.advance(net, node)
-    return net.drive(op)
+    return PublishOp(key, name, payload, source).run(net, node)
 
 
 def _post_insert_pressure(net: SimNetwork, node) -> None:
@@ -365,10 +363,7 @@ class LookupOp(RoutedOp):
 
 def lookup(net: SimNetwork, client: int, name: str) -> tuple[ComponentPayload, int, int]:
     """Resolve name to its payload. Returns (payload, served_by, forward hops)."""
-    node = net.live_node(client)
-    op = net.new_op(LookupOp(derive_key(name), name, client))
-    op.advance(net, node)
-    result = net.drive(op)
+    result = LookupOp(derive_key(name), name, client).run(net, net.live_node(client))
     assert result[0].verify(), "served payload failed digest check"
     return result
 
@@ -455,9 +450,7 @@ def remove(net: SimNetwork, requester: int, name: str) -> RemovalReport:
         entry.origin == requester and entry.role in (Role.ROOT, Role.RETAINED))
     if not owns:
         raise NotOwnerError(f"{ids.to_hex(requester)} does not own {name!r}")
-    op = net.new_op(RemoveOp(key, name, requester))
-    op.advance(net, node)
-    return net.drive(op)
+    return RemoveOp(key, name, requester).run(net, node)
 
 
 @on_deliver(MessageKind.REMOVE_REPLY)
@@ -495,16 +488,12 @@ class TransferOp(Operation):
     """Moves ROOT entries to the node that now roots them. `pending` counts
     the transfers (and, for a handoff, the neighbour scans) still open.
 
-    The one retry rule: a TRANSFER that is lost goes again, from the same
-    sender, to next_target(sender, key) while the sender is alive and fewer
-    than TRIES TRANSFERs of that key were lost; otherwise the key is
-    unresolved. The count is per key, whichever node sent it."""
-
-    TRIES: int
+    A TRANSFER that is lost goes again, from the same sender, to
+    next_target(sender, key) while the sender is alive and `may_retry`
+    allows it; otherwise the key is unresolved."""
 
     def __init__(self):
         super().__init__()
-        self.lost: dict[int, int] = {}
         self.transferred: list = []
         self.unresolved: list[int] = []
 
@@ -515,6 +504,16 @@ class TransferOp(Operation):
             self.unresolved.append(unresolved)
         super().settle(net)
 
+    def move_roots(self, net: SimNetwork, node) -> None:
+        """Send each ROOT entry of `node`, in key order, to next_target(node,
+        key); a target of None keeps the key where it is."""
+        for key in sorted(node.store.entries):
+            entry = node.store.entries[key]
+            if entry.role is Role.ROOT:
+                target = self.next_target(node, key)
+                if target is not None:
+                    self.transfer(net, node.id, target, entry)
+
     def transfer(self, net: SimNetwork, holder: int, target: int, entry: StoreEntry) -> None:
         self.pending += 1
         net.post(holder, target, MessageKind.TRANSFER,
@@ -523,9 +522,8 @@ class TransferOp(Operation):
 
     def transfer_lost(self, net: SimNetwork, sender, msg: Message) -> None:
         key = msg.data["key"]
-        lost = self.lost[key] = self.lost.get(key, 0) + 1
         target = None
-        if sender is not None and lost < self.TRIES:
+        if self.may_retry(net, key) and sender is not None:
             target = self.next_target(sender, key)
         if target is None:
             self.settle(net, unresolved=key)
@@ -544,8 +542,10 @@ class HandoffOp(TransferOp):
         super().__init__()
         self.new_id = new_id
 
-    def next_target(self, old_root, key: int) -> int:
-        return self.new_id
+    def next_target(self, old_root, key: int) -> int | None:
+        """The joiner, when it is closer to `key` than the old root is."""
+        joiner = self.new_id
+        return joiner if ring_root(sorted((old_root.id, joiner)), key) == joiner else None
 
     def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
         """The joiner holds the key; the old root, unless the ack was lost,
@@ -589,22 +589,14 @@ def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]
     """
     neighbours = net.node(new_id).leaf_set.members()
     op = net.new_op(HandoffOp(new_id))
-    op.pending = len(neighbours)
-    for neighbour in neighbours:
-        net.post(new_id, neighbour, MessageKind.HANDOFF, op=op)
-    if not neighbours:
-        net.complete_op(op, None)
+    op.fan_out(net, new_id, MessageKind.HANDOFF, neighbours)
     net.drive(op)
     return sorted(op.transferred), sorted(op.unresolved)
 
 
 @on_deliver(MessageKind.HANDOFF)
 def _handoff_deliver(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None:
-    joiner = op.new_id
-    for key in sorted(node.store.entries):
-        entry = node.store.entries[key]
-        if entry.role is Role.ROOT and ring_root(sorted((node.id, joiner)), key) == joiner:
-            op.transfer(net, node.id, joiner, entry)
+    op.move_roots(net, node)
     net.post(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=op)
 
 
@@ -613,13 +605,7 @@ def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list
     chosen as the leaf member closest to the key. Returns ((key, new root)
     pairs in the order their acks arrived, unresolved keys)."""
     op = net.new_op(RelinquishOp())
-    for key in sorted(node.store.entries):
-        entry = node.store.entries[key]
-        if entry.role is not Role.ROOT:
-            continue
-        target = op.next_target(node, key)
-        if target is not None:  # else the last node standing takes the key along
-            op.transfer(net, node.id, target, entry)
+    op.move_roots(net, node)  # the last node standing takes its keys along
     if op.pending == 0:
         net.complete_op(op, None)
     net.drive(op)

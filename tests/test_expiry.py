@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peerdeploy import build_network, leave, lookup, publish, route, serialize_metrics
-from peerdeploy import store
+from peerdeploy import simnet, store
 from peerdeploy.errors import PeerDeployError
 from peerdeploy.ids import derive_key
-from peerdeploy.simnet import SimNetwork
+from peerdeploy.simnet import MessageKind, SimNetwork
 from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig
 from oracles import oracle_root, reference_due_at
 
@@ -84,6 +84,30 @@ def start_lookup(net, client: int, name: str) -> None:
     reply path caches the payload between boundaries."""
     op = net.new_op(store.LookupOp(derive_key(name), name, client))
     op.advance(net, net.nodes[client])
+
+
+def test_a_fetch_reply_serves_from_a_junction_whose_trail_expired_meanwhile(monkeypatch):
+    """The lookup stops at a TRAIL and fetches; the sweep at the next boundary
+    evicts that TRAIL before the payload comes back. The junction takes the
+    reply all the same: it puts the entry back and serves from it."""
+    net, names = build_network(32, seed=0, store_config=StoreConfig(ttl=100))
+    for i in range(2):
+        publish(net, names[f"n{i}"], f"f{i}.jar", payload_of(f"f{i}.jar"))
+    key = derive_key("f1.jar")
+    original = simnet._DELIVER[MessageKind.FETCH_REPLY]
+    held_on_reply = []
+
+    def deliver(net, node, msg, op):
+        held_on_reply.append(node.store.get(key) is not None)
+        original(net, node, msg, op)
+
+    monkeypatch.setitem(simnet._DELIVER, MessageKind.FETCH_REPLY, deliver)
+    start_lookup(net, names["n6"], "f1.jar")
+    (op,) = net.ops.values()
+    net.advance(2000)
+    assert held_on_reply == [False]
+    assert op.done and op.error is None
+    assert op.result == (payload_of("f1.jar"), op.path[-1], len(op.path) - 1)
 
 
 def script(seed: int, nodes: int, names: int, steps: int) -> list[tuple]:

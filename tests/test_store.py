@@ -15,9 +15,16 @@ from peerdeploy.errors import (
     VersionConflictError,
 )
 from peerdeploy.ids import derive_key
-from peerdeploy.overlay import route
+from peerdeploy.overlay import LeaveReport, route
 from peerdeploy.simnet import SimNetwork
-from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig, content_digest
+from peerdeploy.store import (
+    ComponentPayload,
+    NodeStore,
+    Role,
+    StoreConfig,
+    content_digest,
+    handoff_on_join,
+)
 from oracles import oracle_root, reference_due_at
 
 
@@ -422,6 +429,19 @@ def test_join_handoff_moves_root_and_retains_payload():
             assert key in report.transferred
     if moved:
         assert report.transferred
+
+
+def test_handoff_on_a_lone_node_has_no_neighbour_to_ask():
+    net, names = build_network(1)
+    assert handoff_on_join(net, names["n0"]) == ([], [])
+    assert not net.ops
+
+
+def test_the_last_node_standing_leaves_with_its_roots():
+    net, names = build_network(1)
+    publish(net, names["n0"], "last.jar", payload_of("last"))
+    assert leave(net, names["n0"]) == LeaveReport(names["n0"], True, [], [])
+    assert not net.ops
 
 
 def test_root_uniqueness_through_join_storm():

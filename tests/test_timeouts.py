@@ -17,7 +17,7 @@ from peerdeploy.errors import (
     PublishFailedError,
     RoutingFailureError,
 )
-from peerdeploy.ids import derive_key
+from peerdeploy.ids import derive_key, to_hex
 from peerdeploy.simnet import Message, MessageKind, NodeStatus, SimConfig
 from peerdeploy.store import ComponentPayload, Role
 from oracles import oracle_root
@@ -252,6 +252,30 @@ def test_join_recontacts_a_dead_bootstrap_until_it_gives_up(monkeypatch):
         join(net, derive_key("x8.jar"), bootstrap, name="late")
     assert net.metrics.sent["JOIN"] - net.metrics.delivered["JOIN"] == net.config.retries + 1
     assert counts(net) == PINNED["join_bootstrap_dead"]
+
+
+# -- the texts an exhausted retry rule writes
+
+
+def test_route_to_a_dead_first_hop_fails_after_0_retries():
+    net, names = build_network(64, seed=4)
+    key = derive_key("x0.jar")
+    hop = walk(net, names["n0"], key)[1]
+    net.fail(hop)
+    with pytest.raises(RoutingFailureError) as err:
+        route(net, names["n0"], key)
+    assert str(err.value) == f"route to {to_hex(key)} timed out at {to_hex(hop)} after 0 retries"
+
+
+def test_join_to_a_dead_bootstrap_fails_after_3_retries(monkeypatch):
+    net, names = build_network(64, seed=4)
+    bootstrap = net.live_ids()[0]
+    net.post(names["n2"], names["n3"], MessageKind.REPAIR)
+    kill_on_delivery(monkeypatch, net, MessageKind.REPAIR, lambda msg: bootstrap)
+    with pytest.raises(BootstrapUnreachableError) as err:
+        join(net, derive_key("x8.jar"), bootstrap, name="late")
+    assert str(err.value) == (f"bootstrap {to_hex(bootstrap)} never answered: "
+                              f"timed out at {to_hex(bootstrap)} after 3 retries")
 
 
 # -- root transfer
