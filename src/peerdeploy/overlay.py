@@ -101,12 +101,12 @@ class RouteOp(RoutedOp):
 
     def forward(self, net: SimNetwork, node: OverlayNode, nh: int) -> None:
         if nh in self.path:
-            net.fail_op(self, self.failure(f"revisited {ids.to_hex(nh)}"))
+            self.fail(self.failure(f"revisited {ids.to_hex(nh)}"))
         else:
             super().forward(net, node, nh)
 
     def at_root(self, net: SimNetwork, node: OverlayNode) -> None:
-        net.complete_op(self, list(self.path))
+        self.complete(list(self.path))
 
 
 def route(net: SimNetwork, start: int, k: int) -> list[int]:
@@ -123,14 +123,15 @@ def route(net: SimNetwork, start: int, k: int) -> list[int]:
 class JoinReport:
     new_id: int
     bootstrap: int | None
-    path: list[int]  # nodes the join request crossed, bootstrap first
+    path: list[int]  # nodes the join request crossed after the joiner, bootstrap first
     announced: list[int]
     transferred: list[int]  # keys handed over to the joiner
     unresolved: list[int]  # keys whose handoff never completed
 
 
 class JoinOp(RoutedOp):
-    """Routes toward the joiner's own id; the key is the joiner."""
+    """Routes toward the joiner's own id; the key is the joiner. The joiner,
+    path[0], knows no one yet and hands the request to its bootstrap."""
 
     kind = "join"
     message = MessageKind.JOIN
@@ -142,6 +143,9 @@ class JoinOp(RoutedOp):
         self.announced: list[int] = []
 
     def arrive(self, net: SimNetwork, node: OverlayNode) -> bool:
+        if node.id == self.key:
+            self.forward(net, node, self.bootstrap)
+            return False
         self.candidates.add(node.id)
         # Rows 0..r of this node's table all hold ids agreeing with the joiner
         # on at least their row's prefix, so they seed the joiner's own rows.
@@ -163,31 +167,24 @@ class JoinOp(RoutedOp):
         self.candidates.update(node.leaf_set.members())
         net.post(node.id, self.key, MessageKind.JOIN_REPLY, op=self)
 
-    def retry(self, net: SimNetwork, sender: OverlayNode) -> None:
-        if sender.id == self.key:
-            # First hop: the joiner itself re-contacts the bootstrap.
-            net.post(self.key, self.bootstrap, MessageKind.JOIN, op=self)
-        else:
-            self.advance(net, sender)
-
     def failure(self, reason: str) -> Exception:
-        if not self.path:
+        if len(self.path) == 1:
             return BootstrapUnreachableError(
                 f"bootstrap {ids.to_hex(self.bootstrap)} never answered: {reason}")
-        return super().failure(reason)
-
-    def hops(self) -> int:
-        return len(self.path)
+        error = super().failure(reason)
+        error.partial_path = self.path[1:]
+        return error
 
 
 def join(net: SimNetwork, new_id: int, bootstrap: int | None,
          name: str | None = None) -> JoinReport:
     """Bring a new node into the ring via one existing contact.
 
-    The join request routes from the bootstrap toward the new id; every node
-    it crosses contributes routing rows, the terminal contributes its leaf
-    set. The joiner then announces itself to everyone it learned about, and
-    finally its new leaf neighbours hand over the keys it now roots.
+    The joiner hands its join request to the bootstrap, which routes it
+    toward the new id; every node it crosses contributes routing rows, the
+    terminal contributes its leaf set. The joiner then announces itself to
+    everyone it learned about, and finally its new leaf neighbours hand over
+    the keys it now roots.
     """
     if bootstrap is None:
         if net.live_ids():
@@ -204,10 +201,9 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
         raise BootstrapUnreachableError(f"bootstrap {ids.to_hex(bootstrap)} is not live")
     node = OverlayNode(new_id, name=name, store_config=net.store_config)
     net.register(node)
-    op = net.new_op(JoinOp(new_id, bootstrap))
-    net.post(new_id, bootstrap, MessageKind.JOIN, op=op)
+    op = JoinOp(new_id, bootstrap)
     try:
-        net.drive(op)
+        op.run(net, node)
     except Exception:
         # The id never became LIVE; leave it departed so stale references
         # aimed at it clean up through the normal timeout path.
@@ -215,7 +211,7 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
         raise
     net.set_status(node, NodeStatus.LIVE)
     transferred, unresolved = handoff_on_join(net, new_id)
-    return JoinReport(new_id, bootstrap, list(op.path), list(op.announced),
+    return JoinReport(new_id, bootstrap, op.path[1:], list(op.announced),
                       transferred, unresolved)
 
 
@@ -230,7 +226,7 @@ def _join_reply_deliver(net: SimNetwork, joiner: OverlayNode, msg: Message,
 @on_timeout(MessageKind.JOIN_REPLY)
 @on_timeout(MessageKind.ANNOUNCE_ACK)
 def _joiner_lost(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
-    net.fail_op(op, op.failure(f"lost the joiner before its {msg.kind.value}"))
+    op.fail(op.failure(f"lost the joiner before its {msg.kind.value}"))
 
 
 @on_deliver(MessageKind.ANNOUNCE)

@@ -575,11 +575,8 @@ class ScenarioRunner:
     def _term_entries(self, node: str) -> int:
         return len(self.net.node(self.names[node]).store.entries)
 
-    def _term_root(self, name: str) -> Optional[str]:
-        live = self.net.live_ids()
-        if not live:
-            return None
-        return self.net.nodes[ring_root(live, derive_key(name))].name
+    def _term_root(self, name: str) -> str:
+        return self.net.nodes[ring_root(self.net.live_ids(), derive_key(name))].name
 
 
 def run_scenario(path: str, seed: Optional[int] = None,

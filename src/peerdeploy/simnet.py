@@ -32,9 +32,8 @@ class NodeStatus(Enum):
     DEPARTED = "DEPARTED"
 
 
-# Module names for the members the transport tests on every message: a global
-# read, where `NodeStatus.LIVE` goes through the enum class.
-_LIVE = NodeStatus.LIVE
+# A module name for the status the transport tests on every message: a global
+# read, where `NodeStatus.DEPARTED` goes through the enum class.
 _DEPARTED = NodeStatus.DEPARTED
 
 
@@ -84,12 +83,13 @@ class Message:
     from_id: int
     to_id: int
     data: dict[str, Any] = field(default_factory=dict)
-    op_id: Optional[int] = None
+    op: Optional[Operation] = None
     deadline: int = -1  # assigned when the message enters the network
 
 
 class Operation:
     """Bookkeeping for one driven protocol exchange (route, publish, ...).
+    Its messages carry it, and it ends itself through `complete` or `fail`.
     An op that fans out sets `pending` to the answers it awaits and settles
     one per answer; the last one completes it.
 
@@ -125,12 +125,20 @@ class Operation:
         for target in targets:
             net.post(sender, target, kind, op=self)
         if not targets:
-            net.complete_op(self, None)
+            self.complete(None)
 
     def settle(self, net: "SimNetwork") -> None:
         self.pending -= 1
         if self.pending == 0:
-            net.complete_op(self, None)
+            self.complete(None)
+
+    def complete(self, result: Any) -> None:
+        self.result = result
+        self.done = True
+
+    def fail(self, error: Exception) -> None:
+        self.error = error
+        self.done = True
 
     def record(self, metrics: "Metrics") -> None:
         """Count the finished op in the metrics document. Handoff and
@@ -143,7 +151,8 @@ class RoutedOp(Operation):
     Every node the request reaches is appended to `path` and runs `arrive`,
     which may take the op over (a lookup that finds an entry). Otherwise the
     node forwards `message` to its next hop, or, when it names itself, runs
-    `at_root`. A reply walks `path` backwards as `reply` messages, skipping
+    `at_root`. So path[0] is the node the op started at and path[-1] the node
+    it is at; the op keeps no other copy of either. A reply walks `path` backwards as `reply` messages, skipping
     nodes that died; `reply_at` runs on each node it passes and `reply_home`
     on path[0]. A forward timeout re-routes from the sender, whose repair
     has already dropped the dead contact, while `may_retry` allows it.
@@ -178,13 +187,12 @@ class RoutedOp(Operation):
 
     def timed_out(self, net: "SimNetwork", sender, msg: Message) -> None:
         if sender is None:
-            net.fail_op(self, self.failure("lost a path node"))
-            return
-        if not self.may_retry(net, self.key):
-            net.fail_op(self, self.failure(f"timed out at {ids.to_hex(msg.to_id)} "
-                                           f"after {self.tries(net) - 1} retries"))
-            return
-        self.retry(net, sender)
+            self.fail(self.failure("lost a path node"))
+        elif not self.may_retry(net, self.key):
+            self.fail(self.failure(f"timed out at {ids.to_hex(msg.to_id)} "
+                                   f"after {self.tries(net) - 1} retries"))
+        else:
+            self.advance(net, sender)
 
     def reply_from(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
         """Start the reply at the last node of the path."""
@@ -218,9 +226,6 @@ class RoutedOp(Operation):
 
     def at_root(self, net: "SimNetwork", node) -> None:
         raise NotImplementedError
-
-    def retry(self, net: "SimNetwork", sender) -> None:
-        self.advance(net, sender)
 
     def failure(self, reason: str) -> Exception:
         return RoutingFailureError(f"{self.kind} to {ids.to_hex(self.key)} {reason}",
@@ -282,9 +287,9 @@ def _reply_timeout(net: "SimNetwork", sender, msg: Message, op: RoutedOp) -> Non
     # The receiver died: skip it and keep walking toward path[0].
     index = msg.data["index"]
     if sender is None:
-        net.fail_op(op, op.failure("lost its reply path"))
+        op.fail(op.failure("lost its reply path"))
     elif index == 0:
-        net.fail_op(op, op.failure("lost its requester during the reply"))
+        op.fail(op.failure("lost its requester during the reply"))
     else:
         op.pass_back(net, msg.from_id, index, msg.data)
 
@@ -497,19 +502,11 @@ class SimNetwork:
         self.ops[op.op_id] = op
         return op
 
-    def complete_op(self, op: Operation, result: Any) -> None:
-        op.result = result
-        op.done = True
-
-    def fail_op(self, op: Operation, error: Exception) -> None:
-        op.error = error
-        op.done = True
-
     def drive(self, op: Operation) -> Any:
         """Drain the event loop; op has finished by then, or it stalled."""
         self.run_until_quiescent()
         if not op.done:
-            self.fail_op(op, LivelockSuspectedError(
+            op.fail(LivelockSuspectedError(
                 f"{op.kind} stalled with an empty event queue"))
         self.ops.pop(op.op_id, None)
         op.record(self.metrics)
@@ -555,8 +552,7 @@ class SimNetwork:
 
     def post(self, from_id: int, to_id: int, kind: MessageKind,
              data: dict[str, Any] | None = None, op: Operation | None = None) -> Message:
-        return self.send(Message(kind, from_id, to_id, data or {},
-                                 op.op_id if op else None))
+        return self.send(Message(kind, from_id, to_id, data or {}, op))
 
     # --- event loop ---
 
@@ -588,8 +584,8 @@ class SimNetwork:
         if handler is None:
             return
         # A message that belongs to an op does nothing once that op is over.
-        op = self.ops.get(msg.op_id)
-        if msg.op_id is not None and (op is None or op.done):
+        op = msg.op
+        if op is not None and op.done:
             return
         handler(self, node, msg, op)
 

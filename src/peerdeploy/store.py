@@ -215,37 +215,35 @@ class PublishOp(RoutedOp):
     message = MessageKind.PUBLISH
     reply = MessageKind.PUBLISH_ACK
 
-    def __init__(self, key: int, name: str, payload: ComponentPayload, source: int):
+    def __init__(self, key: int, name: str, payload: ComponentPayload):
         super().__init__(key)
         self.name = name
         self.payload = payload
-        self.source = source
-        self.root: int | None = None
 
     def at_root(self, net: SimNetwork, root) -> None:
         existing = root.store.get(self.key)
         if existing is not None and existing.payload is not None \
                 and existing.role in (Role.ROOT, Role.SOURCE) \
                 and existing.payload.digest != self.payload.digest:
-            net.fail_op(self, VersionConflictError(
+            self.fail(VersionConflictError(
                 f"{self.name!r} already published with different content"))
             return
-        self.root = root.id
         root.store.put(self.key, self.name, Role.ROOT, self.payload,
-                       origin=self.source, root_hint=root.id, now=net.clock)
+                       origin=self.path[0], root_hint=root.id, now=net.clock)
         self.reply_from(net, root, {})
 
     def reply_at(self, net: SimNetwork, node, data: dict) -> None:
-        node.store.put(self.key, self.name, Role.TRAIL, None, origin=self.source,
-                       root_hint=self.root, now=net.clock)
+        node.store.put(self.key, self.name, Role.TRAIL, None, origin=self.path[0],
+                       root_hint=self.path[-1], now=net.clock)
         _post_insert_pressure(net, node)
 
     def reply_home(self, net: SimNetwork, node, data: dict) -> None:
         # A source that is its own root keeps the ROOT entry alone.
+        source, root = self.path[0], self.path[-1]
         if len(self.path) > 1:
             node.store.put(self.key, self.name, Role.SOURCE, self.payload,
-                           origin=self.source, root_hint=self.root, now=net.clock)
-        net.complete_op(self, PublishTrail(self.key, self.source, self.root, list(self.path)))
+                           origin=source, root_hint=root, now=net.clock)
+        self.complete(PublishTrail(self.key, source, root, list(self.path)))
 
     def failure(self, reason: str) -> Exception:
         return PublishFailedError(f"publish of {self.name!r} {reason}")
@@ -262,7 +260,7 @@ def publish(net: SimNetwork, source: int, name: str, payload: ComponentPayload) 
     if existing is not None and existing.payload is not None \
             and existing.payload.digest != payload.digest:
         raise VersionConflictError(f"{name!r} already held locally with different content")
-    return PublishOp(key, name, payload, source).run(net, node)
+    return PublishOp(key, name, payload).run(net, node)
 
 
 def _post_insert_pressure(net: SimNetwork, node) -> None:
@@ -284,12 +282,9 @@ class LookupOp(RoutedOp):
     message = MessageKind.LOOKUP
     reply = MessageKind.LOOKUP_REPLY
 
-    def __init__(self, key: int, name: str, client: int):
+    def __init__(self, key: int, name: str):
         super().__init__(key)
         self.name = name
-        self.client = client
-        self.served_by: int | None = None
-        self.serve_hops: int | None = None
         self.fetch_targets: list[int] = []  # holders still to ask, next first
         self.fetch_hit_dead = False
 
@@ -302,7 +297,7 @@ class LookupOp(RoutedOp):
         else:
             self.fetch_targets = [loc for loc in dict.fromkeys((entry.root_hint, entry.origin))
                                   if loc is not None and loc != node.id]
-            self.fetch_next(net)
+            self.fetch_next(net, node)
         return False
 
     def at_root(self, net: SimNetwork, node) -> None:
@@ -310,16 +305,14 @@ class LookupOp(RoutedOp):
         # was unreachable along the way the component may still exist, which
         # is a different answer than a clean miss at the root.
         if self.fetch_hit_dead:
-            net.fail_op(self, UnavailableError(
-                f"named holders of {self.name!r} are unreachable"))
+            self.fail(UnavailableError(f"named holders of {self.name!r} are unreachable"))
         else:
-            net.fail_op(self, NotFoundError(f"{self.name!r} has no entry at its root"))
+            self.fail(NotFoundError(f"{self.name!r} has no entry at its root"))
 
     def serve(self, net: SimNetwork, node, entry: StoreEntry,
               payload: ComponentPayload) -> None:
+        """Serve from `node`, the last node of the path."""
         node.store.hit(entry, net.clock)
-        self.served_by = node.id
-        self.serve_hops = len(self.path) - 1
         self.reply_from(net, node, {"payload": payload, "origin": entry.origin,
                                     "root_hint": entry.root_hint})
 
@@ -330,21 +323,14 @@ class LookupOp(RoutedOp):
             _post_insert_pressure(net, node)
 
     def reply_home(self, net: SimNetwork, node, data: dict) -> None:
-        net.complete_op(self, (data["payload"], self.served_by, self.serve_hops))
+        self.complete((data["payload"], self.path[-1], len(self.path) - 1))
 
     def failure(self, reason: str) -> Exception:
         return LookupFailedError(f"lookup of {self.name!r} {reason}")
 
-    def hops(self) -> int | None:
-        return self.serve_hops
-
-    def fetch_next(self, net: SimNetwork) -> None:
+    def fetch_next(self, net: SimNetwork, junction) -> None:
         """Ask the next holder the trail names, or give up on the trail. The
         junction holding the trail is the last node of the path."""
-        junction = net.reachable(self.path[-1])
-        if junction is None:
-            net.fail_op(self, self.failure("lost its junction during a fetch"))
-            return
         if self.fetch_targets:
             net.post(junction.id, self.fetch_targets.pop(0), MessageKind.FETCH,
                      {"key": self.key}, op=self)
@@ -363,7 +349,7 @@ class LookupOp(RoutedOp):
 
 def lookup(net: SimNetwork, client: int, name: str) -> tuple[ComponentPayload, int, int]:
     """Resolve name to its payload. Returns (payload, served_by, forward hops)."""
-    result = LookupOp(derive_key(name), name, client).run(net, net.live_node(client))
+    result = LookupOp(derive_key(name), name).run(net, net.live_node(client))
     assert result[0].verify(), "served payload failed digest check"
     return result
 
@@ -380,15 +366,18 @@ def _fetch_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> None:
 
 @on_timeout(MessageKind.FETCH)
 def _fetch_timeout(net: SimNetwork, junction, msg: Message, op: LookupOp) -> None:
+    if junction is None:
+        op.fail(op.failure("lost its junction during a fetch"))
+        return
     op.fetch_hit_dead = True
-    op.fetch_next(net)
+    op.fetch_next(net, junction)
 
 
 @on_deliver(MessageKind.FETCH_REPLY)
 def _fetch_reply_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> None:
     payload = msg.data["payload"]
     if payload is None:
-        op.fetch_next(net)
+        op.fetch_next(net, node)
         return
     entry = node.store.get(op.key)
     if entry is None:
@@ -403,7 +392,7 @@ def _fetch_reply_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> N
 
 @on_timeout(MessageKind.FETCH_REPLY)
 def _fetch_reply_timeout(net: SimNetwork, holder, msg: Message, op: LookupOp) -> None:
-    net.fail_op(op, op.failure("lost its junction during a fetch"))
+    op.fail(op.failure("lost its junction during a fetch"))
 
 
 # --------------------------------------------------------------------------
@@ -414,21 +403,20 @@ class RemoveOp(RoutedOp):
     kind = "remove"
     message = MessageKind.REMOVE
 
-    def __init__(self, key: int, name: str, requester: int):
+    def __init__(self, key: int, name: str):
         super().__init__(key)
         self.name = name
-        self.requester = requester
 
     def at_root(self, net: SimNetwork, root) -> None:
         entry = root.store.get(self.key)
         if entry is None or entry.payload is None:
-            net.fail_op(self, NotFoundError(f"{self.name!r} has no root entry to remove"))
+            self.fail(NotFoundError(f"{self.name!r} has no root entry to remove"))
             return
         root.store.delete(self.key)
-        if root.id == self.requester:
-            net.complete_op(self, RemovalReport(self.name, self.key, self.requester, root.id))
-            return
-        net.post(root.id, self.requester, MessageKind.REMOVE_REPLY, {"root": root.id}, op=self)
+        if root.id == self.path[0]:
+            self.complete(RemovalReport(self.name, self.key, root.id, root.id))
+        else:
+            net.post(root.id, self.path[0], MessageKind.REMOVE_REPLY, op=self)
 
     def failure(self, reason: str) -> Exception:
         return RoutingFailureError(f"removal of {self.name!r} {reason}",
@@ -450,7 +438,7 @@ def remove(net: SimNetwork, requester: int, name: str) -> RemovalReport:
         entry.origin == requester and entry.role in (Role.ROOT, Role.RETAINED))
     if not owns:
         raise NotOwnerError(f"{ids.to_hex(requester)} does not own {name!r}")
-    return RemoveOp(key, name, requester).run(net, node)
+    return RemoveOp(key, name).run(net, node)
 
 
 @on_deliver(MessageKind.REMOVE_REPLY)
@@ -458,12 +446,12 @@ def _remove_reply_deliver(net: SimNetwork, node, msg: Message, op: RemoveOp) -> 
     # Root confirmed the deletion; drop the requester's own pinned copy too so
     # the name actually disappears once trails and caches age out.
     node.store.delete(op.key)
-    net.complete_op(op, RemovalReport(op.name, op.key, op.requester, msg.data["root"]))
+    op.complete(RemovalReport(op.name, op.key, node.id, op.path[-1]))
 
 
 @on_timeout(MessageKind.REMOVE_REPLY)
 def _remove_reply_timeout(net: SimNetwork, root, msg: Message, op: RemoveOp) -> None:
-    net.fail_op(op, op.failure("lost its requester during the reply"))
+    op.fail(op.failure("lost its requester during the reply"))
 
 
 # --------------------------------------------------------------------------
@@ -607,7 +595,7 @@ def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list
     op = net.new_op(RelinquishOp())
     op.move_roots(net, node)  # the last node standing takes its keys along
     if op.pending == 0:
-        net.complete_op(op, None)
+        op.complete(None)
     net.drive(op)
     return op.transferred, sorted(op.unresolved)
 

@@ -82,7 +82,7 @@ def test_evict_matches_the_two_pass_reference(entries, capacity, ttl, now):
 def start_lookup(net, client: int, name: str) -> None:
     """Leave a lookup in flight, so that the next advance carries it and its
     reply path caches the payload between boundaries."""
-    op = net.new_op(store.LookupOp(derive_key(name), name, client))
+    op = net.new_op(store.LookupOp(derive_key(name), name))
     op.advance(net, net.nodes[client])
 
 

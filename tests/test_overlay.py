@@ -185,3 +185,31 @@ def test_join_hops_scale_with_size():
     net, _ = build_network(64, seed=23)
     report = join(net, derive_key("probe-node"), net.live_ids()[0])
     assert 1 <= len(report.path) <= 8
+
+
+def test_repair_refills_from_the_table_once_the_whole_leaf_set_is_gone():
+    net, names = build_network(40, seed=3)
+    node = net.nodes[names["n5"]]
+    members = node.leaf_set.members()
+    assert len(members) == 8
+    for member in members:
+        net.fail(member)
+    for member in members:
+        node.repair(net, member)
+    net.run_until_quiescent()
+    refilled = node.leaf_set.members()
+    assert len(refilled) == 8
+    assert all(net.nodes[m].status is NodeStatus.LIVE for m in refilled)
+
+
+def test_route_fails_when_its_next_hop_is_already_on_the_path():
+    # A roots the key. With B gone from its leaf set, A's table sends the
+    # key's first digit to B, and B's leaf set sends the key back to A.
+    a, b, key = (0x2 << 124) - 1, (0x3 << 124) - 1, 0x2 << 124
+    net = SimNetwork(seed=0)
+    join(net, a, None)
+    join(net, b, a)
+    net.nodes[a].leaf_set.remove(b)
+    with pytest.raises(RoutingFailureError, match="revisited") as err:
+        route(net, a, key)
+    assert err.value.partial_path == [a, b]

@@ -399,6 +399,17 @@ def test_install_skips_already_installed():
     assert "twice.jar" in report.skipped
 
 
+def test_install_rejects_a_payload_its_descriptor_does_not_promise():
+    net, names = build_network(16, seed=20)
+    publish(net, names["n0"], "swap.jar", payload_of("served"))
+    index = RepositoryIndex()
+    index.add(desc("swap.jar", payload=payload_of("promised")))
+    client = GatewayState(names["n15"], index=index)
+    with pytest.raises(IntegrityError, match="descriptor promises"):
+        install(client, net, "p2p://swap.jar")
+    assert client.state_of("swap.jar") is None
+
+
 def test_install_rejects_passthrough_and_malformed():
     net, names, index, client = setup_net_with_bundles()
     with pytest.raises(UnsupportedUriError):

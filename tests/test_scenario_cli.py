@@ -89,6 +89,15 @@ def test_parse_good_scenario():
     ("create 2\nassert root(x.jar) == n7", "unknown node"),
     ("create 2\nassert entries(n3) > 0", "unknown node"),
     ("workload zipf 1 1 1 1.0", "live nodes"),
+    ("join a/b", "bad node name"),
+    ("create 2\nlookup n0 -x", "bad bundle name"),
+    ("create 2\nassert installed(n0)", "needs (node,bundle)"),
+    ("create 2\nassert speed > 1", "unknown assert term"),
+    ("create 2\nassert hops(n0) == 1", "takes the literal 'lookup'"),
+    ("create 2\nassert replicas() == 1", "needs a bundle name"),
+    ("join n0\ncreate 1", "already exists"),
+    ("create 2\nworkload uniform 1 1 1 1.0", "usage"),
+    ("create 2\nworkload zipf 1 1 1 x", "must be a number"),
 ])
 def test_parse_rejects_invalid_scenarios(bad, fragment):
     with pytest.raises(ScenarioParseError) as err:

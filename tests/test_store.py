@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from peerdeploy import build_network, join, leave, lookup, publish, remove, replica_count
 from peerdeploy.errors import (
+    IntegrityError,
     InvalidNameError,
     NotFoundError,
     NotOwnerError,
@@ -98,6 +99,25 @@ def test_publish_rejects_bad_names():
     net, names = build_network(2, seed=0)
     with pytest.raises(InvalidNameError):
         publish(net, names["n0"], "", payload_of("x"))
+
+
+def test_publish_rejects_a_payload_whose_digest_does_not_match_its_bytes():
+    net, names = build_network(4, seed=0)
+    real = payload_of("real")
+    forged = ComponentPayload(real.data, payload_of("other").digest, real.size)
+    sent = dict(net.metrics.sent)
+    with pytest.raises(IntegrityError, match="digest mismatch"):
+        publish(net, names["n0"], "forged.jar", forged)
+    assert net.metrics.sent == sent
+
+
+def test_publish_rejects_other_bytes_under_a_name_the_source_holds():
+    net, names = build_network(8, seed=2)
+    publish(net, names["n0"], "held.jar", payload_of("one"))
+    sent = dict(net.metrics.sent)
+    with pytest.raises(VersionConflictError, match="held locally"):
+        publish(net, names["n0"], "held.jar", payload_of("two"))
+    assert net.metrics.sent == sent
 
 
 def test_content_digest_is_stable():
