@@ -99,12 +99,6 @@ class RouteOp(RoutedOp):
     message = MessageKind.ROUTE_STEP
     TRIES = 1  # the caller decides whether to retry
 
-    def forward(self, net: SimNetwork, node: OverlayNode, nh: int) -> None:
-        if nh in self.path:
-            self.fail(self.failure(f"revisited {ids.to_hex(nh)}"))
-        else:
-            super().forward(net, node, nh)
-
     def at_root(self, net: SimNetwork, node: OverlayNode) -> None:
         self.complete(list(self.path))
 

@@ -26,7 +26,6 @@ from .errors import (
     MalformedUriError,
     NotFoundError,
     PeerDeployError,
-    RoutingFailureError,
     ScenarioParseError,
     UnavailableError,
 )
@@ -415,7 +414,7 @@ class ScenarioRunner:
             status = "not-found"
         except UnavailableError:
             status = "unavailable"
-        except (LookupFailedError, RoutingFailureError):
+        except LookupFailedError:
             status = "failed"
         self.last_lookup = {"client": client, "name": name,
                             "status": status, "hops": hops}

@@ -152,10 +152,12 @@ class RoutedOp(Operation):
     which may take the op over (a lookup that finds an entry). Otherwise the
     node forwards `message` to its next hop, or, when it names itself, runs
     `at_root`. So path[0] is the node the op started at and path[-1] the node
-    it is at; the op keeps no other copy of either. A reply walks `path` backwards as `reply` messages, skipping
-    nodes that died; `reply_at` runs on each node it passes and `reply_home`
-    on path[0]. A forward timeout re-routes from the sender, whose repair
-    has already dropped the dead contact, while `may_retry` allows it.
+    it is at; the op keeps no other copy of either. A next hop already on
+    `path` fails the op: a walk that comes back to a node would loop. A
+    reply walks `path` backwards as `reply` messages, skipping nodes that
+    died; `reply_at` runs on each node it passes and `reply_home` on
+    path[0]. A forward timeout re-routes from the sender, whose repair has
+    already dropped the dead contact, while `may_retry` allows it.
     """
 
     message: MessageKind
@@ -184,6 +186,12 @@ class RoutedOp(Operation):
             self.at_root(net, node)
         else:
             self.forward(net, node, nh)
+
+    def forward(self, net: "SimNetwork", node, nh: int) -> None:
+        if nh in self.path:
+            self.fail(self.failure(f"revisited {ids.to_hex(nh)}"))
+        else:
+            net.post(node.id, nh, self.message, op=self)
 
     def timed_out(self, net: "SimNetwork", sender, msg: Message) -> None:
         if sender is None:
@@ -220,9 +228,6 @@ class RoutedOp(Operation):
 
     def next_hop(self, node) -> int:
         return node.next_hop(self.key)
-
-    def forward(self, net: "SimNetwork", node, nh: int) -> None:
-        net.post(node.id, nh, self.message, op=self)
 
     def at_root(self, net: "SimNetwork", node) -> None:
         raise NotImplementedError
@@ -581,13 +586,14 @@ class SimNetwork:
             if node is not None:
                 node.repair(self, msg.to_id)
             handler = _TIMEOUT.get(msg.kind)
-        if handler is None:
-            return
         # A message that belongs to an op does nothing once that op is over.
         op = msg.op
-        if op is not None and op.done:
-            return
-        handler(self, node, msg, op)
+        if handler is not None and (op is None or not op.done):
+            handler(self, node, msg, op)
+        # The one eviction trigger besides the sweep: whatever a delivery
+        # wrote, the receiver's store ends it within its capacity.
+        if tag == "deliver" and (store := node.store).overflowing():
+            self.metrics.evictions += len(store.evict(self.clock))
 
     def run_until_quiescent(self) -> None:
         while self._queue:

@@ -183,8 +183,8 @@ class NodeStore:
             return 0
         return next(iter(transient.values())).last_access + self.config.ttl + 1
 
-    def non_pinned_count(self) -> int:
-        return len(self._transient)
+    def overflowing(self) -> bool:
+        return len(self._transient) > self.config.cache_capacity
 
     def total_bytes(self) -> int:
         return sum(e.payload.size for e in self.entries.values() if e.payload)
@@ -235,7 +235,6 @@ class PublishOp(RoutedOp):
     def reply_at(self, net: SimNetwork, node, data: dict) -> None:
         node.store.put(self.key, self.name, Role.TRAIL, None, origin=self.path[0],
                        root_hint=self.path[-1], now=net.clock)
-        _post_insert_pressure(net, node)
 
     def reply_home(self, net: SimNetwork, node, data: dict) -> None:
         # A source that is its own root keeps the ROOT entry alone.
@@ -261,11 +260,6 @@ def publish(net: SimNetwork, source: int, name: str, payload: ComponentPayload) 
             and existing.payload.digest != payload.digest:
         raise VersionConflictError(f"{name!r} already held locally with different content")
     return PublishOp(key, name, payload).run(net, node)
-
-
-def _post_insert_pressure(net: SimNetwork, node) -> None:
-    if node.store.non_pinned_count() > node.store.config.cache_capacity:
-        net.metrics.evictions += len(node.store.evict(net.clock))
 
 
 # --------------------------------------------------------------------------
@@ -313,14 +307,13 @@ class LookupOp(RoutedOp):
               payload: ComponentPayload) -> None:
         """Serve from `node`, the last node of the path."""
         node.store.hit(entry, net.clock)
-        self.reply_from(net, node, {"payload": payload, "origin": entry.origin,
-                                    "root_hint": entry.root_hint})
+        self.reply_from(net, node, {"payload": payload})
 
     def reply_at(self, net: SimNetwork, node, data: dict) -> None:
+        # A CACHE copy names no holder: only a TRAIL's locations are read.
         if node.store.config.cache_on_lookup:
             node.store.put(self.key, self.name, Role.CACHE, data["payload"],
-                           origin=data["origin"], root_hint=data["root_hint"], now=net.clock)
-            _post_insert_pressure(net, node)
+                           origin=None, root_hint=None, now=net.clock)
 
     def reply_home(self, net: SimNetwork, node, data: dict) -> None:
         self.complete((data["payload"], self.path[-1], len(self.path) - 1))
@@ -350,7 +343,8 @@ class LookupOp(RoutedOp):
 def lookup(net: SimNetwork, client: int, name: str) -> tuple[ComponentPayload, int, int]:
     """Resolve name to its payload. Returns (payload, served_by, forward hops)."""
     result = LookupOp(derive_key(name), name).run(net, net.live_node(client))
-    assert result[0].verify(), "served payload failed digest check"
+    if not result[0].verify():
+        raise IntegrityError(f"served payload of {name!r} failed its digest check")
     return result
 
 
@@ -383,9 +377,7 @@ def _fetch_reply_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> N
     if entry is None:
         entry = node.store.put(op.key, op.name, Role.TRAIL, None, None, None, net.clock)
     if node.store.config.cache_on_lookup and entry.payload is None:
-        entry = node.store.put(op.key, op.name, Role.CACHE, payload, origin=entry.origin,
-                               root_hint=entry.root_hint, now=net.clock)
-        _post_insert_pressure(net, node)
+        entry = node.store.put(op.key, op.name, Role.CACHE, payload, None, None, net.clock)
     # Serve from the junction whether or not it kept a copy.
     op.serve(net, node, entry, payload)
 

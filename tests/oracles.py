@@ -229,6 +229,21 @@ def reference_due_at(store) -> float:
     return min(e.last_access for e in transient) + store.config.ttl + 1
 
 
+def check_store(store) -> None:
+    """Assert that a store's eviction index agrees with its entries: it holds
+    exactly the TRAIL and CACHE entries, each the very object `entries` maps
+    its key to, in non-decreasing last_access order; and `due_at()` is the
+    scan's answer."""
+    index = store._transient
+    for key, entry in index.items():
+        assert store.entries.get(key) is entry, f"index holds {key:032x} apart from entries"
+    transient = {key for key, e in store.entries.items() if e.role.value in ("TRAIL", "CACHE")}
+    assert index.keys() == transient, "the index does not hold exactly the TRAIL and CACHE entries"
+    accesses = [entry.last_access for entry in index.values()]
+    assert accesses == sorted(accesses), "the index is out of last_access order"
+    assert store.due_at() == reference_due_at(store)
+
+
 # --------------------------------------------------------------------------
 # dependency resolution checked after the fact
 

@@ -13,7 +13,7 @@ from peerdeploy.errors import PeerDeployError
 from peerdeploy.ids import derive_key
 from peerdeploy.simnet import MessageKind, SimNetwork
 from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig
-from oracles import oracle_root, reference_due_at
+from oracles import check_store, oracle_root
 
 
 def payload_of(text: str) -> ComponentPayload:
@@ -156,7 +156,8 @@ def apply(net, action: tuple, names: list[str], advance, sweep) -> str:
         elif kind == "sweep":
             sweep(net)
         elif kind == "put":
-            # inserts that no insert-pressure eviction follows
+            # inserts that no delivery follows: an overflow waits for the
+            # next delivery to the store, or for the next boundary
             node_store = net.nodes[live[action[1] % len(live)]].store
             for i in range(action[2], action[2] + 3):
                 name = names[i % len(names)]
@@ -208,12 +209,34 @@ def test_advance_evicts_like_a_sweep_at_every_boundary(config, seed):
         ]
         assert outcomes[0] == outcomes[1], action
         assert state(nets[0]) == state(nets[1]), action
-        for node_id in nets[0].live_ids():
-            node_store = nets[0].nodes[node_id].store
-            assert node_store.due_at() == reference_due_at(node_store), action
+        for net in nets:
+            for node_id in net.live_ids():
+                check_store(net.nodes[node_id].store)
     assert nets[0].metrics.evictions > 0
     documents = [serialize_metrics(net.metrics.to_document(net)) for net in nets]
     assert documents[0] == documents[1]
+
+
+def test_a_store_over_capacity_evicts_after_the_delivery_that_filled_it():
+    """A fetch reply caches the payload at the junction and serves that copy.
+    At capacity 0 the copy must go after the serve, not between the put and
+    the serve, or the serve puts back into the index an entry the store no
+    longer holds, and the next evict of that store fails."""
+    net, _ = build_network(64, seed=0)
+    rng = random.Random(0)
+    live = net.live_ids()
+    names = [f"b{i}.jar" for i in range(20)]
+    for name in names:
+        publish(net, live[rng.randrange(len(live))], name, payload_of(name))
+    for node_id in live:
+        net.nodes[node_id].store.config = StoreConfig(cache_capacity=0)
+    name = names[rng.randrange(len(names))]
+    assert name == "b15.jar"  # its lookup stops at a TRAIL and fetches
+    lookup(net, live[rng.randrange(len(live))], name)
+    net.advance(1000)
+    for node_id in live:
+        check_store(net.nodes[node_id].store)
+        assert not net.nodes[node_id].store.overflowing()
 
 
 # -- work, counted rather than timed

@@ -8,12 +8,14 @@ from peerdeploy import build_network, join, leave, publish, lookup, route
 from peerdeploy.errors import (
     BootstrapUnreachableError,
     DuplicateNodeError,
+    LookupFailedError,
     NoSuchNodeError,
+    PublishFailedError,
     RoutingFailureError,
 )
 from peerdeploy.ids import derive_key
 from peerdeploy.simnet import NodeStatus, SimNetwork
-from peerdeploy.store import ComponentPayload, Role
+from peerdeploy.store import ComponentPayload, LookupOp, PublishOp, Role
 from oracles import RING, oracle_root, stabilize
 
 
@@ -213,3 +215,25 @@ def test_route_fails_when_its_next_hop_is_already_on_the_path():
     with pytest.raises(RoutingFailureError, match="revisited") as err:
         route(net, a, key)
     assert err.value.partial_path == [a, b]
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda key: PublishOp(key, "p.jar", ComponentPayload.from_bytes(b"p")), PublishFailedError),
+    (lambda key: LookupOp(key, "p.jar"), LookupFailedError),
+], ids=["publish", "lookup"])
+def test_every_walk_fails_with_its_own_error_when_it_comes_back(make, error):
+    # The loop of the route test above. The walk is stepped by hand, so that
+    # a walk that never stops fails the test instead of hanging it.
+    a, b, key = (0x2 << 124) - 1, (0x3 << 124) - 1, 0x2 << 124
+    net = SimNetwork(seed=0)
+    join(net, a, None)
+    join(net, b, a)
+    net.nodes[a].leaf_set.remove(b)
+    op = net.new_op(make(key))
+    op.advance(net, net.nodes[a])
+    for _ in range(100):
+        if op.done:
+            break
+        net._step()
+    assert isinstance(op.error, error) and "revisited" in str(op.error)
+    assert op.path == [a, b]

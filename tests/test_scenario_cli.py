@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,13 +15,16 @@ import pytest
 import peerdeploy
 from peerdeploy import replica_count
 from peerdeploy.cli import main
-from peerdeploy.errors import IndexParseError, ScenarioParseError
+from peerdeploy.errors import IndexParseError, PeerDeployError, ScenarioParseError
+from peerdeploy.ids import derive_key, ring_root
 from peerdeploy.scenario import (
     ScenarioRunner,
     parse_scenario,
     run_scenario,
     synthesize_payload,
 )
+from peerdeploy.simnet import SimNetwork
+from peerdeploy.store import lookup as store_lookup
 from peerdeploy.repo import (
     RepositoryIndex,
     describe_payload,
@@ -204,12 +208,23 @@ def test_missing_descriptor_file_rejects_before_execution(tmp_path):
         run_scenario(str(path))
 
 
+def test_descriptor_file_without_the_bundle_rejects_before_execution(tmp_path):
+    index = RepositoryIndex()
+    index.add(describe_payload("other.jar", synthesize_payload(0, "other.jar")))
+    save_index(index, str(tmp_path / "b.index"))
+    with pytest.raises(ScenarioParseError, match="has no record for 'a.jar'") as err:
+        parse_scenario("create 4\npublish n1 a.jar b.index\n", base_dir=str(tmp_path))
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("spoil, field", [
     (lambda text: text.encode() + b"\xff\n", None),
     (lambda text: re.sub(r"generated_at: \d+", "generated_at: \u00b2", text).encode(),
      "generated_at"),
     (lambda text: re.sub(r"size: \d+", "size: \u00b2", text).encode(), "size"),
-], ids=["not-utf8", "generated_at", "size"])
+    (lambda text: text.replace("start:", "start").encode(), "start"),
+    (lambda text: text.replace("start:", "entry:").encode(), "entry"),
+], ids=["not-utf8", "generated_at", "size", "not-key-value", "unknown-key"])
 def test_bad_descriptor_file_rejects_with_exit_two(tmp_path, capsys, spoil, field):
     index = RepositoryIndex()
     index.add(describe_payload("desc.jar", synthesize_payload(3, "desc.jar")))
@@ -284,6 +299,81 @@ def test_workload_records_outcomes_and_replicas(tmp_path):
     sample = doc["replica_samples"][0]["counts"]
     assert set(sample) == {f"wl{i}.jar" for i in range(5)}
     assert all(v >= 2 for v in sample.values())
+
+
+def test_a_one_node_workload_publishes_from_its_only_node(tmp_path):
+    path = tmp_path / "one.scenario"
+    path.write_text("create 1\nworkload zipf 1 1 1 1.0\n")
+    result = run_scenario(str(path))
+    assert result.exit_code == 0, result.diagnostic
+    assert result.document["workloads"][0]["outcomes"]["ok"] == 1
+    assert result.document["replica_samples"][0]["counts"] == {"wl0.jar": 1}
+
+
+@pytest.mark.parametrize("predicate, detail", [
+    ("active(n0, x.jar)", "state is absent"),
+    ("hops(lookup) == 1", "hops has no value yet"),
+])
+def test_an_assert_on_a_fact_that_does_not_hold_fails_the_run(tmp_path, predicate, detail):
+    path = tmp_path / "fact.scenario"
+    path.write_text(f"create 2\nassert {predicate}\n")
+    result = run_scenario(str(path))
+    assert result.exit_code == 1
+    assert result.diagnostic.endswith(f"({detail})")
+
+
+def orphan_scenario() -> str:
+    """256 hashed nodes and 200 bundles published from rng-drawn nodes; then
+    the 8 lowest ROOT holders fail abruptly, orphaning 17 keys, and 16
+    lookups of those keys, in bundle order, come from rng-drawn live nodes.
+    Nodes are drawn by index into the ascending id list."""
+    rng = random.Random(3)
+    name_of = {derive_key(f"n{i}"): f"n{i}" for i in range(256)}
+    ids = sorted(name_of)
+    bundles = [f"o{i}.jar" for i in range(200)]
+    lines = ["seed 3", "create 256"]
+    lines += [f"publish {name_of[ids[rng.randrange(256)]]} {b}" for b in bundles]
+    roots = {b: ring_root(ids, derive_key(b)) for b in bundles}
+    failed = sorted(set(roots.values()))[:8]
+    lines += [f"leave {name_of[f]} --fail" for f in failed]
+    orphaned = [b for b in bundles if roots[b] in failed]
+    live = [i for i in ids if i not in failed]
+    lines += [f"lookup {name_of[live[rng.randrange(len(live))]]} {orphaned[i % len(orphaned)]}"
+              for i in range(16)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_lookup_that_comes_back_to_a_node_fails_instead_of_looping(tmp_path, monkeypatch):
+    text = orphan_scenario()
+    assert text.endswith("lookup n124 o169.jar\n")  # the lookup that loops
+    step, steps = SimNetwork._step, []
+
+    def capped(net):
+        # A walk that never stops would hang the suite; fail it instead.
+        steps.append(None)
+        assert len(steps) <= 200_000, "the event loop did not drain"
+        step(net)
+
+    outcomes = []
+
+    def recorded(net, client, name):
+        try:
+            return store_lookup(net, client, name)
+        except PeerDeployError as exc:
+            outcomes.append(exc)
+            raise
+
+    monkeypatch.setattr(SimNetwork, "_step", capped)
+    monkeypatch.setattr("peerdeploy.store.lookup", recorded)
+    path = tmp_path / "orphans.scenario"
+    path.write_text(text)
+    result = run_scenario(str(path))
+    assert result.exit_code == 0, result.diagnostic
+    lookups = result.document["operations"]["lookup"]
+    assert (lookups["count"], lookups["failures"]) == (16, 12)
+    assert Counter(type(exc).__name__ for exc in outcomes) == {
+        "NotFoundError": 8, "UnavailableError": 1, "LookupFailedError": 3}
+    assert sum("revisited" in str(exc) for exc in outcomes) == 1
 
 
 def test_runtime_failure_aborts_with_exit_one(tmp_path):

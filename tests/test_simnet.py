@@ -28,7 +28,8 @@ def test_latency_is_deterministic_and_bounded():
 
 
 @pytest.mark.parametrize("settings", [
-    {"maintenance_interval": 0}, {"maintenance_interval": -100}, {"retries": -1}])
+    {"maintenance_interval": 0}, {"maintenance_interval": -100}, {"retries": -1},
+    {"latency_min": -1}, {"latency_max": 10}, {"timeout": 100}])
 def test_config_rejects_settings_that_break_the_run(settings):
     with pytest.raises(ValueError):
         SimConfig(**settings)

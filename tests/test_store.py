@@ -26,7 +26,7 @@ from peerdeploy.store import (
     content_digest,
     handoff_on_join,
 )
-from oracles import oracle_root, reference_due_at
+from oracles import check_store, oracle_root, reference_due_at
 
 
 def payload_of(text: str, repeat: int = 50) -> ComponentPayload:
@@ -167,6 +167,16 @@ def test_lookup_serves_from_first_entry_holder_on_path():
         assert served_by == first_holder or hops <= expected_path.index(first_holder)
         root_hops = len(expected_path) - 1
         assert hops <= root_hops, "short-circuit must not cost more than the root route"
+
+
+def test_lookup_raises_integrity_error_on_a_payload_corrupted_in_place():
+    net, names = build_network(8, seed=6)
+    trail = publish(net, names["n0"], "rot.jar", payload_of("rot"))
+    entry = net.nodes[trail.root].store.get(trail.key)
+    assert entry.role is Role.ROOT
+    entry.payload = ComponentPayload(b"rotten", entry.payload.digest, entry.payload.size)
+    with pytest.raises(IntegrityError, match="rot.jar"):
+        lookup(net, trail.root, "rot.jar")
 
 
 def test_lookup_missing_name_not_found():
@@ -317,7 +327,8 @@ def test_evict_lru_respects_capacity_and_pins():
         node.store.put(key, f"c{i}.jar", Role.CACHE, payload_of("c"),
                        origin=None, root_hint=None, now=net.clock + i)
     node.store.evict(net.clock + 100)
-    assert node.store.non_pinned_count() <= 4
+    check_store(node.store)
+    assert sum(not entry.pinned for entry in node.store.entries.values()) <= 4
     # oldest transients went first
     assert node.store.get(derive_key("c11.jar")) is not None
     assert node.store.get(derive_key("c0.jar")) is None
@@ -344,6 +355,12 @@ def test_evict_never_removes_pinned_fuzz(now):
                            now=rng.randrange(0, 1000))
     node.store.evict(now)
     assert node.store.get(derive_key("keep.jar")) is not None
+
+
+@pytest.mark.parametrize("settings", [{"cache_capacity": -1}, {"ttl": 0}])
+def test_store_config_rejects_settings_that_break_eviction(settings):
+    with pytest.raises(ValueError):
+        StoreConfig(**settings)
 
 
 def test_cache_put_never_unpins_an_authoritative_entry():
@@ -449,6 +466,26 @@ def test_join_handoff_moves_root_and_retains_payload():
             assert key in report.transferred
     if moved:
         assert report.transferred
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="remove leaves the RETAINED copy a join's handoff left at the "
+                   "old root; that copy is pinned, and 4 of the 17 lookups are served")
+def test_remove_reaches_the_copy_a_handoff_retained():
+    net, names = build_network(16, seed=18)
+    publish(net, names["n2"], "fade.jar", payload_of("fade"))
+    join(net, derive_key("fade.jar") + 1, net.live_ids()[0])
+    remove(net, names["n2"], "fade.jar")
+    net.advance(2000)
+    copies = replica_count(net, "fade.jar")
+    outcomes = []
+    for client in net.live_ids():
+        try:
+            lookup(net, client, "fade.jar")
+            outcomes.append("served")
+        except NotFoundError:
+            outcomes.append("not-found")
+    assert (copies, outcomes) == (0, ["not-found"] * 17)
 
 
 def test_handoff_on_a_lone_node_has_no_neighbour_to_ask():
