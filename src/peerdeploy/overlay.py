@@ -37,6 +37,11 @@ class OverlayNode:
         self.leaf_set = LeafSet(node_id)
         self.routing_table = RoutingTable(node_id)
         self.store = NodeStore(store_config)
+        # Contacts observe has passed to learn since the routing state last
+        # lost an entry: without a removal learn is idempotent (a full leaf
+        # side only gets nearer, a taken table cell stays taken). forget and
+        # repair, the only paths that remove entries, clear it.
+        self._offered: set[int] = set()
 
     def __repr__(self) -> str:
         return f"OverlayNode({self.name}, {self.status.value})"
@@ -63,6 +68,7 @@ class OverlayNode:
         return changed
 
     def forget(self, dead_id: int) -> bool:
+        self._offered.clear()
         in_leaf = self.leaf_set.remove(dead_id)
         in_table = self.routing_table.remove(dead_id)
         return in_leaf or in_table
@@ -71,13 +77,19 @@ class OverlayNode:
         """Learn `contact` if it is a live node other than this one; True when
         that changed the routing state. Every delivered message advertises
         its sender through here."""
+        offered = self._offered
+        if contact in offered:
+            return False
         peer = net.nodes.get(contact)
-        return (contact != self.id and peer is not None and peer.status is _LIVE
-                and self.learn(contact))
+        if contact == self.id or peer is None or peer.status is not _LIVE:
+            return False
+        offered.add(contact)
+        return self.learn(contact)
 
     def repair(self, net: SimNetwork, dead_id: int) -> None:
         """Drop a contact that timed out; losing a leaf member triggers a
         refill request toward the remaining extremes."""
+        self._offered.clear()
         was_member = self.leaf_set.remove(dead_id)
         self.routing_table.remove(dead_id)
         if not was_member or self.status is NodeStatus.DEPARTED:

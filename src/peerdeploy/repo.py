@@ -118,16 +118,24 @@ def describe_payload(name: str, payload: ComponentPayload, version: str = "1.0",
 
 
 class RepositoryIndex:
-    """Named bundle descriptors, one entry per name, and the names exporting each package."""
+    """Named bundle descriptors, one entry per name, and the names exporting each package.
+
+    `provider` and `resolve` answers are memoized here; `add`, the only
+    writer, clears both memos.
+    """
 
     def __init__(self, entries: Iterable[ComponentDescriptor] = (), generated_at: int = 0):
         self.generated_at = generated_at
         self._by_name: dict[str, ComponentDescriptor] = {}
         self._exporters: dict[str, set[str]] = {}
+        self._providers: dict[str, Optional[ComponentDescriptor]] = {}
+        self._resolved: dict[tuple[str, frozenset[str]], list[InstallGroup]] = {}
         for descriptor in entries:
             self.add(descriptor)
 
     def add(self, descriptor: ComponentDescriptor) -> None:
+        self._providers.clear()
+        self._resolved.clear()
         existing = self._by_name.get(descriptor.name)
         if existing is not None:
             if existing.digest != descriptor.digest:
@@ -153,9 +161,13 @@ class RepositoryIndex:
 
     def provider(self, package: str) -> Optional[ComponentDescriptor]:
         """The exporter of `package` with the highest version, then the smallest name."""
-        return min((self._by_name[name] for name in self._exporters.get(package, ())),
-                   key=lambda d: (tuple(-part for part in version_key(d.version)), d.name),
-                   default=None)
+        memo = self._providers
+        if package not in memo:
+            memo[package] = min(
+                (self._by_name[name] for name in self._exporters.get(package, ())),
+                key=lambda d: (tuple(-part for part in version_key(d.version)), d.name),
+                default=None)
+        return memo[package]
 
 
 # --------------------------------------------------------------------------
@@ -285,9 +297,13 @@ def resolve(index: RepositoryIndex, name: str,
 
     Providers come before dependents; mutually importing bundles come out
     together as one cycle group. Provider choice and ordering are both
-    deterministic so resolve() replays identically.
+    deterministic so resolve() replays identically. The index memoizes each
+    order; every call returns a list of its own, and errors are not kept.
     """
     base = frozenset(base_exports)
+    memo = index._resolved
+    if (name, base) in memo:
+        return list(memo[name, base])
     if name not in index:
         raise UnknownBundleError(f"{name!r} is not in the repository index")
 
@@ -313,7 +329,8 @@ def resolve(index: RepositoryIndex, name: str,
         providers[current] = wanted
         worklist.extend(sorted(wanted - providers.keys(), reverse=True))
 
-    return _order_groups(_condense(providers), providers)
+    order = memo[name, base] = _order_groups(_condense(providers), providers)
+    return list(order)
 
 
 def _condense(providers: dict[str, set[str]]) -> list[tuple[str, ...]]:

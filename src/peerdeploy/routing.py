@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import insort
+from types import MappingProxyType
 
 from .ids import (DIGIT_BITS, DIGITS, ID_SPACE, RADIX, circular_distance, digit,
                   ring_root, shared_prefix_len)
@@ -10,6 +11,9 @@ from .ids import (DIGIT_BITS, DIGITS, ID_SPACE, RADIX, circular_distance, digit,
 LEAF_SET_SIZE = 8
 HALF_LEAF = LEAF_SET_SIZE // 2
 _DIGIT_MASK = RADIX - 1
+# Most rows of a table stay empty, so they all share this read-only one and a
+# row gets its own dict at its first insert.
+_EMPTY_ROW = MappingProxyType({})
 
 
 class LeafSet:
@@ -95,7 +99,7 @@ class RoutingTable:
 
     def __init__(self, owner: int):
         self.owner = owner
-        self.rows: list[dict[int, int]] = [dict() for _ in range(DIGITS)]
+        self.rows: list[dict[int, int]] = [_EMPTY_ROW] * DIGITS
 
     def insert(self, candidate: int) -> bool:
         differ = self.owner ^ candidate
@@ -104,10 +108,13 @@ class RoutingTable:
         # The first digit that differs holds differ's highest set bit; its
         # index is the shared prefix length and candidate's digit there the cell.
         shift = (differ.bit_length() - 1) & -DIGIT_BITS
-        row = self.rows[DIGITS - 1 - shift // DIGIT_BITS]
+        r = DIGITS - 1 - shift // DIGIT_BITS
+        row = self.rows[r]
         cell = (candidate >> shift) & _DIGIT_MASK
         if cell in row:
             return False
+        if row is _EMPTY_ROW:
+            row = self.rows[r] = {}
         row[cell] = candidate
         return True
 

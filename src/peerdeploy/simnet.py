@@ -456,7 +456,8 @@ class SimNetwork:
         self._queue: list[tuple[int, int, str, Message]] = []
         self._seq = 0
         self._op_seq = 0
-        self._pair_seq: dict[int, dict[int, int]] = {}  # sender -> receiver -> sends
+        # sender -> (hash state fed "seed:sender:", receiver -> sends)
+        self._senders: dict[int, tuple[blake2b, dict[int, int]]] = {}
         self._hex = _HexCache()
         self._live: list[int] = []  # ids of LIVE nodes, ascending
 
@@ -523,17 +524,20 @@ class SimNetwork:
 
     def _latency(self, from_id: int, to_id: int) -> int:
         # Keyed by (seed, endpoints, per-pair sequence) so delivery times replay
-        # regardless of unrelated rng consumption. Counting per sender keeps no
-        # tuple per pair.
-        pair_seq, hexes, config = self._pair_seq, self._hex, self.config
-        sent_to = pair_seq.get(from_id)
-        if sent_to is None:
-            sent_to = pair_seq[from_id] = {}
+        # regardless of unrelated rng consumption. blake2b hashes a stream, so
+        # each sender's prefix is hashed once and copied per send; counting
+        # per sender keeps no tuple per pair.
+        hexes, config = self._hex, self.config
+        sender = self._senders.get(from_id)
+        if sender is None:
+            prefix = blake2b(f"{self.seed}:{hexes[from_id]}:".encode(), digest_size=8)
+            sender = self._senders[from_id] = (prefix, {})
+        prefix, sent_to = sender
         n = sent_to[to_id] = sent_to.get(to_id, 0) + 1
-        material = f"{self.seed}:{hexes[from_id]}:{hexes[to_id]}:{n}".encode()
-        h = blake2b(material, digest_size=8).digest()
+        h = prefix.copy()
+        h.update(f"{hexes[to_id]}:{n}".encode())
         low = config.latency_min
-        return low + int.from_bytes(h, "big") % (config.latency_max - low)
+        return low + int.from_bytes(h.digest(), "big") % (config.latency_max - low)
 
     def send(self, msg: Message) -> Message:
         nodes, from_id = self.nodes, msg.from_id

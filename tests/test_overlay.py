@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peerdeploy import build_network, join, leave, publish, lookup, route
 from peerdeploy.errors import (
@@ -14,6 +15,7 @@ from peerdeploy.errors import (
     RoutingFailureError,
 )
 from peerdeploy.ids import derive_key
+from peerdeploy.overlay import OverlayNode
 from peerdeploy.simnet import NodeStatus, SimNetwork
 from peerdeploy.store import ComponentPayload, LookupOp, PublishOp, Role
 from oracles import RING, oracle_root, stabilize
@@ -237,3 +239,64 @@ def test_every_walk_fails_with_its_own_error_when_it_comes_back(make, error):
         net._step()
     assert isinstance(op.error, error) and "revisited" in str(op.error)
     assert op.path == [a, b]
+
+
+# -- the learn memo
+
+
+class AlwaysLearns(OverlayNode):
+    """Reference node: every observed live contact goes to learn."""
+
+    def observe(self, net, contact):
+        peer = net.nodes.get(contact)
+        return (contact != self.id and peer is not None
+                and peer.status is NodeStatus.LIVE and self.learn(contact))
+
+
+def _network_around(cls, owner, pool):
+    net = SimNetwork(seed=0)
+    node = cls(owner)
+    net.register(node)
+    for contact in pool:
+        peer = OverlayNode(contact)
+        net.register(peer)
+        net.set_status(peer, NodeStatus.LIVE)
+    return net, node
+
+
+STATUSES = [NodeStatus.JOINING, NodeStatus.LIVE, NodeStatus.DEPARTED]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.integers(1, 2**12 - 1), min_size=1, max_size=14, unique=True),
+       steps=st.lists(st.tuples(st.sampled_from(
+           ["observe", "learn_live", "learn", "forget", "repair", "status"]),
+           st.integers(0, 13), st.integers(0, 13)), max_size=60))
+def test_the_learn_memo_changes_no_routing_state(pool, steps):
+    # Each id is fixed by its first three digits (its low bits repeat them,
+    # so none is the owner). A dozen such ids fill both leaf sides and contend
+    # for the same table cells, so offers are refused, adopted and pushed out
+    # again while forget, repair and a contact's status move under them.
+    owner = 0x800 << 116
+    pool = [(x << 116) | x for x in pool]
+    (net, node), (ref_net, ref) = (_network_around(cls, owner, pool)
+                                   for cls in (OverlayNode, AlwaysLearns))
+    for verb, i, j in steps:
+        contact = pool[i % len(pool)]
+        if verb == "status":
+            for each in (net, ref_net):
+                each.set_status(each.nodes[contact], STATUSES[j % 3])
+            continue
+        if verb == "observe":
+            got, want = node.observe(net, contact), ref.observe(ref_net, contact)
+        elif verb == "learn_live":
+            offered = pool[i % len(pool):][:j % 4 + 1]
+            got, want = node.learn_live(net, offered), ref.learn_live(ref_net, offered)
+        elif verb == "repair":
+            got, want = node.repair(net, contact), ref.repair(ref_net, contact)
+        else:
+            got, want = getattr(node, verb)(contact), getattr(ref, verb)(contact)
+        assert got == want, (verb, contact)
+        assert (node.leaf_set.left, node.leaf_set.right) == (ref.leaf_set.left,
+                                                              ref.leaf_set.right)
+        assert node.routing_table.rows == ref.routing_table.rows

@@ -32,10 +32,11 @@ def test_tracer_records_calls_and_restores_every_patch_point():
         assert tracer.calls_of("store.publish") == 1
         # The hot path calls through these wrapped functions once per insert,
         # learned contact, message and live-id query; inlining one past its
-        # span would change these counts.
+        # span would change these counts. learn counts only the contacts a
+        # node had not been offered since it last lost a routing entry.
         assert {span: tracer.calls_of(span) for span in (
             "routing.leaf_insert", "overlay.learn", "simnet.send", "simnet.live_ids")} == {
-            "routing.leaf_insert": 155, "overlay.learn": 155, "simnet.send": 134,
+            "routing.leaf_insert": 84, "overlay.learn": 84, "simnet.send": 134,
             "simnet.live_ids": 9}
     finally:
         tracer.uninstall()

@@ -183,8 +183,10 @@ def test_parse_index_rejects_out_of_order_fields():
     lines = serialize_index(index).split("\n")
     record_start = next(i for i, line in enumerate(lines) if line.startswith("name:"))
     lines[record_start], lines[record_start + 1] = lines[record_start + 1], lines[record_start]
-    with pytest.raises(IndexParseError):
+    with pytest.raises(IndexParseError) as err:
         parse_index("\n".join(lines))
+    # the diagnostic names the misplaced key and its own line
+    assert (err.value.field, err.value.line) == ("version", record_start + 1)
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -342,6 +344,46 @@ def test_resolve_is_deterministic():
     runs = {tuple(tuple(g.members) for g in resolve(index, "a.jar"))
             for _ in range(10)}
     assert len(runs) == 1
+
+
+def members(groups):
+    return [m for g in groups for m in g.members]
+
+
+def test_resolve_sees_an_exporter_added_after_it():
+    index = make_index(desc("app.jar", imports=("svc",)),
+                       desc("svc-a.jar", version="1.0", exports=("svc",)))
+    assert members(resolve(index, "app.jar")) == ["svc-a.jar", "app.jar"]
+    index.add(desc("svc-b.jar", version="2.0", exports=("svc",)))
+    assert members(resolve(index, "app.jar")) == ["svc-b.jar", "app.jar"]
+
+
+def test_resolve_returns_a_list_the_caller_may_change():
+    index = make_index(desc("app.jar", imports=("svc",)), desc("svc.jar", exports=("svc",)))
+    expected = list(resolve(index, "app.jar"))
+    for _ in range(2):  # the first call computes the order, the second finds it
+        returned = resolve(index, "app.jar")
+        assert returned == expected
+        returned.reverse()
+        returned.append(returned[0])
+    assert resolve(index, "app.jar") == expected
+
+
+def test_resolve_raises_again_on_a_repeated_call():
+    index = make_index(desc("lonely.jar", imports=("ghost",)))
+    for _ in range(2):
+        with pytest.raises(UnknownBundleError):
+            resolve(index, "nope.jar")
+        with pytest.raises(UnresolvableError):
+            resolve(index, "lonely.jar")
+
+
+def test_resolve_keeps_an_order_per_base_exports():
+    index = make_index(desc("app.jar", imports=("system",)),
+                       desc("sys.jar", exports=("system",)))
+    for _ in range(2):
+        assert members(resolve(index, "app.jar")) == ["sys.jar", "app.jar"]
+        assert members(resolve(index, "app.jar", base_exports=("system",))) == ["app.jar"]
 
 
 # -- install and lifecycle over the network

@@ -239,6 +239,14 @@ def test_bad_descriptor_file_rejects_with_exit_two(tmp_path, capsys, spoil, fiel
     assert "descriptor file 'bundle.index'" in capsys.readouterr().err
 
 
+def test_publish_with_four_arguments_exits_two_with_its_usage(tmp_path, capsys):
+    path = tmp_path / "extra.scenario"
+    path.write_text("create 2\npublish n1 a.jar a.index more\n")
+    assert main(["run", str(path)]) == 2
+    assert ("extra.scenario:2: usage: publish <node> <bundle> [<descriptor-file>]"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("field, bad, line", [("version", "1.x", 4), ("size", "12x", 6)])
 def test_descriptor_file_error_names_the_field_line(tmp_path, capsys, field, bad, line):
     index = RepositoryIndex()

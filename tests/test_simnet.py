@@ -2,6 +2,7 @@
 
 import json
 import random
+from hashlib import blake2b
 
 import pytest
 
@@ -35,6 +36,14 @@ def test_config_rejects_settings_that_break_the_run(settings):
         SimConfig(**settings)
 
 
+@pytest.mark.parametrize("settings", [
+    {"maintenance_interval": 1}, {"retries": 0},
+    {"latency_min": 0, "latency_max": 1, "timeout": 2}])
+def test_config_accepts_the_smallest_valid_settings(settings):
+    config = SimConfig(**settings)
+    assert {name: getattr(config, name) for name in settings} == settings
+
+
 def test_latency_depends_on_endpoints():
     net = SimNetwork(seed=5)
     a = [net._latency(1, 2) for _ in range(20)]
@@ -65,6 +74,19 @@ def test_latency_sequence_is_per_ordered_pair():
     net = SimNetwork(seed=42)
     pairs = [(N0, N1), (N1, N0), (N0, N2)] * 3
     assert [net._latency(a, b) for a, b in pairs] == [96, 82, 34, 65, 95, 13, 50, 47, 30]
+
+
+def test_latency_hashes_the_seed_both_endpoints_and_the_pair_count():
+    # Each sender's prefix is hashed once and its state copied per send; the
+    # digest must stay that of the whole material.
+    config, seed = SimConfig(), 201
+    low, spread = config.latency_min, config.latency_max - config.latency_min
+    net = SimNetwork(seed=seed)
+    sends: dict[tuple[int, int], int] = {}
+    for a, b in [(N0, N1), (N1, N0), (N0, N2), (N0, N1), (N2, N0), (N0, N2), (N1, N2)] * 3:
+        n = sends[a, b] = sends.get((a, b), 0) + 1
+        digest = blake2b(f"{seed}:{a:032x}:{b:032x}:{n}".encode(), digest_size=8).digest()
+        assert net._latency(a, b) == low + int.from_bytes(digest, "big") % spread
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -14,7 +14,11 @@ the pairs CHANGE won (strictly better in the metric's direction; ties count
 for neither side). It then says whether the gain rule holds: CHANGE wins at
 least nine tenths of the pairs, and the medians differ in CHANGE's favour by
 more than PARENT's interquartile range. Quartiles are those of
-`statistics.quantiles` (exclusive method). Uses only the standard library.
+`statistics.quantiles` (exclusive method). Last, it prints the median of the
+per-pair CHANGE/PARENT ratios: the two runs of a pair are next to each other
+in time, so on a machine whose speed drifts this ratio is steadier than the
+ratio of the two sides' medians; it plays no part in the gain rule. Uses only
+the standard library.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ def verdict(name: str, better: str, parent: list[float], change: list[float]) ->
     lines.append(f"  change median {c_med:.6g}  quartiles {c1:.6g} {c3:.6g}")
     lines.append(f"  change wins {wins} of {len(parent)}; median gap in its favour "
                  f"{gap:.6g}; gain rule {'holds' if holds else 'does not hold'}")
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    lines.append("  median per-pair change/parent ratio "
+                 + (f"{statistics.median(ratios):.4f}" if ratios else "n/a (parent reads 0)"))
     return lines
 
 
