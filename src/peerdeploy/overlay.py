@@ -141,6 +141,8 @@ class JoinOp(RoutedOp):
 
     kind = "join"
     message = MessageKind.JOIN
+    reply = MessageKind.JOIN_REPLY
+    DIRECT = True
 
     def __init__(self, new_id: int, bootstrap: int):
         super().__init__(new_id)
@@ -171,7 +173,12 @@ class JoinOp(RoutedOp):
 
     def at_root(self, net: SimNetwork, node: OverlayNode) -> None:
         self.candidates.update(node.leaf_set.members())
-        net.post(node.id, self.key, MessageKind.JOIN_REPLY, op=self)
+        self.reply_from(net, node, {})
+
+    def reply_home(self, net: SimNetwork, joiner: OverlayNode, data: dict) -> None:
+        joiner.learn_live(net, sorted(self.candidates))
+        self.announced = joiner.known_contacts()
+        self.fan_out(net, joiner.id, MessageKind.ANNOUNCE, self.announced)
 
     def failure(self, reason: str) -> Exception:
         if len(self.path) == 1:
@@ -221,18 +228,9 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
                       transferred, unresolved)
 
 
-@on_deliver(MessageKind.JOIN_REPLY)
-def _join_reply_deliver(net: SimNetwork, joiner: OverlayNode, msg: Message,
-                        op: JoinOp) -> None:
-    joiner.learn_live(net, sorted(op.candidates))
-    op.announced = joiner.known_contacts()
-    op.fan_out(net, joiner.id, MessageKind.ANNOUNCE, op.announced)
-
-
-@on_timeout(MessageKind.JOIN_REPLY)
 @on_timeout(MessageKind.ANNOUNCE_ACK)
 def _joiner_lost(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
-    op.fail(op.failure(f"lost the joiner before its {msg.kind.value}"))
+    op.fail(op.failure("lost the joiner before its ANNOUNCE_ACK"))
 
 
 @on_deliver(MessageKind.ANNOUNCE)

@@ -75,9 +75,8 @@ _DIGEST_RE = re.compile(r"[0-9a-f]{32}")
 _VERSION_RE = re.compile(r"\d+(\.\d+)*")
 
 
+# A version's sort key; ComponentDescriptor has checked that it is dotted numeric.
 def version_key(version: str) -> tuple[int, ...]:
-    if not _VERSION_RE.fullmatch(version):
-        raise ValueError(f"not a dotted numeric version: {version!r}")
     return tuple(int(part) for part in version.split("."))
 
 

@@ -100,6 +100,7 @@ _VERBS = {
     "publish": _Verb(2, 3, "usage: publish <node> <bundle> [<descriptor-file>]", True),
     "install": _Verb(2, 2, "usage: install <node> <uri>", True),
     "lookup": _Verb(2, 2, "usage: lookup <node> <name>", True),
+    "remove": _Verb(2, 2, "usage: remove <node> <bundle>", True),
     "advance": _Verb(1, 1, "usage: advance <ticks>", False),
     "workload": _Verb(5, 5, "usage: workload zipf <nodes> <bundles> <requests> <exponent>",
                      False),
@@ -269,7 +270,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
                     f"install handles only p2p:// URIs, not {uri.scheme!r}", line=lineno)
             args = (rest[0], uri.bundle_name)
 
-        elif verb == "lookup":
+        elif verb in ("lookup", "remove"):
             args = (rest[0], _check_name(rest[1], lineno, "bundle name"))
 
         elif verb == "advance":
@@ -461,6 +462,9 @@ class ScenarioRunner:
     def _cmd_lookup(self, cmd: Command) -> None:
         node, name = cmd.args
         self._lookup(self.names[node], name)
+
+    def _cmd_remove(self, cmd: Command) -> None:
+        store.remove(self.net, self.names[cmd.args[0]], cmd.args[1])
 
     def _cmd_advance(self, cmd: Command) -> None:
         self.net.advance(cmd.args[0])

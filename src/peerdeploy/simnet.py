@@ -89,9 +89,9 @@ class Message:
 
 class Operation:
     """Bookkeeping for one driven protocol exchange (route, publish, ...).
-    Its messages carry it, and it ends itself through `complete` or `fail`.
-    An op that fans out sets `pending` to the answers it awaits and settles
-    one per answer; the last one completes it.
+    `run` starts it through `start` and drives it to its end; its messages
+    carry it, and it ends itself through `complete` or `fail`. An op that
+    fans out sets `pending` to the answers it awaits; the last completes it.
 
     The one retry rule: a message of the op that is lost may go again while
     fewer than TRIES messages about its key were lost (None: one more than
@@ -107,6 +107,12 @@ class Operation:
         self.error: Exception | None = None
         self.pending = 0
         self.lost: dict[int, int] | None = None  # made at the first loss
+
+    def run(self, net: "SimNetwork", node) -> Any:
+        """Start the op at `node` and drive it to its end."""
+        net.new_op(self)
+        self.start(net, node)
+        return net.drive(self)
 
     def tries(self, net: "SimNetwork") -> int:
         return net.config.retries + 1 if self.TRIES is None else self.TRIES
@@ -155,30 +161,27 @@ class RoutedOp(Operation):
     it is at; the op keeps no other copy of either. A next hop already on
     `path` fails the op: a walk that comes back to a node would loop. A
     reply walks `path` backwards as `reply` messages, skipping nodes that
-    died; `reply_at` runs on each node it passes and `reply_home` on
-    path[0]. A forward timeout re-routes from the sender, whose repair has
-    already dropped the dead contact, while `may_retry` allows it.
+    died, or every middle node when DIRECT; `reply_at` runs on each node it
+    passes and `reply_home` on path[0]. A forward timeout re-routes from the
+    sender, whose repair dropped the dead contact, while `may_retry` allows it.
     """
 
     message: MessageKind
     reply: MessageKind
+    DIRECT = False  # True: the reply goes from path[-1] straight to path[0]
 
     def __init__(self, key: int):
         super().__init__()
         self.key = key
         self.path: list[int] = []
 
-    def run(self, net: "SimNetwork", node) -> Any:
-        """Start the op at `node` and drive it to its end."""
-        net.new_op(self)
-        self.advance(net, node)
-        return net.drive(self)
-
     def advance(self, net: "SimNetwork", node) -> None:
         if not self.path or self.path[-1] != node.id:
             self.path.append(node.id)
         if self.arrive(net, node):
             self.route_on(net, node)
+
+    start = advance  # a routed op starts with its first step, at its origin
 
     def route_on(self, net: "SimNetwork", node) -> None:
         nh = self.next_hop(node)
@@ -212,9 +215,9 @@ class RoutedOp(Operation):
 
     def pass_back(self, net: "SimNetwork", from_id: int, index: int,
                   data: dict[str, Any]) -> None:
-        """Send the reply from path[index] on to path[index - 1]."""
-        net.post(from_id, self.path[index - 1], self.reply, {**data, "index": index - 1},
-                 op=self)
+        """Send the reply from path[index] on to path[index - 1], or to path[0] if DIRECT."""
+        index = 0 if self.DIRECT else index - 1
+        net.post(from_id, self.path[index], self.reply, {**data, "index": index}, op=self)
 
     def record(self, metrics: "Metrics") -> None:
         failed = self.error is not None
@@ -302,7 +305,8 @@ def _reply_timeout(net: "SimNetwork", sender, msg: Message, op: RoutedOp) -> Non
 for _kind in (MessageKind.ROUTE_STEP, MessageKind.JOIN, MessageKind.PUBLISH,
               MessageKind.LOOKUP, MessageKind.REMOVE):
     _DELIVER[_kind], _TIMEOUT[_kind] = _walk_deliver, _walk_timeout
-for _kind in (MessageKind.PUBLISH_ACK, MessageKind.LOOKUP_REPLY):
+for _kind in (MessageKind.PUBLISH_ACK, MessageKind.LOOKUP_REPLY, MessageKind.REMOVE_REPLY,
+              MessageKind.JOIN_REPLY):
     _DELIVER[_kind], _TIMEOUT[_kind] = _reply_deliver, _reply_timeout
 
 

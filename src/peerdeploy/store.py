@@ -373,11 +373,12 @@ def _fetch_reply_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> N
     if payload is None:
         op.fetch_next(net, node)
         return
+    # One write: a CACHE copy when caching is on, else the trail again if it expired.
     entry = node.store.get(op.key)
-    if entry is None:
-        entry = node.store.put(op.key, op.name, Role.TRAIL, None, None, None, net.clock)
-    if node.store.config.cache_on_lookup and entry.payload is None:
+    if node.store.config.cache_on_lookup and (entry is None or entry.payload is None):
         entry = node.store.put(op.key, op.name, Role.CACHE, payload, None, None, net.clock)
+    elif entry is None:
+        entry = node.store.put(op.key, op.name, Role.TRAIL, None, None, None, net.clock)
     # Serve from the junction whether or not it kept a copy.
     op.serve(net, node, entry, payload)
 
@@ -394,6 +395,8 @@ def _fetch_reply_timeout(net: SimNetwork, holder, msg: Message, op: LookupOp) ->
 class RemoveOp(RoutedOp):
     kind = "remove"
     message = MessageKind.REMOVE
+    reply = MessageKind.REMOVE_REPLY
+    DIRECT = True
 
     def __init__(self, key: int, name: str):
         super().__init__(key)
@@ -405,10 +408,13 @@ class RemoveOp(RoutedOp):
             self.fail(NotFoundError(f"{self.name!r} has no root entry to remove"))
             return
         root.store.delete(self.key)
-        if root.id == self.path[0]:
-            self.complete(RemovalReport(self.name, self.key, root.id, root.id))
-        else:
-            net.post(root.id, self.path[0], MessageKind.REMOVE_REPLY, op=self)
+        self.reply_from(net, root, {})
+
+    def reply_home(self, net: SimNetwork, node, data: dict) -> None:
+        # Root confirmed the deletion; drop the requester's own pinned copy too so
+        # the name actually disappears once trails and caches age out.
+        node.store.delete(self.key)
+        self.complete(RemovalReport(self.name, self.key, node.id, self.path[-1]))
 
     def failure(self, reason: str) -> Exception:
         return RoutingFailureError(f"removal of {self.name!r} {reason}",
@@ -431,19 +437,6 @@ def remove(net: SimNetwork, requester: int, name: str) -> RemovalReport:
     if not owns:
         raise NotOwnerError(f"{ids.to_hex(requester)} does not own {name!r}")
     return RemoveOp(key, name).run(net, node)
-
-
-@on_deliver(MessageKind.REMOVE_REPLY)
-def _remove_reply_deliver(net: SimNetwork, node, msg: Message, op: RemoveOp) -> None:
-    # Root confirmed the deletion; drop the requester's own pinned copy too so
-    # the name actually disappears once trails and caches age out.
-    node.store.delete(op.key)
-    op.complete(RemovalReport(op.name, op.key, node.id, op.path[-1]))
-
-
-@on_timeout(MessageKind.REMOVE_REPLY)
-def _remove_reply_timeout(net: SimNetwork, root, msg: Message, op: RemoveOp) -> None:
-    op.fail(op.failure("lost its requester during the reply"))
 
 
 # --------------------------------------------------------------------------
@@ -484,6 +477,11 @@ class TransferOp(Operation):
             self.unresolved.append(unresolved)
         super().settle(net)
 
+    def start(self, net: SimNetwork, node) -> None:
+        self.move_roots(net, node)  # the last node standing takes its keys along
+        if self.pending == 0:
+            self.complete(None)
+
     def move_roots(self, net: SimNetwork, node) -> None:
         """Send each ROOT entry of `node`, in key order, to next_target(node,
         key); a target of None keeps the key where it is."""
@@ -521,6 +519,9 @@ class HandoffOp(TransferOp):
     def __init__(self, new_id: int):
         super().__init__()
         self.new_id = new_id
+
+    def start(self, net: SimNetwork, joiner) -> None:
+        self.fan_out(net, joiner.id, MessageKind.HANDOFF, joiner.leaf_set.members())
 
     def next_target(self, old_root, key: int) -> int | None:
         """The joiner, when it is closer to `key` than the old root is."""
@@ -567,10 +568,8 @@ def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]
     Returns (transferred keys, unresolved keys). The demoted neighbour keeps
     its payload as a pinned RETAINED copy.
     """
-    neighbours = net.node(new_id).leaf_set.members()
-    op = net.new_op(HandoffOp(new_id))
-    op.fan_out(net, new_id, MessageKind.HANDOFF, neighbours)
-    net.drive(op)
+    op = HandoffOp(new_id)
+    op.run(net, net.node(new_id))
     return sorted(op.transferred), sorted(op.unresolved)
 
 
@@ -584,11 +583,8 @@ def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list
     """Before a graceful departure, move every ROOT entry to its next root,
     chosen as the leaf member closest to the key. Returns ((key, new root)
     pairs in the order their acks arrived, unresolved keys)."""
-    op = net.new_op(RelinquishOp())
-    op.move_roots(net, node)  # the last node standing takes its keys along
-    if op.pending == 0:
-        op.complete(None)
-    net.drive(op)
+    op = RelinquishOp()
+    op.run(net, node)
     return op.transferred, sorted(op.unresolved)
 
 

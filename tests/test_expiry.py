@@ -86,28 +86,47 @@ def start_lookup(net, client: int, name: str) -> None:
     op.advance(net, net.nodes[client])
 
 
-def test_a_fetch_reply_serves_from_a_junction_whose_trail_expired_meanwhile(monkeypatch):
-    """The lookup stops at a TRAIL and fetches; the sweep at the next boundary
-    evicts that TRAIL before the payload comes back. The junction takes the
-    reply all the same: it puts the entry back and serves from it."""
-    net, names = build_network(32, seed=0, store_config=StoreConfig(ttl=100))
+def lookup_past_an_expired_trail(monkeypatch, cache_on_lookup: bool):
+    """Look f1.jar up from n6: the lookup stops at a TRAIL and fetches, and the
+    sweep at the next boundary evicts that TRAIL before the payload comes
+    back. Returns, per FETCH_REPLY, the junction's entry for the key before
+    and after the reply (None where it holds none)."""
+    config = StoreConfig(ttl=100, cache_on_lookup=cache_on_lookup)
+    net, names = build_network(32, seed=0, store_config=config)
     for i in range(2):
         publish(net, names[f"n{i}"], f"f{i}.jar", payload_of(f"f{i}.jar"))
     key = derive_key("f1.jar")
     original = simnet._DELIVER[MessageKind.FETCH_REPLY]
-    held_on_reply = []
+    on_reply = []
 
     def deliver(net, node, msg, op):
-        held_on_reply.append(node.store.get(key) is not None)
+        before = node.store.get(key)
         original(net, node, msg, op)
+        on_reply.append((before, node.store.get(key)))
 
     monkeypatch.setitem(simnet._DELIVER, MessageKind.FETCH_REPLY, deliver)
     start_lookup(net, names["n6"], "f1.jar")
     (op,) = net.ops.values()
     net.advance(2000)
-    assert held_on_reply == [False]
     assert op.done and op.error is None
     assert op.result == (payload_of("f1.jar"), op.path[-1], len(op.path) - 1)
+    return on_reply
+
+
+def test_a_fetch_reply_serves_from_a_junction_whose_trail_expired_meanwhile(monkeypatch):
+    """The junction takes the reply all the same: it keeps a CACHE copy and
+    serves from it."""
+    on_reply = lookup_past_an_expired_trail(monkeypatch, cache_on_lookup=True)
+    ((before, after),) = on_reply
+    assert before is None
+    assert (after.role, after.payload, after.hits) == (Role.CACHE, payload_of("f1.jar"), 1)
+
+
+def test_without_caching_a_fetch_reply_puts_the_expired_trail_back(monkeypatch):
+    on_reply = lookup_past_an_expired_trail(monkeypatch, cache_on_lookup=False)
+    ((before, after),) = on_reply
+    assert before is None
+    assert (after.role, after.payload, after.hits) == (Role.TRAIL, None, 1)
 
 
 def script(seed: int, nodes: int, names: int, steps: int) -> list[tuple]:

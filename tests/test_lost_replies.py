@@ -1,9 +1,9 @@
 """Replies whose recipient died: every message sent inside an op must end it.
 
-A join's ANNOUNCE_ACK and HANDOFF_DONE and a removal's REMOVE_REPLY are sent
-to the node that started the op. When that node dies first, the reply times
-out, and the timeout has to finish the op, or the op stalls with an empty
-event queue. Deaths are injected as in test_timeouts.py.
+A join's JOIN_REPLY, ANNOUNCE_ACK and HANDOFF_DONE and a removal's
+REMOVE_REPLY are sent to the node that started the op. When that node dies
+first, the reply times out, and the timeout has to finish the op, or the op
+stalls with an empty event queue. Deaths are injected as in test_timeouts.py.
 """
 
 import pytest
@@ -47,6 +47,22 @@ def test_join_fails_when_the_joiner_dies_during_its_announce_round(monkeypatch):
     assert root_holders(net) == before
 
 
+def test_join_fails_when_the_joiner_dies_before_its_join_reply(monkeypatch):
+    net, _ = build_network(32, seed=4)
+    bootstrap, root = net.live_ids()[:2]
+    new_id = root + 1
+    assert walk(net, bootstrap, new_id) == [bootstrap, root]
+    # The joiner dies once the bootstrap has passed its JOIN on to the root.
+    kill_on_delivery(monkeypatch, net, MessageKind.JOIN, lambda msg: new_id, after=True)
+    with pytest.raises(RoutingFailureError,
+                       match="lost its requester during the reply") as err:
+        join(net, new_id, bootstrap, name="late")
+    assert err.value.partial_path == [bootstrap, root]
+    assert not net.ops
+    assert net.nodes[new_id].status is NodeStatus.DEPARTED
+    assert net.metrics.timeouts == {"JOIN_REPLY": 1}
+
+
 def test_handoff_settles_when_the_joiner_dies_during_its_scan(monkeypatch):
     new_id = HANDOFF_RESEND_ID
     clean, _ = published_network()
@@ -78,6 +94,32 @@ def test_remove_fails_when_its_requester_dies_before_the_reply(monkeypatch):
     assert not net.ops
     assert net.metrics.timeouts["REMOVE_REPLY"] == 1
     assert key not in root_holders(net)
+
+
+def test_a_remove_whose_requester_is_the_root_sends_no_reply():
+    net, names = build_network(32, seed=4)
+    requester, key = names["n3"], derive_key("r11.jar")
+    assert walk(net, requester, key) == [requester]
+    publish(net, requester, "r11.jar", payload_of("r11.jar"))
+    report = remove(net, requester, "r11.jar")
+    assert (report.requester, report.root) == (requester, requester)
+    assert "REMOVE" not in net.metrics.sent and "REMOVE_REPLY" not in net.metrics.sent
+    assert net.nodes[requester].store.get(key) is None
+    assert not net.ops
+
+
+def test_every_routed_reply_walks_through_the_one_reply_handler():
+    kinds, replies = [simnet.RoutedOp], []
+    while kinds:
+        kind = kinds.pop()
+        kinds += kind.__subclasses__()
+        if hasattr(kind, "reply"):
+            replies.append(kind.reply)
+    assert sorted(r.value for r in replies) == [
+        "JOIN_REPLY", "LOOKUP_REPLY", "PUBLISH_ACK", "REMOVE_REPLY"]
+    for reply in replies:
+        assert simnet._DELIVER[reply] is simnet._reply_deliver
+        assert simnet._TIMEOUT[reply] is simnet._reply_timeout
 
 
 # Kinds sent outside any op: nothing waits for them, so a lost one needs no

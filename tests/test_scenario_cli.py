@@ -102,6 +102,9 @@ def test_parse_good_scenario():
     ("join n0\ncreate 1", "already exists"),
     ("create 2\nworkload uniform 1 1 1 1.0", "usage"),
     ("create 2\nworkload zipf 1 1 1 x", "must be a number"),
+    ("create 2\nremove n0", "usage: remove <node> <bundle>"),
+    ("create 2\nremove n5 x.jar", "not live"),
+    ("create 2\nremove n0 -x", "bad bundle name"),
 ])
 def test_parse_rejects_invalid_scenarios(bad, fragment):
     with pytest.raises(ScenarioParseError) as err:
@@ -392,6 +395,24 @@ def test_runtime_failure_aborts_with_exit_one(tmp_path):
     assert result.exit_code == 1
     assert result.diagnostic.startswith(
         "command 1 (line 2) 'install n0 p2p://missing.jar' failed:")
+    assert result.document["dumps"] == []
+
+
+@pytest.mark.parametrize("text, reason", [
+    # log.jar's root is n0: it holds the ROOT copy, which n1 published.
+    ("publish n1 log.jar\nassert root(log.jar) == n0\nremove n0 log.jar",
+     "d8273e2f4a7c0a59554544c6605cdd8b does not own 'log.jar'"),
+    ("publish n1 log.jar\nremove n1 log.jar\nremove n1 log.jar",
+     "'log.jar' is unknown at 40b3eab63f3f1d4fa48e09559401c5ed"),
+])
+def test_a_refused_remove_stops_the_run_with_exit_one(tmp_path, text, reason):
+    path = tmp_path / "remove.scenario"
+    path.write_text(f"create 4\n{text}\ndump\n")
+    result = run_scenario(str(path))
+    last = text.count("\n") + 2
+    assert result.exit_code == 1
+    assert result.diagnostic == (f"command {last - 1} (line {last}) "
+                                 f"{text.splitlines()[-1]!r} failed: {reason}")
     assert result.document["dumps"] == []
 
 

@@ -21,6 +21,7 @@ from peerdeploy.ids import derive_key, to_hex
 from peerdeploy.simnet import Message, MessageKind, NodeStatus, SimConfig
 from peerdeploy.store import ComponentPayload, Role
 from oracles import oracle_root
+from test_expiry import start_lookup
 
 
 def payload_of(name: str) -> ComponentPayload:
@@ -196,6 +197,29 @@ def test_lookup_fails_when_its_junction_dies_during_a_fetch(monkeypatch, case):
         lookup(net, client, "x0.jar")
     assert not net.ops
     assert counts(net) == PINNED[f"lookup_junction_{case}"]
+
+
+def test_a_fetch_with_no_holder_left_serves_the_copy_that_reached_the_junction(monkeypatch):
+    net, names = build_network(64, seed=4)
+    key = derive_key("x0.jar")
+    trail = publish(net, names["n1"], "x0.jar", payload_of("x0.jar"))
+    junction, clients = trail.path[1], [names["n16"], names["n5"]]
+    assert all(walk(net, client, key)[:2] == [client, junction] for client in clients)
+    # The source is dead, and the root dies once it has answered the first
+    # FETCH. The second lookup's FETCHes to both time out; by then the first
+    # one's reply has left a CACHE copy at the junction, which serves it.
+    net.fail(trail.path[0])
+    kill_on_delivery(monkeypatch, net, MessageKind.FETCH, lambda msg: trail.root, after=True)
+    for client in clients:
+        start_lookup(net, client, "x0.jar")
+    first, second = net.ops.values()
+    net.run_until_quiescent()
+    assert net.metrics.timeouts == {"FETCH": 2}
+    assert (first.fetch_hit_dead, second.fetch_hit_dead) == (False, True)
+    for op in first, second:
+        assert op.error is None
+        assert op.result == (payload_of("x0.jar"), junction, 1)
+    assert net.nodes[junction].store.get(key).role is Role.CACHE
 
 
 def test_remove_retries_after_a_timeout():
