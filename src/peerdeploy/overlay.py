@@ -144,7 +144,7 @@ class JoinOp(RoutedOp):
     reply = MessageKind.JOIN_REPLY
     DIRECT = True
 
-    def __init__(self, new_id: int, bootstrap: int):
+    def __init__(self, new_id: int, bootstrap: int | None):
         super().__init__(new_id)
         self.bootstrap = bootstrap
         self.candidates: set[int] = set()
@@ -152,7 +152,10 @@ class JoinOp(RoutedOp):
 
     def arrive(self, net: SimNetwork, node: OverlayNode) -> bool:
         if node.id == self.key:
-            self.forward(net, node, self.bootstrap)
+            if self.bootstrap is None:
+                self.complete(None)  # the first node: no ring to join yet
+            else:
+                self.forward(net, node, self.bootstrap)
             return False
         self.candidates.add(node.id)
         # Rows 0..r of this node's table all hold ids agreeing with the joiner
@@ -203,14 +206,7 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
         if net.live_ids():
             raise BootstrapUnreachableError(
                 "a bootstrap contact is required unless the network is empty")
-        node = OverlayNode(new_id, name=name, store_config=net.store_config)
-        net.register(node)
-        net.set_status(node, NodeStatus.LIVE)
-        net.metrics.record_op("join", hops=0)
-        return JoinReport(new_id, None, [], [], [], [])
-
-    boot = net.nodes.get(bootstrap)
-    if boot is None or boot.status is not NodeStatus.LIVE:
+    elif (boot := net.nodes.get(bootstrap)) is None or boot.status is not NodeStatus.LIVE:
         raise BootstrapUnreachableError(f"bootstrap {ids.to_hex(bootstrap)} is not live")
     node = OverlayNode(new_id, name=name, store_config=net.store_config)
     net.register(node)
@@ -223,7 +219,8 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
         net.set_status(node, NodeStatus.DEPARTED)
         raise
     net.set_status(node, NodeStatus.LIVE)
-    transferred, unresolved = handoff_on_join(net, new_id)
+    # The first node has no neighbour to take keys from.
+    transferred, unresolved = handoff_on_join(net, new_id) if bootstrap is not None else ([], [])
     return JoinReport(new_id, bootstrap, op.path[1:], list(op.announced),
                       transferred, unresolved)
 
@@ -262,18 +259,18 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
     leaves repair to timeouts.
     """
     node = net.live_node(node_id)
-    if not graceful:
+    if graceful:
+        transferred, unresolved = relinquish_roots(net, node)
+        members = node.leaf_set.members()
+        for contact in node.known_contacts():
+            net.post(node_id, contact, MessageKind.GOODBYE, {"members": members})
+        net.run_until_quiescent()
+        net.set_status(node, NodeStatus.DEPARTED)
+    else:
         net.fail(node_id)
-        net.metrics.record_op("leave")
-        return LeaveReport(node_id, False, [], [])
-    transferred, unresolved = relinquish_roots(net, node)
-    members = node.leaf_set.members()
-    for contact in node.known_contacts():
-        net.post(node_id, contact, MessageKind.GOODBYE, {"members": members})
-    net.run_until_quiescent()
-    net.set_status(node, NodeStatus.DEPARTED)
+        transferred, unresolved = [], []
     net.metrics.record_op("leave")
-    return LeaveReport(node_id, True, transferred, unresolved)
+    return LeaveReport(node_id, graceful, transferred, unresolved)
 
 
 @on_deliver(MessageKind.GOODBYE)

@@ -267,11 +267,6 @@ def parse_index(text: str) -> RepositoryIndex:
         index.add(descriptor)
 
 
-def save_index(index: RepositoryIndex, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_index(index))
-
-
 def load_index(path: str) -> RepositoryIndex:
     with open(path, "r", encoding="utf-8") as fh:
         try:

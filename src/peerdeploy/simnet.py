@@ -88,10 +88,11 @@ class Message:
 
 
 class Operation:
-    """Bookkeeping for one driven protocol exchange (route, publish, ...).
-    `run` starts it through `start` and drives it to its end; its messages
-    carry it, and it ends itself through `complete` or `fail`. An op that
-    fans out sets `pending` to the answers it awaits; the last completes it.
+    """Bookkeeping for one protocol exchange (route, publish, ...). `run`
+    starts it through `start` and drains the event queue; its messages carry
+    it. It ends once, through `complete` or `fail`: both call `end`, which
+    drops it from `net.ops` (the open ops) and counts it. An op that fans
+    out sets `pending` to the answers it awaits; the last completes it.
 
     The one retry rule: a message of the op that is lost may go again while
     fewer than TRIES messages about its key were lost (None: one more than
@@ -101,6 +102,7 @@ class Operation:
     TRIES: int | None = None
 
     def __init__(self):
+        self.net: SimNetwork | None = None  # set by SimNetwork.new_op
         self.op_id: int | None = None
         self.done = False
         self.result: Any = None
@@ -109,10 +111,15 @@ class Operation:
         self.lost: dict[int, int] | None = None  # made at the first loss
 
     def run(self, net: "SimNetwork", node) -> Any:
-        """Start the op at `node` and drive it to its end."""
+        """Start the op at `node` and drain the event queue; by then it has ended, or stalled."""
         net.new_op(self)
         self.start(net, node)
-        return net.drive(self)
+        net.run_until_quiescent()
+        if not self.done:
+            self.fail(LivelockSuspectedError(f"{self.kind} stalled with an empty event queue"))
+        if self.error is not None:
+            raise self.error
+        return self.result
 
     def tries(self, net: "SimNetwork") -> int:
         return net.config.retries + 1 if self.TRIES is None else self.TRIES
@@ -133,18 +140,25 @@ class Operation:
         if not targets:
             self.complete(None)
 
-    def settle(self, net: "SimNetwork") -> None:
+    def settle(self) -> None:
         self.pending -= 1
         if self.pending == 0:
             self.complete(None)
 
     def complete(self, result: Any) -> None:
         self.result = result
-        self.done = True
+        self.end()
 
     def fail(self, error: Exception) -> None:
         self.error = error
+        self.end()
+
+    def end(self) -> None:
+        """Retire the op, which ends exactly once, and count it."""
         self.done = True
+        net = self.net
+        del net.ops[self.op_id]
+        self.record(net.metrics)
 
     def record(self, metrics: "Metrics") -> None:
         """Count the finished op in the metrics document. Handoff and
@@ -320,7 +334,7 @@ for _kind in (MessageKind.PUBLISH_ACK, MessageKind.LOOKUP_REPLY, MessageKind.REM
 @on_timeout(MessageKind.HANDOFF)
 @on_timeout(MessageKind.HANDOFF_DONE)
 def _answered(net: "SimNetwork", node, msg: Message, op: Operation) -> None:
-    op.settle(net)
+    op.settle()
 
 
 class Metrics:
@@ -509,20 +523,9 @@ class SimNetwork:
     def new_op(self, op: Operation) -> Operation:
         self._op_seq += 1
         op.op_id = self._op_seq
+        op.net = self
         self.ops[op.op_id] = op
         return op
-
-    def drive(self, op: Operation) -> Any:
-        """Drain the event loop; op has finished by then, or it stalled."""
-        self.run_until_quiescent()
-        if not op.done:
-            op.fail(LivelockSuspectedError(
-                f"{op.kind} stalled with an empty event queue"))
-        self.ops.pop(op.op_id, None)
-        op.record(self.metrics)
-        if op.error is not None:
-            raise op.error
-        return op.result
 
     # --- transport ---
 

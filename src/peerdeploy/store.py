@@ -470,13 +470,6 @@ class TransferOp(Operation):
         self.transferred: list = []
         self.unresolved: list[int] = []
 
-    def settle(self, net: SimNetwork, transferred=None, unresolved: int | None = None) -> None:
-        if transferred is not None:
-            self.transferred.append(transferred)
-        if unresolved is not None:
-            self.unresolved.append(unresolved)
-        super().settle(net)
-
     def start(self, net: SimNetwork, node) -> None:
         self.move_roots(net, node)  # the last node standing takes its keys along
         if self.pending == 0:
@@ -504,7 +497,8 @@ class TransferOp(Operation):
         if self.may_retry(net, key) and sender is not None:
             target = self.next_target(sender, key)
         if target is None:
-            self.settle(net, unresolved=key)
+            self.unresolved.append(key)
+            self.settle()
         else:
             net.post(sender.id, target, MessageKind.TRANSFER, msg.data, op=self)
 
@@ -536,7 +530,8 @@ class HandoffOp(TransferOp):
         if entry is not None and entry.role is Role.ROOT:
             old_root.store.put(key, entry.name, Role.RETAINED, entry.payload,
                                origin=None, root_hint=msg.from_id, now=net.clock)
-        self.settle(net, transferred=key)
+        self.transferred.append(key)
+        self.settle()
 
 
 class RelinquishOp(TransferOp):
@@ -559,7 +554,8 @@ class RelinquishOp(TransferOp):
         return tried[-1]
 
     def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
-        self.settle(net, transferred=(msg.data["key"], msg.from_id))
+        self.transferred.append((msg.data["key"], msg.from_id))
+        self.settle()
 
 
 def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]:

@@ -27,6 +27,8 @@ def test_first_node_joins_empty_network():
     assert report.path == []
     assert net.live_ids() == [42]
     assert net.nodes[42].status is NodeStatus.LIVE
+    joins = net.metrics.to_document(net)["operations"]["join"]
+    assert (joins["count"], joins["hops"]["histogram"]) == (1, {"0": 1})
 
 
 def test_bootstrap_required_when_network_nonempty():
@@ -34,6 +36,7 @@ def test_bootstrap_required_when_network_nonempty():
     join(net, 42, None)
     with pytest.raises(BootstrapUnreachableError):
         join(net, 43, None)
+    assert 43 not in net.nodes
 
 
 def test_dead_bootstrap_rejected():

@@ -29,7 +29,6 @@ from peerdeploy.repo import (
     RepositoryIndex,
     describe_payload,
     load_index,
-    save_index,
     serialize_index,
 )
 
@@ -182,7 +181,7 @@ def test_publish_with_descriptor_file(tmp_path):
     index = RepositoryIndex()
     index.add(describe_payload("desc.jar", payload, version="2.0",
                                imports=(), exports=("desc",)))
-    save_index(index, str(tmp_path / "bundle.index"))
+    (tmp_path / "bundle.index").write_text(serialize_index(index))
     path = tmp_path / "desc.scenario"
     path.write_text("seed 3\ncreate 4\npublish n1 desc.jar bundle.index\n"
                     "install n2 p2p://desc.jar\nassert installed(n2, desc.jar)\n")
@@ -194,7 +193,7 @@ def test_publish_descriptor_digest_mismatch_fails_run(tmp_path):
     other = synthesize_payload(999, "desc.jar")  # wrong seed, wrong digest
     index = RepositoryIndex()
     index.add(describe_payload("desc.jar", other))
-    save_index(index, str(tmp_path / "bundle.index"))
+    (tmp_path / "bundle.index").write_text(serialize_index(index))
     path = tmp_path / "desc.scenario"
     path.write_text("seed 3\ncreate 4\npublish n1 desc.jar bundle.index\n")
     result = run_scenario(str(path))
@@ -214,7 +213,7 @@ def test_missing_descriptor_file_rejects_before_execution(tmp_path):
 def test_descriptor_file_without_the_bundle_rejects_before_execution(tmp_path):
     index = RepositoryIndex()
     index.add(describe_payload("other.jar", synthesize_payload(0, "other.jar")))
-    save_index(index, str(tmp_path / "b.index"))
+    (tmp_path / "b.index").write_text(serialize_index(index))
     with pytest.raises(ScenarioParseError, match="has no record for 'a.jar'") as err:
         parse_scenario("create 4\npublish n1 a.jar b.index\n", base_dir=str(tmp_path))
     assert err.value.line == 2
@@ -278,7 +277,7 @@ def test_each_descriptor_file_is_read_once_per_parse(tmp_path, monkeypatch):
     names = [f"b{i}.jar" for i in range(5)]
     for name in names:
         index.add(describe_payload(name, synthesize_payload(0, name)))
-    save_index(index, str(tmp_path / "b.index"))
+    (tmp_path / "b.index").write_text(serialize_index(index))
     loaded = []
     monkeypatch.setattr("peerdeploy.scenario.load_index",
                         lambda path: loaded.append(path) or load_index(path))

@@ -7,10 +7,11 @@ from hashlib import blake2b
 import pytest
 
 from peerdeploy import build_network, join, leave, lookup, publish, serialize_metrics, simnet
-from peerdeploy.errors import NoSuchNodeError, PeerDeployError
+from peerdeploy.errors import LivelockSuspectedError, NoSuchNodeError, PeerDeployError
 from peerdeploy.ids import derive_key
 from peerdeploy.simnet import MessageKind, NodeStatus, SimConfig, SimNetwork
 from peerdeploy.store import ComponentPayload
+from test_expiry import payload_of, start_lookup
 
 
 def test_latency_is_deterministic_and_bounded():
@@ -295,6 +296,37 @@ def test_operation_failure_surfaces_to_caller():
     join(net, 5, None, name="solo")
     with pytest.raises(Exception):
         lookup(net, 5, "missing.jar")
+
+
+def test_ops_that_overlap_all_end_and_count():
+    """Two lookups started by hand finish while a third drains the queue;
+    each leaves `net.ops` and is counted once."""
+    net, names = build_network(32, seed=3)
+    for i in range(3):
+        publish(net, names[f"n{i}"], f"o{i}.jar", payload_of(f"o{i}.jar"))
+    lookups = net.metrics.op_counts.get("lookup", 0)
+    start_lookup(net, names["n10"], "o0.jar")
+    start_lookup(net, names["n20"], "o1.jar")
+    lookup(net, names["n30"], "o2.jar")
+    assert not net.ops
+    operations = net.metrics.to_document(net)["operations"]
+    assert operations["lookup"]["count"] == lookups + 3
+
+
+class SendsNothing(simnet.Operation):
+    kind = "silent"
+
+    def start(self, net, node):
+        pass
+
+
+def test_an_op_left_open_by_an_empty_queue_fails_as_a_stall():
+    net, names = build_network(4, seed=0)
+    op = SendsNothing()
+    with pytest.raises(LivelockSuspectedError, match="silent stalled"):
+        op.run(net, net.nodes[names["n0"]])
+    assert op.done and isinstance(op.error, LivelockSuspectedError)
+    assert not net.ops
 
 
 def test_seed_changes_latency_schedule():
