@@ -181,7 +181,8 @@ class JoinOp(RoutedOp):
     def reply_home(self, net: SimNetwork, joiner: OverlayNode, data: dict) -> None:
         joiner.learn_live(net, sorted(self.candidates))
         self.announced = joiner.known_contacts()
-        self.fan_out(net, joiner.id, MessageKind.ANNOUNCE, self.announced)
+        self.fan_out(net, joiner.id, MessageKind.ANNOUNCE,
+                     [(contact, None) for contact in self.announced])
 
     def failure(self, reason: str) -> Exception:
         if len(self.path) == 1:

@@ -91,8 +91,9 @@ class Operation:
     """Bookkeeping for one protocol exchange (route, publish, ...). `run`
     starts it through `start` and drains the event queue; its messages carry
     it. It ends once, through `complete` or `fail`: both call `end`, which
-    drops it from `net.ops` (the open ops) and counts it. An op that fans
-    out sets `pending` to the answers it awaits; the last completes it.
+    drops it from `net.ops` (the open ops) and counts it. An op awaits
+    answers only through `fan_out`, which adds them to `pending`; `settle`
+    takes one answer off, and the last completes it.
 
     The one retry rule: a message of the op that is lost may go again while
     fewer than TRIES messages about its key were lost (None: one more than
@@ -131,13 +132,13 @@ class Operation:
         return lost[key] < self.tries(net)
 
     def fan_out(self, net: "SimNetwork", sender: int, kind: MessageKind,
-                targets: list[int]) -> None:
-        """Send `kind` from `sender` to every target and await one answer from
-        each; with no target the op is complete at once."""
-        self.pending = len(targets)
-        for target in targets:
-            net.post(sender, target, kind, op=self)
-        if not targets:
+                sends: list[tuple[int, dict[str, Any] | None]]) -> None:
+        """Send `kind` from `sender` per (target, data) pair, adding one awaited
+        answer each; an op that then awaits none is complete."""
+        self.pending += len(sends)
+        for target, data in sends:
+            net.post(sender, target, kind, data, op=self)
+        if self.pending == 0:
             self.complete(None)
 
     def settle(self) -> None:
@@ -175,9 +176,10 @@ class RoutedOp(Operation):
     it is at; the op keeps no other copy of either. A next hop already on
     `path` fails the op: a walk that comes back to a node would loop. A
     reply walks `path` backwards as `reply` messages, skipping nodes that
-    died, or every middle node when DIRECT; `reply_at` runs on each node it
-    passes and `reply_home` on path[0]. A forward timeout re-routes from the
-    sender, whose repair dropped the dead contact, while `may_retry` allows it.
+    died, or every middle node when DIRECT; `reply_home` runs on path[0],
+    and a walk that is not DIRECT runs `reply_at` on each node it passes. A
+    forward timeout re-routes from the sender, whose repair dropped the dead
+    contact, while `may_retry` allows it.
     """
 
     message: MessageKind
@@ -255,9 +257,6 @@ class RoutedOp(Operation):
 
     def hops(self) -> int | None:
         return len(self.path) - 1
-
-    def reply_at(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
-        pass
 
     def reply_home(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
         raise NotImplementedError

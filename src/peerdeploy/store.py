@@ -458,38 +458,30 @@ def replica_count(net: SimNetwork, name: str) -> int:
 
 
 class TransferOp(Operation):
-    """Moves ROOT entries to the node that now roots them. `pending` counts
-    the transfers (and, for a handoff, the neighbour scans) still open.
-
-    A TRANSFER that is lost goes again, from the same sender, to
-    next_target(sender, key) while the sender is alive and `may_retry`
-    allows it; otherwise the key is unresolved."""
+    """Moves ROOT entries to the node that now roots them: one TRANSFER per
+    key, awaited through `fan_out`. The one ack rule: the old root, if still
+    reachable and still the ROOT holder, keeps a pinned RETAINED copy whose
+    root_hint names the new root. A TRANSFER that is lost goes again, from
+    the same sender, to next_target(sender, key) while the sender is alive
+    and `may_retry` allows it; otherwise the key is unresolved."""
 
     def __init__(self):
         super().__init__()
-        self.transferred: list = []
+        self.transferred: list[tuple[int, int]] = []
         self.unresolved: list[int] = []
-
-    def start(self, net: SimNetwork, node) -> None:
-        self.move_roots(net, node)  # the last node standing takes its keys along
-        if self.pending == 0:
-            self.complete(None)
 
     def move_roots(self, net: SimNetwork, node) -> None:
         """Send each ROOT entry of `node`, in key order, to next_target(node,
         key); a target of None keeps the key where it is."""
+        sends = []
         for key in sorted(node.store.entries):
             entry = node.store.entries[key]
-            if entry.role is Role.ROOT:
-                target = self.next_target(node, key)
-                if target is not None:
-                    self.transfer(net, node.id, target, entry)
+            if entry.role is Role.ROOT and (target := self.next_target(node, key)) is not None:
+                sends.append((target, {"key": key, "name": entry.name,
+                                       "payload": entry.payload, "origin": entry.origin}))
+        self.fan_out(net, node.id, MessageKind.TRANSFER, sends)
 
-    def transfer(self, net: SimNetwork, holder: int, target: int, entry: StoreEntry) -> None:
-        self.pending += 1
-        net.post(holder, target, MessageKind.TRANSFER,
-                 {"key": entry.key, "name": entry.name, "payload": entry.payload,
-                  "origin": entry.origin}, op=self)
+    start = move_roots  # a relinquish moves the leaver's own roots
 
     def transfer_lost(self, net: SimNetwork, sender, msg: Message) -> None:
         key = msg.data["key"]
@@ -501,6 +493,16 @@ class TransferOp(Operation):
             self.settle()
         else:
             net.post(sender.id, target, MessageKind.TRANSFER, msg.data, op=self)
+
+    def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
+        """The new root holds the key; `old_root` is None when the ack was lost."""
+        key = msg.data["key"]
+        entry = old_root.store.get(key) if old_root is not None else None
+        if entry is not None and entry.role is Role.ROOT:
+            old_root.store.put(key, entry.name, Role.RETAINED, entry.payload,
+                               origin=None, root_hint=msg.from_id, now=net.clock)
+        self.transferred.append((key, msg.from_id))
+        self.settle()
 
     def next_target(self, sender, key: int) -> int | None:
         raise NotImplementedError
@@ -515,23 +517,13 @@ class HandoffOp(TransferOp):
         self.new_id = new_id
 
     def start(self, net: SimNetwork, joiner) -> None:
-        self.fan_out(net, joiner.id, MessageKind.HANDOFF, joiner.leaf_set.members())
+        self.fan_out(net, joiner.id, MessageKind.HANDOFF,
+                     [(member, None) for member in joiner.leaf_set.members()])
 
     def next_target(self, old_root, key: int) -> int | None:
         """The joiner, when it is closer to `key` than the old root is."""
         joiner = self.new_id
         return joiner if ring_root(sorted((old_root.id, joiner)), key) == joiner else None
-
-    def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
-        """The joiner holds the key; the old root, unless the ack was lost,
-        keeps a pinned RETAINED copy."""
-        key = msg.data["key"]
-        entry = old_root.store.get(key) if old_root is not None else None
-        if entry is not None and entry.role is Role.ROOT:
-            old_root.store.put(key, entry.name, Role.RETAINED, entry.payload,
-                               origin=None, root_hint=msg.from_id, now=net.clock)
-        self.transferred.append(key)
-        self.settle()
 
 
 class RelinquishOp(TransferOp):
@@ -553,20 +545,17 @@ class RelinquishOp(TransferOp):
         tried.append(ring_root(members, key))
         return tried[-1]
 
-    def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
-        self.transferred.append((msg.data["key"], msg.from_id))
-        self.settle()
-
 
 def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]:
     """Ask the new node's leaf neighbours to hand over every key it now roots.
 
-    Returns (transferred keys, unresolved keys). The demoted neighbour keeps
-    its payload as a pinned RETAINED copy.
+    Returns (transferred keys, unresolved keys), each sorted. A neighbour
+    that hands a key over keeps it as a pinned RETAINED copy, as every old
+    root does under TransferOp's ack rule.
     """
     op = HandoffOp(new_id)
     op.run(net, net.node(new_id))
-    return sorted(op.transferred), sorted(op.unresolved)
+    return sorted(key for key, _ in op.transferred), sorted(op.unresolved)
 
 
 @on_deliver(MessageKind.HANDOFF)
@@ -577,8 +566,9 @@ def _handoff_deliver(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None
 
 def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list[int]]:
     """Before a graceful departure, move every ROOT entry to its next root,
-    chosen as the leaf member closest to the key. Returns ((key, new root)
-    pairs in the order their acks arrived, unresolved keys)."""
+    chosen as the leaf member closest to the key; the leaver keeps each moved
+    key as a RETAINED copy until it departs. Returns ((key, new root) pairs
+    in the order their acks arrived, unresolved keys)."""
     op = RelinquishOp()
     op.run(net, node)
     return op.transferred, sorted(op.unresolved)

@@ -510,6 +510,14 @@ def test_start_requires_satisfied_imports():
         start(client, "needy.jar")
 
 
+def test_start_refuses_a_bundle_the_index_does_not_describe():
+    gw = GatewayState(0, index=RepositoryIndex())
+    gw.installed["ghost.jar"] = LifecycleState.INSTALLED
+    with pytest.raises(LifecycleError, match="has no descriptor"):
+        start(gw, "ghost.jar")
+    assert gw.state_of("ghost.jar") is LifecycleState.INSTALLED
+
+
 def test_uninstall_refuses_while_active_importer_remains():
     lib_payload = payload_of("lib")
     use_payload = payload_of("use")
@@ -559,6 +567,21 @@ def test_publish_local_digest_mismatch():
     gw = GatewayState(names["n0"], index=RepositoryIndex())
     with pytest.raises(IntegrityError):
         publish_local(gw, net, lying, payload)
+
+
+def test_publish_local_rejects_bytes_that_do_not_match_their_own_digest():
+    # The descriptor agrees with the digest the payload claims, so only the
+    # store's check of the bytes can catch it, and before any message is sent.
+    claimed = payload_of("claimed")
+    tampered = ComponentPayload(b"x" * claimed.size, claimed.digest, claimed.size)
+    net, names = build_network(4, seed=25)
+    index = RepositoryIndex()
+    gw = GatewayState(names["n0"], index=index)
+    sent = dict(net.metrics.sent)
+    with pytest.raises(IntegrityError):
+        publish_local(gw, net, desc("tampered.jar", payload=claimed), tampered)
+    assert net.metrics.sent == sent
+    assert index.get("tampered.jar") is None
 
 
 def test_publish_local_index_conflict():

@@ -449,6 +449,14 @@ def test_cli_run_stdout_when_no_metrics_out(tmp_path, capsys):
     assert doc["live_nodes"] == 2
 
 
+def test_cli_run_exits_two_when_the_metrics_cannot_be_written(tmp_path, capsys):
+    path = tmp_path / "s.scenario"
+    path.write_text("create 2\n")
+    assert main(["run", str(path), "--metrics-out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write metrics" in captured.err and captured.out == ""
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.scenario"
     bad.write_text("create nope\n")
@@ -541,6 +549,18 @@ def test_cli_stats_counts_every_role_but_trail_as_a_replica(tmp_path, capsys):
     listed = capsys.readouterr().out.split("per-key replicas")[1].splitlines()[1:]
     assert {name: int(count) for name, count in map(str.split, listed)} == \
         Counter(entry["name"] for entry in entries if entry["role"] != "TRAIL")
+
+
+def test_cli_stats_lists_no_replica_when_the_dump_holds_only_trails(tmp_path, capsys):
+    document = json.loads((GOLDEN / "every_verb.json").read_text())
+    for node in document["dumps"][-1]["nodes"]:
+        for entry in node["entries"]:
+            entry["role"] = "TRAIL"
+    path = tmp_path / "trails.json"
+    path.write_text(json.dumps(document))
+    assert main(["stats", str(path)]) == 0
+    listed = capsys.readouterr().out.split("per-key replicas")[1].splitlines()[1:]
+    assert listed == ["  (none)"]
 
 
 def test_cli_stats_rejects_malformed_documents(tmp_path, capsys):

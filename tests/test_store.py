@@ -25,6 +25,7 @@ from peerdeploy.store import (
     StoreConfig,
     content_digest,
     handoff_on_join,
+    relinquish_roots,
 )
 from oracles import check_store, oracle_root, reference_due_at
 
@@ -499,6 +500,30 @@ def test_the_last_node_standing_leaves_with_its_roots():
     publish(net, names["n0"], "last.jar", payload_of("last"))
     assert leave(net, names["n0"]) == LeaveReport(names["n0"], True, [], [])
     assert not net.ops
+
+
+def test_relinquish_leaves_one_root_per_moved_key():
+    # Relinquish runs while the leaver is still live; its moved roots must
+    # not stay ROOT beside the new ones.
+    net, _ = build_network(32, seed=3)
+    live = net.live_ids()
+    for i in range(40):
+        publish(net, live[i % 32], f"k{i}.jar", payload_of(f"k{i}.jar"))
+
+    def roots(nid):
+        return sum(e.role is Role.ROOT for e in net.nodes[nid].store.entries.values())
+
+    leaver = max(live, key=lambda nid: (roots(nid), -nid))
+    held = roots(leaver)
+    transferred, unresolved = relinquish_roots(net, net.nodes[leaver])
+    assert held and len(transferred) == held and not unresolved
+    for key, new_root in transferred:
+        holders = [nid for nid in net.live_ids()
+                   if (e := net.nodes[nid].store.get(key)) and e.role is Role.ROOT]
+        assert holders == [new_root]
+        kept = net.nodes[leaver].store.get(key)
+        assert (kept.role, kept.root_hint) == (Role.RETAINED, new_root)
+        assert kept.payload is not None
 
 
 def test_root_uniqueness_through_join_storm():
