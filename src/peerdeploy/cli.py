@@ -11,16 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Any, Optional
 
 from .errors import ScenarioParseError
-from .scenario import DEFAULT_PAYLOAD_SIZE, MAX_PAYLOAD_SIZE, run_scenario
+from .scenario import run_scenario
 from .simnet import check_document
 from .store import Role
-
-SEED_ENV = "PEERDEPLOY_SEED"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -32,16 +29,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario file")
     run_p.add_argument("--seed", type=int, default=None,
-                       help=f"simulation seed (beats the {SEED_ENV} "
-                            "environment variable and the file's seed line)")
+                       help="simulation seed (beats the file's seed line)")
     run_p.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the metrics document here instead of stdout")
     run_p.add_argument("--random-ids", action="store_true",
                        help="draw node ids from the seeded RNG instead of "
                             "hashing node names")
-    run_p.add_argument("--payload-size", type=int, default=DEFAULT_PAYLOAD_SIZE,
-                       metavar="BYTES", help="size of synthesized bundle payloads "
-                                             f"(at most {MAX_PAYLOAD_SIZE})")
 
     stats_p = sub.add_parser("stats", help="summarize a metrics document")
     stats_p.add_argument("metrics", help="path to a metrics JSON document")
@@ -58,21 +51,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                return _fail(f"{SEED_ENV} must be an integer, got {env!r}", 2)
-    if not 1 <= args.payload_size <= MAX_PAYLOAD_SIZE:
-        return _fail(f"--payload-size must be between 1 and {MAX_PAYLOAD_SIZE}", 2)
-
     try:
-        result = run_scenario(args.scenario, seed=seed,
-                              random_ids=args.random_ids,
-                              payload_size=args.payload_size)
+        result = run_scenario(args.scenario, seed=args.seed, random_ids=args.random_ids)
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read scenario: {exc}", 2)
     except ScenarioParseError as exc:
@@ -110,7 +90,6 @@ def _percentile(histogram: dict[int, int], q: float) -> int:
         running += histogram[hops]
         if running >= target:
             return hops
-    return max(histogram)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

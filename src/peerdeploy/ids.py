@@ -30,12 +30,6 @@ def derive_key(name: str) -> Key:
     return int.from_bytes(digest[:16], "big")
 
 
-def digit(value: int, position: int) -> int:
-    """Digit at `position` (0 = most significant) of the 32-digit hex view."""
-    shift = (DIGITS - 1 - position) * DIGIT_BITS
-    return (value >> shift) & (RADIX - 1)
-
-
 def to_hex(value: int) -> str:
     return f"{value:032x}"
 

@@ -106,14 +106,11 @@ class ComponentDescriptor:
         object.__setattr__(self, "exports", tuple(self.exports))
 
 
-def describe_payload(name: str, payload: ComponentPayload, version: str = "1.0",
-                     start_entry: str | None = None,
-                     imports: Iterable[str] = (), exports: Iterable[str] = ()) -> ComponentDescriptor:
-    """Descriptor for a payload about to be published from this process."""
-    return ComponentDescriptor(
-        name=name, version=version, digest=payload.digest, size=payload.size,
-        start_entry=start_entry, imports=tuple(imports), exports=tuple(exports),
-        source_uri=f"p2p://{name}")
+def describe_payload(name: str, payload: ComponentPayload) -> ComponentDescriptor:
+    """Descriptor of version 1.0, with no imports, exports or start entry, for
+    a payload about to be published from this process."""
+    return ComponentDescriptor(name=name, version="1.0", digest=payload.digest,
+                               size=payload.size, source_uri=f"p2p://{name}")
 
 
 class RepositoryIndex:

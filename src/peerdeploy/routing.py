@@ -5,8 +5,8 @@ from __future__ import annotations
 from bisect import insort
 from types import MappingProxyType
 
-from .ids import (DIGIT_BITS, DIGITS, ID_SPACE, RADIX, circular_distance, digit,
-                  ring_root, shared_prefix_len)
+from .ids import (DIGIT_BITS, DIGITS, ID_SPACE, RADIX, circular_distance, ring_root,
+                  shared_prefix_len)
 
 LEAF_SET_SIZE = 8
 HALF_LEAF = LEAF_SET_SIZE // 2
@@ -119,17 +119,17 @@ class RoutingTable:
         return True
 
     def remove(self, node_id: int) -> bool:
-        r = shared_prefix_len(self.owner, node_id)
-        if r == DIGITS:
+        differ = self.owner ^ node_id
+        if not differ:
             return False
-        cell = digit(node_id, r)
-        if self.rows[r].get(cell) == node_id:
-            del self.rows[r][cell]
-            return True
-        return False
-
-    def get(self, row: int, column: int) -> int | None:
-        return self.rows[row].get(column)
+        # The cell arithmetic of insert.
+        shift = (differ.bit_length() - 1) & -DIGIT_BITS
+        row = self.rows[DIGITS - 1 - shift // DIGIT_BITS]
+        cell = (node_id >> shift) & _DIGIT_MASK
+        if row.get(cell) != node_id:
+            return False
+        del row[cell]
+        return True
 
     def entries(self) -> list[int]:
         out: list[int] = []

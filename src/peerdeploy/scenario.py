@@ -41,29 +41,24 @@ from .repo import (
 from .simnet import SimConfig, SimNetwork, serialize_metrics
 from .store import ComponentPayload, StoreConfig
 
-DEFAULT_PAYLOAD_SIZE = 4096
+PAYLOAD_SIZE = 4096  # bytes in every synthesized payload: 64 blake2b blocks
 
 # Input bounds, checked at parse time before anything is allocated.
 MAX_NODES = 4096  # create, and workload nodes
 MAX_BUNDLES = 10_000  # workload bundles
 MAX_REQUESTS = 1_000_000  # workload requests
-MAX_PAYLOAD_SIZE = 1 << 20  # --payload-size
 
 LOOKUP_STATUSES = ("ok", "not-found", "unavailable", "failed")
 
 _NAME_RE = re.compile(r"^[^\s/]+$")
 
 
-def synthesize_payload(seed: int, name: str, size: int = DEFAULT_PAYLOAD_SIZE) -> ComponentPayload:
-    """Deterministic pseudo-content for a bundle, a hash stream over
-    (seed, name, block counter)."""
-    out = bytearray()
-    counter = 0
-    while len(out) < size:
-        block = hashlib.blake2b(f"{seed}:{name}:{counter}".encode(), digest_size=64)
-        out.extend(block.digest())
-        counter += 1
-    return ComponentPayload.from_bytes(bytes(out[:size]))
+def synthesize_payload(seed: int, name: str) -> ComponentPayload:
+    """Deterministic pseudo-content for a bundle: PAYLOAD_SIZE bytes of a hash
+    stream over (seed, name, block counter)."""
+    blocks = (hashlib.blake2b(f"{seed}:{name}:{counter}".encode(), digest_size=64).digest()
+              for counter in range(PAYLOAD_SIZE // 64))
+    return ComponentPayload.from_bytes(b"".join(blocks))
 
 
 # --------------------------------------------------------------------------
@@ -381,13 +376,10 @@ class ScenarioRunner:
     relies on `parse_scenario` for every input check, and the first command
     that fails stops the run."""
 
-    def __init__(self, scenario: Scenario, seed: int,
-                 random_ids: bool = False,
-                 payload_size: int = DEFAULT_PAYLOAD_SIZE):
+    def __init__(self, scenario: Scenario, seed: int, random_ids: bool = False):
         self.scenario = scenario
         self.seed = seed
         self.random_ids = random_ids
-        self.payload_size = payload_size
         self.net = SimNetwork(seed=seed)
         self.names: dict[str, int] = {}
         self.index = RepositoryIndex()  # one index shared by every gateway
@@ -451,7 +443,7 @@ class ScenarioRunner:
 
     def _cmd_publish(self, cmd: Command) -> None:
         node, bundle, descriptor = cmd.args
-        payload = synthesize_payload(self.seed, bundle, self.payload_size)
+        payload = synthesize_payload(self.seed, bundle)
         repo.publish_local(self._gateway(self.names[node]), self.net,
                            descriptor or describe_payload(bundle, payload), payload)
 
@@ -476,7 +468,7 @@ class ScenarioRunner:
         for name in names:
             key = derive_key(name)
             publisher = self._pick_publisher(key, rng)
-            payload = synthesize_payload(self.seed, name, self.payload_size)
+            payload = synthesize_payload(self.seed, name)
             repo.publish_local(self._gateway(publisher), self.net,
                                describe_payload(name, payload), payload)
         live = self.net.live_ids()
@@ -583,8 +575,7 @@ class ScenarioRunner:
 
 
 def run_scenario(path: str, seed: Optional[int] = None,
-                 random_ids: bool = False,
-                 payload_size: int = DEFAULT_PAYLOAD_SIZE) -> RunResult:
+                 random_ids: bool = False) -> RunResult:
     """Parse and execute a scenario file. `seed` overrides the file's own
     seed directive; raises ScenarioParseError for anything wrong with the
     file, returns a RunResult for everything that happens at run time."""
@@ -592,6 +583,4 @@ def run_scenario(path: str, seed: Optional[int] = None,
         text = fh.read()
     scenario = parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
     effective = seed if seed is not None else (scenario.seed or 0)
-    runner = ScenarioRunner(scenario, seed=effective,
-                            random_ids=random_ids, payload_size=payload_size)
-    return runner.run()
+    return ScenarioRunner(scenario, seed=effective, random_ids=random_ids).run()

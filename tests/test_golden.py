@@ -7,11 +7,12 @@ to alter behaviour regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description which fields moved and why.
+which rewrites every document and prints one `<document>: <dotted.path>:
+old → new` line per leaf that moved, and nothing when none did. The change
+says in its description which fields moved and why.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ CASES = [
     ("handoff.scenario", None, True),
     ("every_verb.scenario", None, False),
     ("every_verb.scenario", None, True),
+    ("faults.scenario", None, False),
 ]
 
 
@@ -55,7 +57,41 @@ def test_metrics_document_matches_golden(scenario, seed, random_ids):
     check_document(json.loads(expected))
 
 
+def leaves(value, path: str = "") -> dict:
+    """Each leaf of a JSON value by its dotted path; list items go by index."""
+    if not isinstance(value, (dict, list)):
+        return {path: value}
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    out = {}
+    for key, item in items:
+        out.update(leaves(item, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def moved_leaves(old_text: str, new_text: str) -> list[str]:
+    """`path: old → new` for each leaf that differs; an absent side reads `-`."""
+    old, new = ({path: json.dumps(value) for path, value in leaves(json.loads(text)).items()}
+                for text in (old_text, new_text))
+    return [f"{path}: {old.get(path, '-')} → {new.get(path, '-')}"
+            for path in {**new, **old}  # new's order, then the paths it dropped
+            if old.get(path) != new.get(path)]
+
+
+def test_moved_leaves_names_each_changed_leaf_once():
+    old = '{"clock": 5, "ops": {"lookup": [1, 2]}, "gone": true}'
+    new = '{"clock": 5, "ops": {"lookup": [1, 3, 4]}}'
+    assert moved_leaves(old, new) == ["ops.lookup.1: 2 → 3", "ops.lookup.2: - → 4",
+                                      "gone: true → -"]
+    assert moved_leaves(new, new) == []
+
+
 if __name__ == "__main__":
     for case in CASES:
-        golden_path(*case).write_text(replay(*case), encoding="utf-8")
-        print(f"wrote {golden_path(*case)}", file=sys.stderr)
+        path = golden_path(*case)
+        text = replay(*case)
+        if not path.exists():
+            print(f"{path.name}: new document")
+        else:
+            for line in moved_leaves(path.read_text(encoding="utf-8"), text):
+                print(f"{path.name}: {line}")
+        path.write_text(text, encoding="utf-8")

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from peerdeploy import ids
 from peerdeploy.errors import NoNodesError
 from oracles import (
-    oracle_digit,
     oracle_distance,
     oracle_hex,
     oracle_key,
@@ -65,19 +64,6 @@ def test_hex_round_trip():
         value = rng.getrandbits(128)
         assert int(ids.to_hex(value), 16) == value
         assert len(ids.to_hex(value)) == 32
-
-
-@given(ids_strategy, st.integers(min_value=0, max_value=31))
-def test_digit_matches_hex_reference(value, position):
-    assert ids.digit(value, position) == oracle_digit(value, position)
-
-
-def test_digit_positions():
-    value = 0x0123456789abcdef0123456789abcdef
-    assert ids.digit(value, 0) == 0x0
-    assert ids.digit(value, 1) == 0x1
-    assert ids.digit(value, 15) == 0xF
-    assert ids.digit(value, 31) == 0xF
 
 
 @given(ids_strategy, ids_strategy)

@@ -8,7 +8,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from peerdeploy.ids import circular_distance, digit, shared_prefix_len
+from peerdeploy.ids import circular_distance, shared_prefix_len
 from peerdeploy.routing import (
     HALF_LEAF,
     LeafSet,
@@ -162,7 +162,7 @@ def test_routing_table_cell_placement():
     table = RoutingTable(owner)
     assert table.insert(other) is True
     row = shared_prefix_len(owner, other)
-    assert table.get(row, digit(other, row)) == other
+    assert table.rows[row].get(oracle_digit(other, row)) == other
 
 
 def test_routing_table_keeps_first_occupant():
@@ -171,10 +171,9 @@ def test_routing_table_keeps_first_occupant():
     second = int("f" + "1" * 31, 16)
     table = RoutingTable(owner)
     assert table.insert(first)
-    assert table.insert(second) is False  # same cell: row 0, digit f... no
-    # second differs in row 0 digit? both start with f, so both land in
-    # row 0 column f; the first stays
-    assert table.get(0, 15) == first
+    # both start with f, so both land in row 0 column f; the first stays
+    assert table.insert(second) is False
+    assert table.rows[0].get(15) == first
 
 
 def test_routing_table_rejects_self():
@@ -190,7 +189,7 @@ def test_routing_table_remove_only_exact():
     table.insert(first)
     assert table.remove(second) is False  # occupies the same cell but is not stored
     assert table.remove(first) is True
-    assert table.get(0, 15) is None
+    assert table.rows[0].get(15) is None
 
 
 # -- forwarding rules against the oracle

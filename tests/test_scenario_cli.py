@@ -14,7 +14,7 @@ import pytest
 
 import peerdeploy
 from peerdeploy import replica_count
-from peerdeploy.cli import main
+from peerdeploy.cli import _percentile, main
 from peerdeploy.errors import IndexParseError, PeerDeployError, ScenarioParseError
 from peerdeploy.ids import derive_key, ring_root
 from peerdeploy.scenario import (
@@ -24,8 +24,9 @@ from peerdeploy.scenario import (
     synthesize_payload,
 )
 from peerdeploy.simnet import SimNetwork
-from peerdeploy.store import lookup as store_lookup
+from peerdeploy.store import Role, lookup as store_lookup
 from peerdeploy.repo import (
+    ComponentDescriptor,
     RepositoryIndex,
     describe_payload,
     load_index,
@@ -135,7 +136,6 @@ def test_synthesized_payloads_are_deterministic():
     assert a.data != c.data
     assert a.data != d.data
     assert a.size == 4096
-    assert synthesize_payload(5, "x.jar", size=100).size == 100
 
 
 # -- execution
@@ -179,8 +179,9 @@ def test_lookup_statuses_are_observable(tmp_path):
 def test_publish_with_descriptor_file(tmp_path):
     payload = synthesize_payload(3, "desc.jar")
     index = RepositoryIndex()
-    index.add(describe_payload("desc.jar", payload, version="2.0",
-                               imports=(), exports=("desc",)))
+    index.add(ComponentDescriptor(name="desc.jar", version="2.0", digest=payload.digest,
+                                  size=payload.size, exports=("desc",),
+                                  source_uri="p2p://desc.jar"))
     (tmp_path / "bundle.index").write_text(serialize_index(index))
     path = tmp_path / "desc.scenario"
     path.write_text("seed 3\ncreate 4\npublish n1 desc.jar bundle.index\n"
@@ -485,16 +486,14 @@ def test_cli_seed_precedence(tmp_path, capsys, monkeypatch):
     code = main(["run", str(path)])
     assert json.loads(capsys.readouterr().out)["seed"] == 5
 
-    monkeypatch.setenv("PEERDEPLOY_SEED", "7")
-    code = main(["run", str(path)])
-    assert json.loads(capsys.readouterr().out)["seed"] == 7
-
     code = main(["run", str(path), "--seed", "9"])
     assert json.loads(capsys.readouterr().out)["seed"] == 9
 
-    monkeypatch.setenv("PEERDEPLOY_SEED", "not-a-number")
-    assert main(["run", str(path)]) == 2
-    capsys.readouterr()
+    # the environment is no seed source, well-formed or not
+    for value in ("7", "not-a-number"):
+        monkeypatch.setenv("PEERDEPLOY_SEED", value)
+        assert main(["run", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
 
 
 def test_cli_replay_is_byte_identical(tmp_path):
@@ -609,6 +608,15 @@ def test_cli_stats_rejects_malformed_documents(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("histogram,p50,p90,p99", [
+    ({0: 50, 1: 30, 2: 15, 9: 5}, 0, 2, 9),  # skewed: a long thin tail
+    ({3: 7}, 3, 3, 3),
+    ({}, 0, 0, 0),
+])
+def test_percentile_is_the_first_hop_count_reaching_its_share(histogram, p50, p90, p99):
+    assert [_percentile(histogram, q) for q in (0.50, 0.90, 0.99)] == [p50, p90, p99]
+
+
 def test_cli_stats_handles_empty_run(tmp_path, capsys):
     path = tmp_path / "empty.scenario"
     path.write_text("# nothing but comments\n")
@@ -649,15 +657,31 @@ def test_huge_create_is_rejected_before_it_allocates():
         parse_scenario(f"create {10 ** 18}")
 
 
-def test_cli_rejects_oversized_inputs_with_exit_two(tmp_path, capsys):
+def test_cli_rejects_oversized_inputs_with_exit_two(tmp_path):
     big = tmp_path / "big.scenario"
     big.write_text("create 4097\n")
     assert main(["run", str(big)]) == 2
+
+
+def test_cli_has_no_payload_size_option(tmp_path, capsys):
     small = tmp_path / "small.scenario"
     small.write_text("create 1\n")
-    assert main(["run", str(small), "--payload-size", str(1024 * 1024 + 1)]) == 2
-    assert "--payload-size" in capsys.readouterr().err
-    assert main(["run", str(small), "--payload-size", str(1024 * 1024)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(small), "--payload-size", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --payload-size" in capsys.readouterr().err
+
+
+def test_every_synthesized_payload_dumps_4096_bytes(tmp_path):
+    path = tmp_path / "s.scenario"
+    path.write_text("create 6\npublish n0 a.jar\npublish n1 b.jar\n"
+                    "lookup n5 a.jar\ndump\n")
+    result = run_scenario(str(path))
+    assert result.exit_code == 0, result.diagnostic
+    nodes = result.document["dumps"][0]["nodes"]
+    held = [sum(e["role"] != Role.TRAIL.value for e in n["entries"]) for n in nodes]
+    assert sum(held) >= 4  # a source and a root for each bundle
+    assert [n["bytes"] for n in nodes] == [4096 * count for count in held]
 
 
 def test_workload_replica_sample_matches_replica_count():
