@@ -51,6 +51,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        return _fail("--seed must be >= 0", 2)  # as a seed line must be
     try:
         result = run_scenario(args.scenario, seed=args.seed, random_ids=args.random_ids)
     except (OSError, UnicodeDecodeError) as exc:

@@ -99,7 +99,7 @@ class OverlayNode:
             # Whole leaf set gone; fall back on table contacts for a refill.
             targets = self.routing_table.entries()[:2]
         for target in targets:
-            net.post(self.id, target, MessageKind.REPAIR)
+            net.send(self.id, target, MessageKind.REPAIR)
 
 
 # --------------------------------------------------------------------------
@@ -184,6 +184,17 @@ class JoinOp(RoutedOp):
         self.fan_out(net, joiner.id, MessageKind.ANNOUNCE,
                      [(contact, None) for contact in self.announced])
 
+    @on_deliver(MessageKind.ANNOUNCE)
+    def adopt_joiner(self, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
+        # The sender is still JOINING, so passive observation skipped it; an
+        # announcement is the explicit instruction to adopt it.
+        node.learn(msg.from_id)
+        net.send(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK, op=self)
+
+    @on_timeout(MessageKind.ANNOUNCE_ACK)
+    def joiner_lost(self, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
+        self.fail(self.failure("lost the joiner before its ANNOUNCE_ACK"))
+
     def failure(self, reason: str) -> Exception:
         if len(self.path) == 1:
             return BootstrapUnreachableError(
@@ -226,19 +237,6 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
                       transferred, unresolved)
 
 
-@on_timeout(MessageKind.ANNOUNCE_ACK)
-def _joiner_lost(net: SimNetwork, node, msg: Message, op: JoinOp) -> None:
-    op.fail(op.failure("lost the joiner before its ANNOUNCE_ACK"))
-
-
-@on_deliver(MessageKind.ANNOUNCE)
-def _announce_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: JoinOp) -> None:
-    # The sender is still JOINING, so passive observation skipped it; an
-    # announcement is the explicit instruction to adopt it.
-    node.learn(msg.from_id)
-    net.post(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK, op=op)
-
-
 # --------------------------------------------------------------------------
 # leave
 
@@ -264,7 +262,7 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
         transferred, unresolved = relinquish_roots(net, node)
         members = node.leaf_set.members()
         for contact in node.known_contacts():
-            net.post(node_id, contact, MessageKind.GOODBYE, {"members": members})
+            net.send(node_id, contact, MessageKind.GOODBYE, {"members": members})
         net.run_until_quiescent()
         net.set_status(node, NodeStatus.DEPARTED)
     else:
@@ -275,7 +273,7 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
 
 
 @on_deliver(MessageKind.GOODBYE)
-def _goodbye_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: None) -> None:
+def _goodbye_deliver(op: None, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
     node.forget(msg.from_id)
     node.learn_live(net, msg.data["members"])
 
@@ -285,12 +283,12 @@ def _goodbye_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: None)
 
 
 @on_deliver(MessageKind.REPAIR)
-def _repair_deliver(net: SimNetwork, node: OverlayNode, msg: Message, op: None) -> None:
-    net.post(node.id, msg.from_id, MessageKind.REPAIR_REPLY,
+def _repair_deliver(op: None, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
+    net.send(node.id, msg.from_id, MessageKind.REPAIR_REPLY,
              {"members": node.leaf_set.members()})
 
 
 @on_deliver(MessageKind.REPAIR_REPLY)
-def _repair_reply_deliver(net: SimNetwork, node: OverlayNode, msg: Message,
-                          op: None) -> None:
+def _repair_reply_deliver(op: None, net: SimNetwork, node: OverlayNode,
+                          msg: Message) -> None:
     node.learn_live(net, msg.data["members"])

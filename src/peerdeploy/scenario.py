@@ -143,7 +143,7 @@ _TERMS = {
 
 def _parse_predicate(compact: str, lineno: int, live: set[str]) -> tuple:
     """Predicate ASTs:
-    ("installed"|"active", node, bundle)
+    ("installed", node, bundle)
     ("cmp", term, op, value) with term one of
       ("hops",) ("status",) ("replicas", name) ("root", name)
       ("entries", node) ("live_nodes",)
@@ -167,15 +167,14 @@ def _parse_predicate(compact: str, lineno: int, live: set[str]) -> tuple:
         return ("cmp", term, op, value_text)
 
     call = _CALL_RE.match(compact)
-    if call and call.group(1) in ("installed", "active"):
+    if call and call.group(1) == "installed":
         args = call.group(2).split(",")
         if len(args) != 2 or not all(args):
-            raise ScenarioParseError(
-                f"{call.group(1)} needs (node,bundle)", line=lineno)
+            raise ScenarioParseError("installed needs (node,bundle)", line=lineno)
         node, bundle = args
         if node not in live:
             raise ScenarioParseError(f"unknown node {node!r} in predicate", line=lineno)
-        return (call.group(1), node, bundle)
+        return ("installed", node, bundle)
     raise ScenarioParseError(f"cannot parse predicate {compact!r}", line=lineno)
 
 
@@ -541,16 +540,11 @@ class ScenarioRunner:
     # -- predicate evaluation
 
     def _eval_predicate(self, ast: tuple) -> tuple[bool, str]:
-        kind = ast[0]
-        if kind in ("installed", "active"):
+        if ast[0] == "installed":
             _, node, bundle = ast
             gw = self.gateways.get(self.names[node])
             state = gw.state_of(bundle) if gw is not None else None
-            if kind == "installed":
-                passed = state is not None
-            else:
-                passed = state is repo.LifecycleState.ACTIVE
-            return passed, f"state is {state.value if state else 'absent'}"
+            return state is not None, f"state is {state.value if state else 'absent'}"
 
         _, term, op, expected = ast
         if _TERMS[term[0]][0] == "lookup":

@@ -12,7 +12,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from hashlib import blake2b
 from typing import Any, Callable, Optional
@@ -82,18 +82,47 @@ class Message:
     kind: MessageKind
     from_id: int
     to_id: int
-    data: dict[str, Any] = field(default_factory=dict)
-    op: Optional[Operation] = None
-    deadline: int = -1  # assigned when the message enters the network
+    data: dict[str, Any]
+    op: Optional[Operation]
+    deadline: int
+
+
+# A handler gets (op, net, node, msg), so a method of the op's class is one.
+# On delivery the node is the receiver; on a timeout it is the sender, or
+# None when the sender has departed too. The op is None for a message that
+# belongs to no operation. Each kind has at most one handler of each sort.
+Handler = Callable[[Optional["Operation"], "SimNetwork", Any, Message], None]
+
+_DELIVER: dict[MessageKind, Handler] = {}
+_TIMEOUT: dict[MessageKind, Handler] = {}
+
+
+def _register(handlers: dict[MessageKind, Handler], kind: MessageKind):
+    def wrap(fn: Handler) -> Handler:
+        if kind in handlers:
+            raise ValueError(f"{kind.value} is handled by {handlers[kind].__qualname__} already")
+        handlers[kind] = fn
+        return fn
+
+    return wrap
+
+
+def on_deliver(kind: MessageKind):
+    return _register(_DELIVER, kind)
+
+
+def on_timeout(kind: MessageKind):
+    return _register(_TIMEOUT, kind)
 
 
 class Operation:
     """Bookkeeping for one protocol exchange (route, publish, ...). `run`
     starts it through `start` and drains the event queue; its messages carry
-    it. It ends once, through `complete` or `fail`: both call `end`, which
-    drops it from `net.ops` (the open ops) and counts it. An op awaits
-    answers only through `fan_out`, which adds them to `pending`; `settle`
-    takes one answer off, and the last completes it.
+    it, and methods of its class handle them. It ends once, through
+    `complete` or `fail`: both call `end`, which drops it from `net.ops` (the
+    open ops) and counts it. An op awaits answers only through `fan_out`,
+    which adds them to `pending`; `settle` takes one answer off, and the last
+    completes it.
 
     The one retry rule: a message of the op that is lost may go again while
     fewer than TRIES messages about its key were lost (None: one more than
@@ -137,9 +166,22 @@ class Operation:
         answer each; an op that then awaits none is complete."""
         self.pending += len(sends)
         for target, data in sends:
-            net.post(sender, target, kind, data, op=self)
+            net.send(sender, target, kind, data, op=self)
         if self.pending == 0:
             self.complete(None)
+
+    # The answers to a join's announcements and to a handoff's neighbour
+    # scans. A silent node counts as answered: a dead contact needs no
+    # announcement and a dead neighbour has nothing to hand over; a joiner
+    # that died leaves every key it was sent to time out, unresolved, at its
+    # old root.
+    @on_deliver(MessageKind.ANNOUNCE_ACK)
+    @on_deliver(MessageKind.HANDOFF_DONE)
+    @on_timeout(MessageKind.ANNOUNCE)
+    @on_timeout(MessageKind.HANDOFF)
+    @on_timeout(MessageKind.HANDOFF_DONE)
+    def answered(self, net: "SimNetwork", node, msg: Message) -> None:
+        self.settle()
 
     def settle(self) -> None:
         self.pending -= 1
@@ -179,19 +221,31 @@ class RoutedOp(Operation):
     died, or every middle node when DIRECT; `reply_home` runs on path[0],
     and a walk that is not DIRECT runs `reply_at` on each node it passes. A
     forward timeout re-routes from the sender, whose repair dropped the dead
-    contact, while `may_retry` allows it.
+    contact, while `may_retry` allows it. A subclass that defines `message`
+    has `advance` and `timed_out` handle it, and one that defines `reply`
+    has `reply_arrived` and `reply_lost` handle that. Every subclass
+    supplies `at_root`, and one that replies supplies `reply_home`.
     """
 
     message: MessageKind
     reply: MessageKind
     DIRECT = False  # True: the reply goes from path[-1] straight to path[0]
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "message" in cls.__dict__:
+            on_deliver(cls.message)(cls.advance)
+            on_timeout(cls.message)(cls.timed_out)
+        if "reply" in cls.__dict__:
+            on_deliver(cls.reply)(cls.reply_arrived)
+            on_timeout(cls.reply)(cls.reply_lost)
+
     def __init__(self, key: int):
         super().__init__()
         self.key = key
         self.path: list[int] = []
 
-    def advance(self, net: "SimNetwork", node) -> None:
+    def advance(self, net: "SimNetwork", node, msg: Message | None = None) -> None:
         if not self.path or self.path[-1] != node.id:
             self.path.append(node.id)
         if self.arrive(net, node):
@@ -210,7 +264,7 @@ class RoutedOp(Operation):
         if nh in self.path:
             self.fail(self.failure(f"revisited {ids.to_hex(nh)}"))
         else:
-            net.post(node.id, nh, self.message, op=self)
+            net.send(node.id, nh, self.message, op=self)
 
     def timed_out(self, net: "SimNetwork", sender, msg: Message) -> None:
         if sender is None:
@@ -233,13 +287,31 @@ class RoutedOp(Operation):
                   data: dict[str, Any]) -> None:
         """Send the reply from path[index] on to path[index - 1], or to path[0] if DIRECT."""
         index = 0 if self.DIRECT else index - 1
-        net.post(from_id, self.path[index], self.reply, {**data, "index": index}, op=self)
+        net.send(from_id, self.path[index], self.reply, {**data, "index": index}, op=self)
+
+    def reply_arrived(self, net: "SimNetwork", node, msg: Message) -> None:
+        index = msg.data["index"]
+        if index == 0:
+            self.reply_home(net, node, msg.data)
+        else:
+            self.reply_at(net, node, msg.data)
+            self.pass_back(net, node.id, index, msg.data)
+
+    def reply_lost(self, net: "SimNetwork", sender, msg: Message) -> None:
+        # The receiver died: skip it and keep walking toward path[0].
+        index = msg.data["index"]
+        if sender is None:
+            self.fail(self.failure("lost its reply path"))
+        elif index == 0:
+            self.fail(self.failure("lost its requester during the reply"))
+        else:
+            self.pass_back(net, msg.from_id, index, msg.data)
 
     def record(self, metrics: "Metrics") -> None:
         failed = self.error is not None
         metrics.record_op(self.kind, hops=None if failed else self.hops(), failed=failed)
 
-    # Hooks for the kinds of request.
+    # Hooks with a default.
 
     def arrive(self, net: "SimNetwork", node) -> bool:
         """Runs on every node reached; False when the op was handled here."""
@@ -248,92 +320,12 @@ class RoutedOp(Operation):
     def next_hop(self, node) -> int:
         return node.next_hop(self.key)
 
-    def at_root(self, net: "SimNetwork", node) -> None:
-        raise NotImplementedError
-
     def failure(self, reason: str) -> Exception:
         return RoutingFailureError(f"{self.kind} to {ids.to_hex(self.key)} {reason}",
                                    partial_path=list(self.path))
 
     def hops(self) -> int | None:
         return len(self.path) - 1
-
-    def reply_home(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
-        raise NotImplementedError
-
-
-# A handler gets (net, node, msg, op). On delivery the node is the receiver;
-# on a timeout it is the sender, or None when the sender has departed too.
-# The op is None for a message that belongs to no operation.
-Handler = Callable[["SimNetwork", Any, Message, Optional[Operation]], None]
-
-_DELIVER: dict[MessageKind, Handler] = {}
-_TIMEOUT: dict[MessageKind, Handler] = {}
-
-
-def on_deliver(kind: MessageKind):
-    def wrap(fn: Handler) -> Handler:
-        _DELIVER[kind] = fn
-        return fn
-
-    return wrap
-
-
-def on_timeout(kind: MessageKind):
-    def wrap(fn: Handler) -> Handler:
-        _TIMEOUT[kind] = fn
-        return fn
-
-    return wrap
-
-
-def _walk_deliver(net: "SimNetwork", node, msg: Message, op: RoutedOp) -> None:
-    op.advance(net, node)
-
-
-def _walk_timeout(net: "SimNetwork", sender, msg: Message, op: RoutedOp) -> None:
-    op.timed_out(net, sender, msg)
-
-
-def _reply_deliver(net: "SimNetwork", node, msg: Message, op: RoutedOp) -> None:
-    index = msg.data["index"]
-    if index == 0:
-        op.reply_home(net, node, msg.data)
-    else:
-        op.reply_at(net, node, msg.data)
-        op.pass_back(net, node.id, index, msg.data)
-
-
-def _reply_timeout(net: "SimNetwork", sender, msg: Message, op: RoutedOp) -> None:
-    # The receiver died: skip it and keep walking toward path[0].
-    index = msg.data["index"]
-    if sender is None:
-        op.fail(op.failure("lost its reply path"))
-    elif index == 0:
-        op.fail(op.failure("lost its requester during the reply"))
-    else:
-        op.pass_back(net, msg.from_id, index, msg.data)
-
-
-for _kind in (MessageKind.ROUTE_STEP, MessageKind.JOIN, MessageKind.PUBLISH,
-              MessageKind.LOOKUP, MessageKind.REMOVE):
-    _DELIVER[_kind], _TIMEOUT[_kind] = _walk_deliver, _walk_timeout
-for _kind in (MessageKind.PUBLISH_ACK, MessageKind.LOOKUP_REPLY, MessageKind.REMOVE_REPLY,
-              MessageKind.JOIN_REPLY):
-    _DELIVER[_kind], _TIMEOUT[_kind] = _reply_deliver, _reply_timeout
-
-
-# The answers to a join's announcements and to a handoff's neighbour scans.
-# A silent node counts as answered: a dead contact needs no announcement and
-# a dead neighbour has nothing to hand over; a joiner that died leaves every
-# key it was sent to time out, unresolved, at its old root.
-@on_deliver(MessageKind.ANNOUNCE_ACK)
-@on_deliver(MessageKind.HANDOFF_DONE)
-@on_timeout(MessageKind.ANNOUNCE)
-@on_timeout(MessageKind.HANDOFF)
-@on_timeout(MessageKind.HANDOFF_DONE)
-def _answered(net: "SimNetwork", node, msg: Message, op: Operation) -> None:
-    op.settle()
 
 
 class Metrics:
@@ -545,29 +537,29 @@ class SimNetwork:
         low = config.latency_min
         return low + int.from_bytes(h.digest(), "big") % (config.latency_max - low)
 
-    def send(self, msg: Message) -> Message:
-        nodes, from_id = self.nodes, msg.from_id
+    def send(self, from_id: int, to_id: int, kind: MessageKind,
+             data: dict[str, Any] | None = None, op: Operation | None = None) -> Message:
+        """The one way into the transport: queue the message for delivery, or
+        for its timeout when the receiver has departed."""
+        nodes = self.nodes
         sender = nodes.get(from_id)
         if sender is None:
             raise NoSuchNodeError(f"unknown node {ids.to_hex(from_id)}")
         if sender.status is _DEPARTED:
             raise NoSuchNodeError("departed nodes cannot send")
         clock = self.clock
-        msg.deadline = deadline = clock + self.config.timeout
-        sent, kind = self.metrics.sent, msg.kind._value_  # _value_: no enum descriptor
-        sent[kind] = sent.get(kind, 0) + 1
-        receiver = nodes.get(msg.to_id)
+        deadline = clock + self.config.timeout
+        msg = Message(kind, from_id, to_id, data or {}, op, deadline)
+        sent, name = self.metrics.sent, kind._value_  # _value_: no enum descriptor
+        sent[name] = sent.get(name, 0) + 1
+        receiver = nodes.get(to_id)
         seq = self._seq = self._seq + 1
         if receiver is None or receiver.status is _DEPARTED:
             heapq.heappush(self._queue, (deadline, seq, "timeout", msg))
         else:
-            heapq.heappush(self._queue, (clock + self._latency(from_id, msg.to_id), seq,
+            heapq.heappush(self._queue, (clock + self._latency(from_id, to_id), seq,
                                          "deliver", msg))
         return msg
-
-    def post(self, from_id: int, to_id: int, kind: MessageKind,
-             data: dict[str, Any] | None = None, op: Operation | None = None) -> Message:
-        return self.send(Message(kind, from_id, to_id, data or {}, op))
 
     # --- event loop ---
 
@@ -599,7 +591,7 @@ class SimNetwork:
         # A message that belongs to an op does nothing once that op is over.
         op = msg.op
         if handler is not None and (op is None or not op.done):
-            handler(self, node, msg, op)
+            handler(op, self, node, msg)
         # The one eviction trigger besides the sweep: whatever a delivery
         # wrote, the receiver's store ends it within its capacity.
         if tag == "deliver" and (store := node.store).overflowing():

@@ -325,7 +325,7 @@ class LookupOp(RoutedOp):
         """Ask the next holder the trail names, or give up on the trail. The
         junction holding the trail is the last node of the path."""
         if self.fetch_targets:
-            net.post(junction.id, self.fetch_targets.pop(0), MessageKind.FETCH,
+            net.send(junction.id, self.fetch_targets.pop(0), MessageKind.FETCH,
                      {"key": self.key}, op=self)
             return
         # Every named holder came up empty: the association is stale. Churn
@@ -339,6 +339,43 @@ class LookupOp(RoutedOp):
             junction.store.delete(self.key)
         self.route_on(net, junction)
 
+    @on_deliver(MessageKind.FETCH)
+    def fetch_asked(self, net: SimNetwork, node, msg: Message) -> None:
+        entry = node.store.get(msg.data["key"])
+        payload = None
+        if entry is not None and entry.payload is not None:
+            node.store.hit(entry, net.clock)
+            payload = entry.payload
+        net.send(node.id, msg.from_id, MessageKind.FETCH_REPLY, {"payload": payload}, op=self)
+
+    @on_timeout(MessageKind.FETCH)
+    def fetch_lost(self, net: SimNetwork, junction, msg: Message) -> None:
+        if junction is None:
+            self.fail(self.failure("lost its junction during a fetch"))
+            return
+        self.fetch_hit_dead = True
+        self.fetch_next(net, junction)
+
+    @on_deliver(MessageKind.FETCH_REPLY)
+    def fetched(self, net: SimNetwork, node, msg: Message) -> None:
+        payload = msg.data["payload"]
+        if payload is None:
+            self.fetch_next(net, node)
+            return
+        # One write: a CACHE copy when caching is on, else the trail again if it expired.
+        entry = node.store.get(self.key)
+        if node.store.config.cache_on_lookup and (entry is None or entry.payload is None):
+            entry = node.store.put(self.key, self.name, Role.CACHE, payload, None, None,
+                                   net.clock)
+        elif entry is None:
+            entry = node.store.put(self.key, self.name, Role.TRAIL, None, None, None, net.clock)
+        # Serve from the junction whether or not it kept a copy.
+        self.serve(net, node, entry, payload)
+
+    @on_timeout(MessageKind.FETCH_REPLY)
+    def fetch_reply_lost(self, net: SimNetwork, holder, msg: Message) -> None:
+        self.fail(self.failure("lost its junction during a fetch"))
+
 
 def lookup(net: SimNetwork, client: int, name: str) -> tuple[ComponentPayload, int, int]:
     """Resolve name to its payload. Returns (payload, served_by, forward hops)."""
@@ -346,46 +383,6 @@ def lookup(net: SimNetwork, client: int, name: str) -> tuple[ComponentPayload, i
     if not result[0].verify():
         raise IntegrityError(f"served payload of {name!r} failed its digest check")
     return result
-
-
-@on_deliver(MessageKind.FETCH)
-def _fetch_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> None:
-    entry = node.store.get(msg.data["key"])
-    payload = None
-    if entry is not None and entry.payload is not None:
-        node.store.hit(entry, net.clock)
-        payload = entry.payload
-    net.post(node.id, msg.from_id, MessageKind.FETCH_REPLY, {"payload": payload}, op=op)
-
-
-@on_timeout(MessageKind.FETCH)
-def _fetch_timeout(net: SimNetwork, junction, msg: Message, op: LookupOp) -> None:
-    if junction is None:
-        op.fail(op.failure("lost its junction during a fetch"))
-        return
-    op.fetch_hit_dead = True
-    op.fetch_next(net, junction)
-
-
-@on_deliver(MessageKind.FETCH_REPLY)
-def _fetch_reply_deliver(net: SimNetwork, node, msg: Message, op: LookupOp) -> None:
-    payload = msg.data["payload"]
-    if payload is None:
-        op.fetch_next(net, node)
-        return
-    # One write: a CACHE copy when caching is on, else the trail again if it expired.
-    entry = node.store.get(op.key)
-    if node.store.config.cache_on_lookup and (entry is None or entry.payload is None):
-        entry = node.store.put(op.key, op.name, Role.CACHE, payload, None, None, net.clock)
-    elif entry is None:
-        entry = node.store.put(op.key, op.name, Role.TRAIL, None, None, None, net.clock)
-    # Serve from the junction whether or not it kept a copy.
-    op.serve(net, node, entry, payload)
-
-
-@on_timeout(MessageKind.FETCH_REPLY)
-def _fetch_reply_timeout(net: SimNetwork, holder, msg: Message, op: LookupOp) -> None:
-    op.fail(op.failure("lost its junction during a fetch"))
 
 
 # --------------------------------------------------------------------------
@@ -483,6 +480,14 @@ class TransferOp(Operation):
 
     start = move_roots  # a relinquish moves the leaver's own roots
 
+    @on_deliver(MessageKind.TRANSFER)
+    def take_root(self, net: SimNetwork, node, msg: Message) -> None:
+        data = msg.data
+        node.store.put(data["key"], data["name"], Role.ROOT, data["payload"],
+                       origin=data["origin"], root_hint=node.id, now=net.clock)
+        net.send(node.id, msg.from_id, MessageKind.TRANSFER_ACK, {"key": data["key"]}, op=self)
+
+    @on_timeout(MessageKind.TRANSFER)
     def transfer_lost(self, net: SimNetwork, sender, msg: Message) -> None:
         key = msg.data["key"]
         target = None
@@ -492,8 +497,9 @@ class TransferOp(Operation):
             self.unresolved.append(key)
             self.settle()
         else:
-            net.post(sender.id, target, MessageKind.TRANSFER, msg.data, op=self)
+            net.send(sender.id, target, MessageKind.TRANSFER, msg.data, op=self)
 
+    @on_deliver(MessageKind.TRANSFER_ACK)
     def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
         """The new root holds the key; `old_root` is None when the ack was lost."""
         key = msg.data["key"]
@@ -504,8 +510,10 @@ class TransferOp(Operation):
         self.transferred.append((key, msg.from_id))
         self.settle()
 
-    def next_target(self, sender, key: int) -> int | None:
-        raise NotImplementedError
+    @on_timeout(MessageKind.TRANSFER_ACK)
+    def ack_lost(self, net: SimNetwork, new_root, msg: Message) -> None:
+        # The copy exists; only the old root's demotion is lost, and it is gone.
+        self.acked(net, None, msg)
 
 
 class HandoffOp(TransferOp):
@@ -519,6 +527,12 @@ class HandoffOp(TransferOp):
     def start(self, net: SimNetwork, joiner) -> None:
         self.fan_out(net, joiner.id, MessageKind.HANDOFF,
                      [(member, None) for member in joiner.leaf_set.members()])
+
+    @on_deliver(MessageKind.HANDOFF)
+    def scan(self, net: SimNetwork, node, msg: Message) -> None:
+        """A leaf neighbour of the joiner moves the roots the joiner now holds."""
+        self.move_roots(net, node)
+        net.send(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=self)
 
     def next_target(self, old_root, key: int) -> int | None:
         """The joiner, when it is closer to `key` than the old root is."""
@@ -558,12 +572,6 @@ def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]
     return sorted(key for key, _ in op.transferred), sorted(op.unresolved)
 
 
-@on_deliver(MessageKind.HANDOFF)
-def _handoff_deliver(net: SimNetwork, node, msg: Message, op: HandoffOp) -> None:
-    op.move_roots(net, node)
-    net.post(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=op)
-
-
 def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list[int]]:
     """Before a graceful departure, move every ROOT entry to its next root,
     chosen as the leaf member closest to the key; the leaver keeps each moved
@@ -572,26 +580,3 @@ def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list
     op = RelinquishOp()
     op.run(net, node)
     return op.transferred, sorted(op.unresolved)
-
-
-@on_deliver(MessageKind.TRANSFER)
-def _transfer_deliver(net: SimNetwork, node, msg: Message, op: TransferOp) -> None:
-    node.store.put(msg.data["key"], msg.data["name"], Role.ROOT, msg.data["payload"],
-                   origin=msg.data["origin"], root_hint=node.id, now=net.clock)
-    net.post(node.id, msg.from_id, MessageKind.TRANSFER_ACK, {"key": msg.data["key"]}, op=op)
-
-
-@on_timeout(MessageKind.TRANSFER)
-def _transfer_timeout(net: SimNetwork, sender, msg: Message, op: TransferOp) -> None:
-    op.transfer_lost(net, sender, msg)
-
-
-@on_deliver(MessageKind.TRANSFER_ACK)
-def _transfer_ack_deliver(net: SimNetwork, old_root, msg: Message, op: TransferOp) -> None:
-    op.acked(net, old_root, msg)
-
-
-@on_timeout(MessageKind.TRANSFER_ACK)
-def _transfer_ack_timeout(net: SimNetwork, new_root, msg: Message, op: TransferOp) -> None:
-    # The copy exists; only the old root's demotion is lost, and it is gone.
-    op.acked(net, None, msg)

@@ -99,9 +99,9 @@ def lookup_past_an_expired_trail(monkeypatch, cache_on_lookup: bool):
     original = simnet._DELIVER[MessageKind.FETCH_REPLY]
     on_reply = []
 
-    def deliver(net, node, msg, op):
+    def deliver(op, net, node, msg):
         before = node.store.get(key)
-        original(net, node, msg, op)
+        original(op, net, node, msg)
         on_reply.append((before, node.store.get(key)))
 
     monkeypatch.setitem(simnet._DELIVER, MessageKind.FETCH_REPLY, deliver)

@@ -118,13 +118,57 @@ def test_every_routed_reply_walks_through_the_one_reply_handler():
     assert sorted(r.value for r in replies) == [
         "JOIN_REPLY", "LOOKUP_REPLY", "PUBLISH_ACK", "REMOVE_REPLY"]
     for reply in replies:
-        assert simnet._DELIVER[reply] is simnet._reply_deliver
-        assert simnet._TIMEOUT[reply] is simnet._reply_timeout
+        assert simnet._DELIVER[reply] is simnet.RoutedOp.reply_arrived
+        assert simnet._TIMEOUT[reply] is simnet.RoutedOp.reply_lost
 
 
 # Kinds sent outside any op: nothing waits for them, so a lost one needs no
 # handler.
 WITHOUT_OP = {MessageKind.GOODBYE, MessageKind.REPAIR, MessageKind.REPAIR_REPLY}
+
+
+def operation_classes() -> dict[str, type]:
+    """Every Operation subclass, Operation included, by class name."""
+    found, classes = {}, [simnet.Operation]
+    while classes:
+        cls = classes.pop()
+        found[cls.__name__] = cls
+        classes += cls.__subclasses__()
+    return found
+
+
+def test_every_message_of_an_op_is_handled_by_a_method_of_its_op():
+    ops = operation_classes()
+    for kind in set(MessageKind) - WITHOUT_OP:
+        for handlers in (simnet._DELIVER, simnet._TIMEOUT):
+            owner, _, name = handlers[kind].__qualname__.rpartition(".")
+            assert owner in ops, (kind, handlers[kind].__qualname__)
+            assert getattr(ops[owner], name) is handlers[kind]
+    for kind in WITHOUT_OP:
+        assert "." not in simnet._DELIVER[kind].__qualname__
+    routed = [cls for cls in ops.values() if issubclass(cls, simnet.RoutedOp)]
+    for cls in routed:
+        if "message" in vars(cls):
+            assert simnet._DELIVER[cls.message] is cls.advance
+            assert simnet._TIMEOUT[cls.message] is cls.timed_out
+        if "reply" in vars(cls):
+            assert simnet._DELIVER[cls.reply] is cls.reply_arrived
+            assert simnet._TIMEOUT[cls.reply] is cls.reply_lost
+
+
+@pytest.mark.parametrize("register, table", [
+    (simnet.on_deliver, "_DELIVER"), (simnet.on_timeout, "_TIMEOUT")])
+def test_a_second_handler_for_a_kind_is_refused(register, table, monkeypatch):
+    # A copy stands in for the table, so a registration that got through
+    # would not outlive the test.
+    handlers = dict(getattr(simnet, table))
+    monkeypatch.setattr(simnet, table, handlers)
+    before = dict(handlers)
+    with pytest.raises(ValueError, match="^FETCH is handled by LookupOp.fetch_"):
+        register(MessageKind.FETCH)(lambda op, net, node, msg: None)
+    with pytest.raises(ValueError, match="^LOOKUP is handled by RoutedOp.advance"):
+        type("LookupAgain", (simnet.RoutedOp,), {"message": MessageKind.LOOKUP})
+    assert handlers == before
 
 
 def test_every_message_kind_sent_in_an_op_has_a_timeout_handler():

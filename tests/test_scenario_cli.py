@@ -96,6 +96,7 @@ def test_parse_good_scenario():
     ("join a/b", "bad node name"),
     ("create 2\nlookup n0 -x", "bad bundle name"),
     ("create 2\nassert installed(n0)", "needs (node,bundle)"),
+    ("create 2\nassert active(n0, x.jar)", "cannot parse predicate"),
     ("create 2\nassert speed > 1", "unknown assert term"),
     ("create 2\nassert hops(n0) == 1", "takes the literal 'lookup'"),
     ("create 2\nassert replicas() == 1", "needs a bundle name"),
@@ -322,7 +323,7 @@ def test_a_one_node_workload_publishes_from_its_only_node(tmp_path):
 
 
 @pytest.mark.parametrize("predicate, detail", [
-    ("active(n0, x.jar)", "state is absent"),
+    ("installed(n0, x.jar)", "state is absent"),
     ("hops(lookup) == 1", "hops has no value yet"),
 ])
 def test_an_assert_on_a_fact_that_does_not_hold_fails_the_run(tmp_path, predicate, detail):
@@ -494,6 +495,22 @@ def test_cli_seed_precedence(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PEERDEPLOY_SEED", value)
         assert main(["run", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+def test_cli_rejects_a_negative_seed_as_the_seed_line_does(tmp_path, capsys):
+    # Random(-5) draws Random(5)'s stream, so a negative seed would reuse
+    # another seed's random ids.
+    path = tmp_path / "s.scenario"
+    path.write_text("create 2\n")
+    for extra in ([], ["--random-ids"]):
+        assert main(["run", str(path), "--seed", "-5", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "peerdeploy: --seed must be >= 0\n"
+    path.write_text("seed -5\ncreate 2\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("seed must be >= 0\n")
+    assert main(["run", str(path), "--seed", "0"]) == 2  # the file is checked all the same
 
 
 def test_cli_replay_is_byte_identical(tmp_path):

@@ -188,7 +188,7 @@ def record_timeouts(monkeypatch, kind):
     """Record (clock, receiver) for each timeout of `kind`."""
     seen = []
     monkeypatch.setitem(simnet._TIMEOUT, kind,
-                        lambda net, node, msg, op: seen.append((net.clock, msg.to_id)))
+                        lambda op, net, node, msg: seen.append((net.clock, msg.to_id)))
     return seen
 
 
@@ -198,7 +198,7 @@ def test_send_from_an_unknown_id_raises_as_node_does(quiet_ring):
     assert unknown not in net.nodes
     sent = dict(net.metrics.sent)
     with pytest.raises(NoSuchNodeError) as caught:
-        net.post(unknown, receiver, MessageKind.REPAIR)
+        net.send(unknown, receiver, MessageKind.REPAIR)
     assert str(caught.value) == f"unknown node {unknown:032x}"
     with pytest.raises(NoSuchNodeError) as by_lookup:
         net.node(unknown)
@@ -211,7 +211,7 @@ def test_send_from_a_departed_node_raises_and_counts_nothing(quiet_ring):
     net.fail(sender)
     sent = dict(net.metrics.sent)
     with pytest.raises(NoSuchNodeError) as caught:
-        net.post(sender, receiver, MessageKind.REPAIR)
+        net.send(sender, receiver, MessageKind.REPAIR)
     assert str(caught.value) == "departed nodes cannot send"
     assert net.metrics.sent == sent and not net._queue
 
@@ -220,7 +220,7 @@ def test_message_to_a_departed_node_times_out_at_its_deadline(quiet_ring, monkey
     net, sender, receiver, *_ = quiet_ring
     net.fail(receiver)
     seen = record_timeouts(monkeypatch, MessageKind.REPAIR)
-    msg = net.post(sender, receiver, MessageKind.REPAIR)
+    msg = net.send(sender, receiver, MessageKind.REPAIR)
     assert msg.deadline == net.clock + net.config.timeout
     net.run_until_quiescent()
     assert seen == [(msg.deadline, receiver)]
@@ -235,7 +235,7 @@ def test_receiver_that_dies_in_flight_times_out_at_the_later_of_deadline_and_clo
     def queued():
         return [(time, tag) for time, _, tag, _ in net._queue]
 
-    first = net.post(sender, receiver, MessageKind.REPAIR)
+    first = net.send(sender, receiver, MessageKind.REPAIR)
     net.fail(receiver)
     net._step()  # the delivery finds the receiver gone
     # It landed before the deadline, which the timeout keeps.
@@ -243,7 +243,7 @@ def test_receiver_that_dies_in_flight_times_out_at_the_later_of_deadline_and_clo
     net.run_until_quiescent()
     assert seen == [(first.deadline, receiver)]
     # With the clock moved by hand past the deadline, the clock is kept.
-    second = net.post(sender, other, MessageKind.REPAIR)
+    second = net.send(sender, other, MessageKind.REPAIR)
     net.fail(other)
     net.clock = late = second.deadline + 7
     net._step()

@@ -270,7 +270,7 @@ def test_join_recontacts_a_dead_bootstrap_until_it_gives_up(monkeypatch):
     bootstrap = net.live_ids()[0]
     # A repair request already in flight lands before the join request does;
     # the bootstrap dies at that moment.
-    net.post(names["n2"], names["n3"], MessageKind.REPAIR)
+    net.send(names["n2"], names["n3"], MessageKind.REPAIR)
     kill_on_delivery(monkeypatch, net, MessageKind.REPAIR, lambda msg: bootstrap)
     with pytest.raises(BootstrapUnreachableError):
         join(net, derive_key("x8.jar"), bootstrap, name="late")
@@ -294,7 +294,7 @@ def test_route_to_a_dead_first_hop_fails_after_0_retries():
 def test_join_to_a_dead_bootstrap_fails_after_3_retries(monkeypatch):
     net, names = build_network(64, seed=4)
     bootstrap = net.live_ids()[0]
-    net.post(names["n2"], names["n3"], MessageKind.REPAIR)
+    net.send(names["n2"], names["n3"], MessageKind.REPAIR)
     kill_on_delivery(monkeypatch, net, MessageKind.REPAIR, lambda msg: bootstrap)
     with pytest.raises(BootstrapUnreachableError) as err:
         join(net, derive_key("x8.jar"), bootstrap, name="late")

@@ -7,17 +7,17 @@ seeds 42, 1 and 7, with hashed and with random ids; the sha1 of the metrics
 document of a runner workload (`create 1024`, `workload zipf 1024 3000 1000
 1.0`, seed 42, about 5 s), which pins every bundle's root and the replica
 sample; the exit code and the sha1 of stderr of `peerdeploy run` on each of
-a fixed list of invalid
-scenarios (text errors, every kind of descriptor-file error, and a file with
-both); the exit code and the sha1 of `peerdeploy stats` on every
-tests/golden/*.json; the sha1 of
-`repo.resolve` on every bundle of 300 seeded random indexes (cycles, shared
-exports, mixed versions, unexported imports), which pins install order; then
-for every perfbench workload at seeds 201 and 305 the `perfbench/run.py
---trace 1` fingerprint, failed count and every per-layer metric that is not a
-timing. CHECKOUT
-defaults to the checkout this script sits in. Run it in two checkouts and
-diff the outputs: an empty diff means the two behave alike on these runs.
+a fixed list of invalid scenarios (text errors, every kind of
+descriptor-file error, and a file with both); the exit code and the sha1 of
+`peerdeploy stats` on each golden document STATS_DOCUMENTS names (a fixed
+list, so adding a golden document moves no line; a listed one that is absent
+prints a `missing` line); the sha1 of `repo.resolve` on every bundle of 300
+seeded random indexes (cycles, shared exports, mixed versions, unexported
+imports), which pins install order; then for every perfbench workload at
+seeds 201 and 305 the `perfbench/run.py --trace 1` fingerprint, failed count
+and every per-layer metric that is not a timing. CHECKOUT defaults to the
+checkout this script sits in. Run it in two checkouts and diff the outputs:
+an empty diff means the two behave alike on these runs.
 Uses only the standard library; perfbench runs as a subprocess, unchanged.
 """
 
@@ -36,6 +36,9 @@ SCENARIO_SEEDS = (42, 1, 7)
 WORKLOAD_SCENARIO = "create 1024\nworkload zipf 1024 3000 1000 1.0\n"
 WORKLOAD_SEED = 42
 WORKLOADS = ("zipf_fetch", "churn_deploy", "idle_expiry")
+STATS_DOCUMENTS = tuple(f"tests/golden/{name}.json" for name in (
+    "churn_fail", "every_verb", "every_verb.random-ids", "faults", "handoff.random-ids",
+    "sample", "sample.seed1", "sample.seed7", "zipf_advance"))
 BENCH_SEEDS = (201, 305)
 # Runs the CLI from the checkout's own sources, whatever else is installed.
 CLI = ("import sys; sys.path.insert(0, {src!r}); from peerdeploy.cli import main; "
@@ -157,9 +160,11 @@ def invalid_line(root: Path, name: str) -> str:
             f"sha1 {hashlib.sha1(stderr).hexdigest()}")
 
 
-def stats_line(root: Path, document: Path) -> str:
-    done = subprocess.run(cli(root, "stats", str(document)), cwd=root, capture_output=True)
-    return (f"stats {document.relative_to(root)} exit {done.returncode} "
+def stats_line(root: Path, document: str) -> str:
+    if not (root / document).is_file():
+        return f"stats {document} missing"
+    done = subprocess.run(cli(root, "stats", document), cwd=root, capture_output=True)
+    return (f"stats {document} exit {done.returncode} "
             f"sha1 {hashlib.sha1(done.stdout).hexdigest()}")
 
 
@@ -196,7 +201,7 @@ def main(argv: list[str]) -> int:
     print(workload_line(root), flush=True)
     for name in INVALID:
         print(invalid_line(root, name), flush=True)
-    for document in sorted(root.glob("tests/golden/*.json")):
+    for document in STATS_DOCUMENTS:
         print(stats_line(root, document), flush=True)
     print(resolve_line(root), flush=True)
     for workload in WORKLOADS:
