@@ -21,22 +21,23 @@ from .simnet import (
     on_deliver,
     on_timeout,
 )
-from .store import NodeStore, StoreConfig, handoff_on_join, relinquish_roots
+from .store import NodeStore, handoff_on_join, relinquish_roots
 
 _LIVE = NodeStatus.LIVE  # a global read; the enum class attribute costs ten times more
 
 
 class OverlayNode:
-    """One participant: routing state plus its component store."""
+    """One participant: routing state plus its component store, bound to the
+    network it lives in. Its store takes that network's store settings."""
 
-    def __init__(self, node_id: int, name: str | None = None,
-                 store_config: StoreConfig | None = None):
+    def __init__(self, net: SimNetwork, node_id: int, name: str | None = None):
+        self.net = net
         self.id = node_id
         self.name = name if name is not None else ids.to_hex(node_id)
         self.status = NodeStatus.JOINING
         self.leaf_set = LeafSet(node_id)
         self.routing_table = RoutingTable(node_id)
-        self.store = NodeStore(store_config)
+        self.store = NodeStore(net.store_config)
         # Contacts observe has passed to learn since the routing state last
         # lost an entry: without a removal learn is idempotent (a full leaf
         # side only gets nearer, a taken table cell stays taken). forget and
@@ -59,12 +60,12 @@ class OverlayNode:
         in_table = self.routing_table.insert(candidate)
         return in_leaf or in_table
 
-    def learn_live(self, net: SimNetwork, candidates) -> bool:
+    def learn_live(self, candidates) -> bool:
         """Learn every candidate that is a live node other than this one;
         True when that changed the routing state."""
         changed = False
         for cand in candidates:
-            changed = self.observe(net, cand) or changed
+            changed = self.observe(cand) or changed
         return changed
 
     def forget(self, dead_id: int) -> bool:
@@ -73,20 +74,20 @@ class OverlayNode:
         in_table = self.routing_table.remove(dead_id)
         return in_leaf or in_table
 
-    def observe(self, net: SimNetwork, contact: int) -> bool:
+    def observe(self, contact: int) -> bool:
         """Learn `contact` if it is a live node other than this one; True when
         that changed the routing state. Every delivered message advertises
         its sender through here."""
         offered = self._offered
         if contact in offered:
             return False
-        peer = net.nodes.get(contact)
+        peer = self.net.nodes.get(contact)
         if contact == self.id or peer is None or peer.status is not _LIVE:
             return False
         offered.add(contact)
         return self.learn(contact)
 
-    def repair(self, net: SimNetwork, dead_id: int) -> None:
+    def repair(self, dead_id: int) -> None:
         """Drop a contact that timed out; losing a leaf member triggers a
         refill request toward the remaining extremes."""
         self._offered.clear()
@@ -99,7 +100,7 @@ class OverlayNode:
             # Whole leaf set gone; fall back on table contacts for a refill.
             targets = self.routing_table.entries()[:2]
         for target in targets:
-            net.send(self.id, target, MessageKind.REPAIR)
+            self.net.send(self.id, target, MessageKind.REPAIR)
 
 
 # --------------------------------------------------------------------------
@@ -111,14 +112,14 @@ class RouteOp(RoutedOp):
     message = MessageKind.ROUTE_STEP
     TRIES = 1  # the caller decides whether to retry
 
-    def at_root(self, net: SimNetwork, node: OverlayNode) -> None:
+    def at_root(self, node: OverlayNode) -> None:
         self.complete(list(self.path))
 
 
 def route(net: SimNetwork, start: int, k: int) -> list[int]:
     """Follow next_hop from start until some node names itself. The endpoint
     is the key's root. A mid-route timeout raises with the partial path."""
-    return RouteOp(k).run(net, net.live_node(start))
+    return RouteOp(k).run(net.live_node(start))
 
 
 # --------------------------------------------------------------------------
@@ -150,12 +151,12 @@ class JoinOp(RoutedOp):
         self.candidates: set[int] = set()
         self.announced: list[int] = []
 
-    def arrive(self, net: SimNetwork, node: OverlayNode) -> bool:
+    def arrive(self, node: OverlayNode) -> bool:
         if node.id == self.key:
             if self.bootstrap is None:
                 self.complete(None)  # the first node: no ring to join yet
             else:
-                self.forward(net, node, self.bootstrap)
+                self.forward(node, self.bootstrap)
             return False
         self.candidates.add(node.id)
         # Rows 0..r of this node's table all hold ids agreeing with the joiner
@@ -174,25 +175,25 @@ class JoinOp(RoutedOp):
             nh = node.next_hop(self.key)
         return nh
 
-    def at_root(self, net: SimNetwork, node: OverlayNode) -> None:
+    def at_root(self, node: OverlayNode) -> None:
         self.candidates.update(node.leaf_set.members())
-        self.reply_from(net, node, {})
+        self.reply_from(node, {})
 
-    def reply_home(self, net: SimNetwork, joiner: OverlayNode, data: dict) -> None:
-        joiner.learn_live(net, sorted(self.candidates))
+    def reply_home(self, joiner: OverlayNode, data: dict) -> None:
+        joiner.learn_live(sorted(self.candidates))
         self.announced = joiner.known_contacts()
-        self.fan_out(net, joiner.id, MessageKind.ANNOUNCE,
+        self.fan_out(joiner.id, MessageKind.ANNOUNCE,
                      [(contact, None) for contact in self.announced])
 
     @on_deliver(MessageKind.ANNOUNCE)
-    def adopt_joiner(self, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
+    def adopt_joiner(self, node: OverlayNode, msg: Message) -> None:
         # The sender is still JOINING, so passive observation skipped it; an
         # announcement is the explicit instruction to adopt it.
         node.learn(msg.from_id)
-        net.send(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK, op=self)
+        self.net.send(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK, op=self)
 
     @on_timeout(MessageKind.ANNOUNCE_ACK)
-    def joiner_lost(self, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
+    def joiner_lost(self, node: OverlayNode, msg: Message) -> None:
         self.fail(self.failure("lost the joiner before its ANNOUNCE_ACK"))
 
     def failure(self, reason: str) -> Exception:
@@ -220,11 +221,11 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
                 "a bootstrap contact is required unless the network is empty")
     elif (boot := net.nodes.get(bootstrap)) is None or boot.status is not NodeStatus.LIVE:
         raise BootstrapUnreachableError(f"bootstrap {ids.to_hex(bootstrap)} is not live")
-    node = OverlayNode(new_id, name=name, store_config=net.store_config)
+    node = OverlayNode(net, new_id, name=name)
     net.register(node)
     op = JoinOp(new_id, bootstrap)
     try:
-        op.run(net, node)
+        op.run(node)
     except Exception:
         # The id never became LIVE; leave it departed so stale references
         # aimed at it clean up through the normal timeout path.
@@ -232,7 +233,7 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
         raise
     net.set_status(node, NodeStatus.LIVE)
     # The first node has no neighbour to take keys from.
-    transferred, unresolved = handoff_on_join(net, new_id) if bootstrap is not None else ([], [])
+    transferred, unresolved = handoff_on_join(node) if bootstrap is not None else ([], [])
     return JoinReport(new_id, bootstrap, op.path[1:], list(op.announced),
                       transferred, unresolved)
 
@@ -259,7 +260,7 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
     """
     node = net.live_node(node_id)
     if graceful:
-        transferred, unresolved = relinquish_roots(net, node)
+        transferred, unresolved = relinquish_roots(node)
         members = node.leaf_set.members()
         for contact in node.known_contacts():
             net.send(node_id, contact, MessageKind.GOODBYE, {"members": members})
@@ -273,9 +274,9 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
 
 
 @on_deliver(MessageKind.GOODBYE)
-def _goodbye_deliver(op: None, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
+def _goodbye_deliver(op: None, node: OverlayNode, msg: Message) -> None:
     node.forget(msg.from_id)
-    node.learn_live(net, msg.data["members"])
+    node.learn_live(msg.data["members"])
 
 
 # --------------------------------------------------------------------------
@@ -283,12 +284,11 @@ def _goodbye_deliver(op: None, net: SimNetwork, node: OverlayNode, msg: Message)
 
 
 @on_deliver(MessageKind.REPAIR)
-def _repair_deliver(op: None, net: SimNetwork, node: OverlayNode, msg: Message) -> None:
-    net.send(node.id, msg.from_id, MessageKind.REPAIR_REPLY,
-             {"members": node.leaf_set.members()})
+def _repair_deliver(op: None, node: OverlayNode, msg: Message) -> None:
+    node.net.send(node.id, msg.from_id, MessageKind.REPAIR_REPLY,
+                  {"members": node.leaf_set.members()})
 
 
 @on_deliver(MessageKind.REPAIR_REPLY)
-def _repair_reply_deliver(op: None, net: SimNetwork, node: OverlayNode,
-                          msg: Message) -> None:
-    node.learn_live(net, msg.data["members"])
+def _repair_reply_deliver(op: None, node: OverlayNode, msg: Message) -> None:
+    node.learn_live(msg.data["members"])

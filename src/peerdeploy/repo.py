@@ -14,7 +14,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from . import store as _store
 from .errors import (
@@ -39,33 +39,16 @@ from .store import ComponentPayload, PublishTrail
 # URIs
 
 
-@dataclass(frozen=True)
-class P2pUri:
-    bundle_name: str
-
-    def __str__(self) -> str:
-        return f"p2p://{self.bundle_name}"
-
-
-@dataclass(frozen=True)
-class PassthroughUri:
-    """Any non-p2p scheme; kept verbatim for whoever handles it upstream."""
-
-    text: str
-    scheme: str
-
-
-def parse_uri(text: str) -> Union[P2pUri, PassthroughUri]:
+def parse_uri(text: str) -> tuple[str, str]:
+    """Split `scheme://rest`. Any scheme passes; a p2p rest is one bundle name."""
     scheme, sep, rest = text.partition("://")
     if not sep or not scheme:
         raise MalformedUriError(f"not a scheme://name reference: {text!r}")
-    if scheme != "p2p":
-        return PassthroughUri(text=text, scheme=scheme)
-    if not rest:
+    if scheme == "p2p" and not rest:
         raise MalformedUriError("p2p URI with an empty bundle name")
-    if "/" in rest:
+    if scheme == "p2p" and "/" in rest:
         raise MalformedUriError(f"bundle name may not contain '/': {rest!r}")
-    return P2pUri(rest)
+    return scheme, rest
 
 
 # --------------------------------------------------------------------------
@@ -435,11 +418,10 @@ class InstallReport:
 
 def install(gw: GatewayState, net: SimNetwork, uri_text: str) -> InstallReport:
     """Fetch and install a bundle and everything it transitively imports."""
-    uri = parse_uri(uri_text)
-    if isinstance(uri, PassthroughUri):
-        raise UnsupportedUriError(
-            f"cannot install from {uri.scheme!r} URIs, only p2p://")
-    order = resolve(gw.index, uri.bundle_name, gw.base_exports)
+    scheme, bundle = parse_uri(uri_text)
+    if scheme != "p2p":
+        raise UnsupportedUriError(f"cannot install from {scheme!r} URIs, only p2p://")
+    order = resolve(gw.index, bundle, gw.base_exports)
     newly: list[str] = []
     skipped: list[str] = []
     for group in order:
@@ -453,7 +435,7 @@ def install(gw: GatewayState, net: SimNetwork, uri_text: str) -> InstallReport:
                 payload, _served_by, _hops = _store.lookup(net, gw.node_id, name)
             except (NotFoundError, UnavailableError, LookupFailedError) as exc:
                 raise InstallError(
-                    f"installing {uri.bundle_name!r} failed: dependency {name!r} "
+                    f"installing {bundle!r} failed: dependency {name!r} "
                     f"could not be fetched ({exc})", failed_dependency=name) from exc
             if payload.digest != descriptor.digest:
                 raise IntegrityError(
@@ -462,7 +444,7 @@ def install(gw: GatewayState, net: SimNetwork, uri_text: str) -> InstallReport:
             gw.artifacts[name] = payload
             gw.installed[name] = LifecycleState.INSTALLED
             newly.append(name)
-    return InstallReport(requested=uri.bundle_name, order=order,
+    return InstallReport(requested=bundle, order=order,
                          installed=newly, skipped=skipped)
 
 

@@ -32,7 +32,6 @@ from .errors import (
 from .ids import derive_key, ring_root, to_hex
 from .repo import (
     GatewayState,
-    PassthroughUri,
     RepositoryIndex,
     describe_payload,
     load_index,
@@ -256,13 +255,13 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
 
         elif verb == "install":
             try:
-                uri = parse_uri(rest[1])
+                scheme, bundle = parse_uri(rest[1])
             except MalformedUriError as exc:
                 raise ScenarioParseError(str(exc), line=lineno) from exc
-            if isinstance(uri, PassthroughUri):
+            if scheme != "p2p":
                 raise ScenarioParseError(
-                    f"install handles only p2p:// URIs, not {uri.scheme!r}", line=lineno)
-            args = (rest[0], uri.bundle_name)
+                    f"install handles only p2p:// URIs, not {scheme!r}", line=lineno)
+            args = (rest[0], bundle)
 
         elif verb in ("lookup", "remove"):
             args = (rest[0], _check_name(rest[1], lineno, "bundle name"))

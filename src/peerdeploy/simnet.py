@@ -87,11 +87,12 @@ class Message:
     deadline: int
 
 
-# A handler gets (op, net, node, msg), so a method of the op's class is one.
-# On delivery the node is the receiver; on a timeout it is the sender, or
-# None when the sender has departed too. The op is None for a message that
-# belongs to no operation. Each kind has at most one handler of each sort.
-Handler = Callable[[Optional["Operation"], "SimNetwork", Any, Message], None]
+# A handler gets (op, node, msg), so a method of the op's class is one; both
+# reach the network as `op.net` and `node.net`. On delivery the node is the
+# receiver; on a timeout it is the sender, or None when the sender has
+# departed too. The op is None for a message that belongs to no operation.
+# Each kind has at most one handler of each sort.
+Handler = Callable[[Optional["Operation"], Any, Message], None]
 
 _DELIVER: dict[MessageKind, Handler] = {}
 _TIMEOUT: dict[MessageKind, Handler] = {}
@@ -117,7 +118,8 @@ def on_timeout(kind: MessageKind):
 
 class Operation:
     """Bookkeeping for one protocol exchange (route, publish, ...). `run`
-    starts it through `start` and drains the event queue; its messages carry
+    starts it through `start` in the network of its first node, which it
+    reaches as `self.net`, and drains the event queue; its messages carry
     it, and methods of its class handle them. It ends once, through
     `complete` or `fail`: both call `end`, which drops it from `net.ops` (the
     open ops) and counts it. An op awaits answers only through `fan_out`,
@@ -140,33 +142,33 @@ class Operation:
         self.pending = 0
         self.lost: dict[int, int] | None = None  # made at the first loss
 
-    def run(self, net: "SimNetwork", node) -> Any:
+    def run(self, node) -> Any:
         """Start the op at `node` and drain the event queue; by then it has ended, or stalled."""
-        net.new_op(self)
-        self.start(net, node)
-        net.run_until_quiescent()
+        node.net.new_op(self)
+        self.start(node)
+        self.net.run_until_quiescent()
         if not self.done:
             self.fail(LivelockSuspectedError(f"{self.kind} stalled with an empty event queue"))
         if self.error is not None:
             raise self.error
         return self.result
 
-    def tries(self, net: "SimNetwork") -> int:
-        return net.config.retries + 1 if self.TRIES is None else self.TRIES
+    def tries(self) -> int:
+        return self.net.config.retries + 1 if self.TRIES is None else self.TRIES
 
-    def may_retry(self, net: "SimNetwork", key: int) -> bool:
+    def may_retry(self, key: int) -> bool:
         """Count one more loss for `key`; True while the op may send it again."""
         lost = self.lost = self.lost or {}
         lost[key] = lost.get(key, 0) + 1
-        return lost[key] < self.tries(net)
+        return lost[key] < self.tries()
 
-    def fan_out(self, net: "SimNetwork", sender: int, kind: MessageKind,
+    def fan_out(self, sender: int, kind: MessageKind,
                 sends: list[tuple[int, dict[str, Any] | None]]) -> None:
         """Send `kind` from `sender` per (target, data) pair, adding one awaited
         answer each; an op that then awaits none is complete."""
         self.pending += len(sends)
         for target, data in sends:
-            net.send(sender, target, kind, data, op=self)
+            self.net.send(sender, target, kind, data, op=self)
         if self.pending == 0:
             self.complete(None)
 
@@ -180,7 +182,7 @@ class Operation:
     @on_timeout(MessageKind.ANNOUNCE)
     @on_timeout(MessageKind.HANDOFF)
     @on_timeout(MessageKind.HANDOFF_DONE)
-    def answered(self, net: "SimNetwork", node, msg: Message) -> None:
+    def answered(self, node, msg: Message) -> None:
         self.settle()
 
     def settle(self) -> None:
@@ -224,7 +226,7 @@ class RoutedOp(Operation):
     contact, while `may_retry` allows it. A subclass that defines `message`
     has `advance` and `timed_out` handle it, and one that defines `reply`
     has `reply_arrived` and `reply_lost` handle that. Every subclass
-    supplies `at_root`, and one that replies supplies `reply_home`.
+    supplies `at_root(node)`, and one that replies `reply_home(node, data)`.
     """
 
     message: MessageKind
@@ -245,59 +247,58 @@ class RoutedOp(Operation):
         self.key = key
         self.path: list[int] = []
 
-    def advance(self, net: "SimNetwork", node, msg: Message | None = None) -> None:
+    def advance(self, node, msg: Message | None = None) -> None:
         if not self.path or self.path[-1] != node.id:
             self.path.append(node.id)
-        if self.arrive(net, node):
-            self.route_on(net, node)
+        if self.arrive(node):
+            self.route_on(node)
 
     start = advance  # a routed op starts with its first step, at its origin
 
-    def route_on(self, net: "SimNetwork", node) -> None:
+    def route_on(self, node) -> None:
         nh = self.next_hop(node)
         if nh == node.id:
-            self.at_root(net, node)
+            self.at_root(node)
         else:
-            self.forward(net, node, nh)
+            self.forward(node, nh)
 
-    def forward(self, net: "SimNetwork", node, nh: int) -> None:
+    def forward(self, node, nh: int) -> None:
         if nh in self.path:
             self.fail(self.failure(f"revisited {ids.to_hex(nh)}"))
         else:
-            net.send(node.id, nh, self.message, op=self)
+            self.net.send(node.id, nh, self.message, op=self)
 
-    def timed_out(self, net: "SimNetwork", sender, msg: Message) -> None:
+    def timed_out(self, sender, msg: Message) -> None:
         if sender is None:
             self.fail(self.failure("lost a path node"))
-        elif not self.may_retry(net, self.key):
+        elif not self.may_retry(self.key):
             self.fail(self.failure(f"timed out at {ids.to_hex(msg.to_id)} "
-                                   f"after {self.tries(net) - 1} retries"))
+                                   f"after {self.tries() - 1} retries"))
         else:
-            self.advance(net, sender)
+            self.advance(sender)
 
-    def reply_from(self, net: "SimNetwork", node, data: dict[str, Any]) -> None:
+    def reply_from(self, node, data: dict[str, Any]) -> None:
         """Start the reply at the last node of the path."""
         index = len(self.path) - 1
         if index == 0:
-            self.reply_home(net, node, data)
+            self.reply_home(node, data)
         else:
-            self.pass_back(net, node.id, index, data)
+            self.pass_back(node.id, index, data)
 
-    def pass_back(self, net: "SimNetwork", from_id: int, index: int,
-                  data: dict[str, Any]) -> None:
+    def pass_back(self, from_id: int, index: int, data: dict[str, Any]) -> None:
         """Send the reply from path[index] on to path[index - 1], or to path[0] if DIRECT."""
         index = 0 if self.DIRECT else index - 1
-        net.send(from_id, self.path[index], self.reply, {**data, "index": index}, op=self)
+        self.net.send(from_id, self.path[index], self.reply, {**data, "index": index}, op=self)
 
-    def reply_arrived(self, net: "SimNetwork", node, msg: Message) -> None:
+    def reply_arrived(self, node, msg: Message) -> None:
         index = msg.data["index"]
         if index == 0:
-            self.reply_home(net, node, msg.data)
+            self.reply_home(node, msg.data)
         else:
-            self.reply_at(net, node, msg.data)
-            self.pass_back(net, node.id, index, msg.data)
+            self.reply_at(node, msg.data)
+            self.pass_back(node.id, index, msg.data)
 
-    def reply_lost(self, net: "SimNetwork", sender, msg: Message) -> None:
+    def reply_lost(self, sender, msg: Message) -> None:
         # The receiver died: skip it and keep walking toward path[0].
         index = msg.data["index"]
         if sender is None:
@@ -305,7 +306,7 @@ class RoutedOp(Operation):
         elif index == 0:
             self.fail(self.failure("lost its requester during the reply"))
         else:
-            self.pass_back(net, msg.from_id, index, msg.data)
+            self.pass_back(msg.from_id, index, msg.data)
 
     def record(self, metrics: "Metrics") -> None:
         failed = self.error is not None
@@ -313,7 +314,7 @@ class RoutedOp(Operation):
 
     # Hooks with a default.
 
-    def arrive(self, net: "SimNetwork", node) -> bool:
+    def arrive(self, node) -> bool:
         """Runs on every node reached; False when the op was handled here."""
         return True
 
@@ -579,19 +580,19 @@ class SimNetwork:
                 return
             delivered = self.metrics.delivered
             delivered[kind] = delivered.get(kind, 0) + 1
-            node.observe(self, msg.from_id)
+            node.observe(msg.from_id)
             handler = _DELIVER.get(msg.kind)
         else:
             timeouts = self.metrics.timeouts
             timeouts[kind] = timeouts.get(kind, 0) + 1
             node = self.reachable(msg.from_id)
             if node is not None:
-                node.repair(self, msg.to_id)
+                node.repair(msg.to_id)
             handler = _TIMEOUT.get(msg.kind)
         # A message that belongs to an op does nothing once that op is over.
         op = msg.op
         if handler is not None and (op is None or not op.done):
-            handler(op, self, node, msg)
+            handler(op, node, msg)
         # The one eviction trigger besides the sweep: whatever a delivery
         # wrote, the receiver's store ends it within its capacity.
         if tag == "deliver" and (store := node.store).overflowing():

@@ -136,9 +136,9 @@ class NodeStore:
     def get(self, key: int) -> Optional[StoreEntry]:
         return self.entries.get(key)
 
-    def delete(self, key: int) -> bool:
+    def delete(self, key: int) -> None:
         self._transient.pop(key, None)
-        return self.entries.pop(key, None) is not None
+        self.entries.pop(key, None)
 
     def put(self, key: int, name: str, role: Role, payload: Optional[ComponentPayload],
             origin: Optional[int], root_hint: Optional[int], now: int) -> StoreEntry:
@@ -220,7 +220,7 @@ class PublishOp(RoutedOp):
         self.name = name
         self.payload = payload
 
-    def at_root(self, net: SimNetwork, root) -> None:
+    def at_root(self, root) -> None:
         existing = root.store.get(self.key)
         if existing is not None and existing.payload is not None \
                 and existing.role in (Role.ROOT, Role.SOURCE) \
@@ -229,19 +229,19 @@ class PublishOp(RoutedOp):
                 f"{self.name!r} already published with different content"))
             return
         root.store.put(self.key, self.name, Role.ROOT, self.payload,
-                       origin=self.path[0], root_hint=root.id, now=net.clock)
-        self.reply_from(net, root, {})
+                       origin=self.path[0], root_hint=root.id, now=self.net.clock)
+        self.reply_from(root, {})
 
-    def reply_at(self, net: SimNetwork, node, data: dict) -> None:
+    def reply_at(self, node, data: dict) -> None:
         node.store.put(self.key, self.name, Role.TRAIL, None, origin=self.path[0],
-                       root_hint=self.path[-1], now=net.clock)
+                       root_hint=self.path[-1], now=self.net.clock)
 
-    def reply_home(self, net: SimNetwork, node, data: dict) -> None:
+    def reply_home(self, node, data: dict) -> None:
         # A source that is its own root keeps the ROOT entry alone.
         source, root = self.path[0], self.path[-1]
         if len(self.path) > 1:
             node.store.put(self.key, self.name, Role.SOURCE, self.payload,
-                           origin=source, root_hint=root, now=net.clock)
+                           origin=source, root_hint=root, now=self.net.clock)
         self.complete(PublishTrail(self.key, source, root, list(self.path)))
 
     def failure(self, reason: str) -> Exception:
@@ -259,7 +259,7 @@ def publish(net: SimNetwork, source: int, name: str, payload: ComponentPayload) 
     if existing is not None and existing.payload is not None \
             and existing.payload.digest != payload.digest:
         raise VersionConflictError(f"{name!r} already held locally with different content")
-    return PublishOp(key, name, payload).run(net, node)
+    return PublishOp(key, name, payload).run(node)
 
 
 # --------------------------------------------------------------------------
@@ -282,19 +282,19 @@ class LookupOp(RoutedOp):
         self.fetch_targets: list[int] = []  # holders still to ask, next first
         self.fetch_hit_dead = False
 
-    def arrive(self, net: SimNetwork, node) -> bool:
+    def arrive(self, node) -> bool:
         entry = node.store.get(self.key)
         if entry is None:
             return True
         if entry.payload is not None:
-            self.serve(net, node, entry, entry.payload)
+            self.serve(node, entry, entry.payload)
         else:
             self.fetch_targets = [loc for loc in dict.fromkeys((entry.root_hint, entry.origin))
                                   if loc is not None and loc != node.id]
-            self.fetch_next(net, node)
+            self.fetch_next(node)
         return False
 
-    def at_root(self, net: SimNetwork, node) -> None:
+    def at_root(self, node) -> None:
         # The route ended with nothing to serve. If some named payload holder
         # was unreachable along the way the component may still exist, which
         # is a different answer than a clean miss at the root.
@@ -303,83 +303,82 @@ class LookupOp(RoutedOp):
         else:
             self.fail(NotFoundError(f"{self.name!r} has no entry at its root"))
 
-    def serve(self, net: SimNetwork, node, entry: StoreEntry,
-              payload: ComponentPayload) -> None:
+    def serve(self, node, entry: StoreEntry, payload: ComponentPayload) -> None:
         """Serve from `node`, the last node of the path."""
-        node.store.hit(entry, net.clock)
-        self.reply_from(net, node, {"payload": payload})
+        node.store.hit(entry, self.net.clock)
+        self.reply_from(node, {"payload": payload})
 
-    def reply_at(self, net: SimNetwork, node, data: dict) -> None:
+    def reply_at(self, node, data: dict) -> None:
         # A CACHE copy names no holder: only a TRAIL's locations are read.
         if node.store.config.cache_on_lookup:
             node.store.put(self.key, self.name, Role.CACHE, data["payload"],
-                           origin=None, root_hint=None, now=net.clock)
+                           origin=None, root_hint=None, now=self.net.clock)
 
-    def reply_home(self, net: SimNetwork, node, data: dict) -> None:
+    def reply_home(self, node, data: dict) -> None:
         self.complete((data["payload"], self.path[-1], len(self.path) - 1))
 
     def failure(self, reason: str) -> Exception:
         return LookupFailedError(f"lookup of {self.name!r} {reason}")
 
-    def fetch_next(self, net: SimNetwork, junction) -> None:
+    def fetch_next(self, junction) -> None:
         """Ask the next holder the trail names, or give up on the trail. The
         junction holding the trail is the last node of the path."""
         if self.fetch_targets:
-            net.send(junction.id, self.fetch_targets.pop(0), MessageKind.FETCH,
-                     {"key": self.key}, op=self)
+            self.net.send(junction.id, self.fetch_targets.pop(0), MessageKind.FETCH,
+                          {"key": self.key}, op=self)
             return
         # Every named holder came up empty: the association is stale. Churn
-        # may have re-homed the payload closer to the root.
+        # may have re-homed the payload closer to the root. The junction
+        # arrives again: it serves a payload that reached it meanwhile, or
+        # routes on.
         entry = junction.store.get(self.key)
-        if entry is not None and entry.payload is not None:
-            # A payload arrived here in the meantime; serve it after all.
-            self.serve(net, junction, entry, entry.payload)
-            return
-        if entry is not None:
+        if entry is not None and entry.payload is None:
             junction.store.delete(self.key)
-        self.route_on(net, junction)
+        self.advance(junction)
 
     @on_deliver(MessageKind.FETCH)
-    def fetch_asked(self, net: SimNetwork, node, msg: Message) -> None:
+    def fetch_asked(self, node, msg: Message) -> None:
         entry = node.store.get(msg.data["key"])
         payload = None
         if entry is not None and entry.payload is not None:
-            node.store.hit(entry, net.clock)
+            node.store.hit(entry, self.net.clock)
             payload = entry.payload
-        net.send(node.id, msg.from_id, MessageKind.FETCH_REPLY, {"payload": payload}, op=self)
+        self.net.send(node.id, msg.from_id, MessageKind.FETCH_REPLY, {"payload": payload},
+                      op=self)
 
     @on_timeout(MessageKind.FETCH)
-    def fetch_lost(self, net: SimNetwork, junction, msg: Message) -> None:
+    def fetch_lost(self, junction, msg: Message) -> None:
         if junction is None:
             self.fail(self.failure("lost its junction during a fetch"))
             return
         self.fetch_hit_dead = True
-        self.fetch_next(net, junction)
+        self.fetch_next(junction)
 
     @on_deliver(MessageKind.FETCH_REPLY)
-    def fetched(self, net: SimNetwork, node, msg: Message) -> None:
+    def fetched(self, node, msg: Message) -> None:
         payload = msg.data["payload"]
         if payload is None:
-            self.fetch_next(net, node)
+            self.fetch_next(node)
             return
         # One write: a CACHE copy when caching is on, else the trail again if it expired.
         entry = node.store.get(self.key)
         if node.store.config.cache_on_lookup and (entry is None or entry.payload is None):
             entry = node.store.put(self.key, self.name, Role.CACHE, payload, None, None,
-                                   net.clock)
+                                   self.net.clock)
         elif entry is None:
-            entry = node.store.put(self.key, self.name, Role.TRAIL, None, None, None, net.clock)
+            entry = node.store.put(self.key, self.name, Role.TRAIL, None, None, None,
+                                   self.net.clock)
         # Serve from the junction whether or not it kept a copy.
-        self.serve(net, node, entry, payload)
+        self.serve(node, entry, payload)
 
     @on_timeout(MessageKind.FETCH_REPLY)
-    def fetch_reply_lost(self, net: SimNetwork, holder, msg: Message) -> None:
+    def fetch_reply_lost(self, holder, msg: Message) -> None:
         self.fail(self.failure("lost its junction during a fetch"))
 
 
 def lookup(net: SimNetwork, client: int, name: str) -> tuple[ComponentPayload, int, int]:
     """Resolve name to its payload. Returns (payload, served_by, forward hops)."""
-    result = LookupOp(derive_key(name), name).run(net, net.live_node(client))
+    result = LookupOp(derive_key(name), name).run(net.live_node(client))
     if not result[0].verify():
         raise IntegrityError(f"served payload of {name!r} failed its digest check")
     return result
@@ -399,15 +398,15 @@ class RemoveOp(RoutedOp):
         super().__init__(key)
         self.name = name
 
-    def at_root(self, net: SimNetwork, root) -> None:
+    def at_root(self, root) -> None:
         entry = root.store.get(self.key)
         if entry is None or entry.payload is None:
             self.fail(NotFoundError(f"{self.name!r} has no root entry to remove"))
             return
         root.store.delete(self.key)
-        self.reply_from(net, root, {})
+        self.reply_from(root, {})
 
-    def reply_home(self, net: SimNetwork, node, data: dict) -> None:
+    def reply_home(self, node, data: dict) -> None:
         # Root confirmed the deletion; drop the requester's own pinned copy too so
         # the name actually disappears once trails and caches age out.
         node.store.delete(self.key)
@@ -433,7 +432,7 @@ def remove(net: SimNetwork, requester: int, name: str) -> RemovalReport:
         entry.origin == requester and entry.role in (Role.ROOT, Role.RETAINED))
     if not owns:
         raise NotOwnerError(f"{ids.to_hex(requester)} does not own {name!r}")
-    return RemoveOp(key, name).run(net, node)
+    return RemoveOp(key, name).run(node)
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +466,7 @@ class TransferOp(Operation):
         self.transferred: list[tuple[int, int]] = []
         self.unresolved: list[int] = []
 
-    def move_roots(self, net: SimNetwork, node) -> None:
+    def move_roots(self, node) -> None:
         """Send each ROOT entry of `node`, in key order, to next_target(node,
         key); a target of None keeps the key where it is."""
         sends = []
@@ -476,44 +475,45 @@ class TransferOp(Operation):
             if entry.role is Role.ROOT and (target := self.next_target(node, key)) is not None:
                 sends.append((target, {"key": key, "name": entry.name,
                                        "payload": entry.payload, "origin": entry.origin}))
-        self.fan_out(net, node.id, MessageKind.TRANSFER, sends)
+        self.fan_out(node.id, MessageKind.TRANSFER, sends)
 
     start = move_roots  # a relinquish moves the leaver's own roots
 
     @on_deliver(MessageKind.TRANSFER)
-    def take_root(self, net: SimNetwork, node, msg: Message) -> None:
+    def take_root(self, node, msg: Message) -> None:
         data = msg.data
         node.store.put(data["key"], data["name"], Role.ROOT, data["payload"],
-                       origin=data["origin"], root_hint=node.id, now=net.clock)
-        net.send(node.id, msg.from_id, MessageKind.TRANSFER_ACK, {"key": data["key"]}, op=self)
+                       origin=data["origin"], root_hint=node.id, now=self.net.clock)
+        self.net.send(node.id, msg.from_id, MessageKind.TRANSFER_ACK, {"key": data["key"]},
+                      op=self)
 
     @on_timeout(MessageKind.TRANSFER)
-    def transfer_lost(self, net: SimNetwork, sender, msg: Message) -> None:
+    def transfer_lost(self, sender, msg: Message) -> None:
         key = msg.data["key"]
         target = None
-        if self.may_retry(net, key) and sender is not None:
+        if self.may_retry(key) and sender is not None:
             target = self.next_target(sender, key)
         if target is None:
             self.unresolved.append(key)
             self.settle()
         else:
-            net.send(sender.id, target, MessageKind.TRANSFER, msg.data, op=self)
+            self.net.send(sender.id, target, MessageKind.TRANSFER, msg.data, op=self)
 
     @on_deliver(MessageKind.TRANSFER_ACK)
-    def acked(self, net: SimNetwork, old_root, msg: Message) -> None:
+    def acked(self, old_root, msg: Message) -> None:
         """The new root holds the key; `old_root` is None when the ack was lost."""
         key = msg.data["key"]
         entry = old_root.store.get(key) if old_root is not None else None
         if entry is not None and entry.role is Role.ROOT:
             old_root.store.put(key, entry.name, Role.RETAINED, entry.payload,
-                               origin=None, root_hint=msg.from_id, now=net.clock)
+                               origin=None, root_hint=msg.from_id, now=self.net.clock)
         self.transferred.append((key, msg.from_id))
         self.settle()
 
     @on_timeout(MessageKind.TRANSFER_ACK)
-    def ack_lost(self, net: SimNetwork, new_root, msg: Message) -> None:
+    def ack_lost(self, new_root, msg: Message) -> None:
         # The copy exists; only the old root's demotion is lost, and it is gone.
-        self.acked(net, None, msg)
+        self.acked(None, msg)
 
 
 class HandoffOp(TransferOp):
@@ -524,15 +524,15 @@ class HandoffOp(TransferOp):
         super().__init__()
         self.new_id = new_id
 
-    def start(self, net: SimNetwork, joiner) -> None:
-        self.fan_out(net, joiner.id, MessageKind.HANDOFF,
+    def start(self, joiner) -> None:
+        self.fan_out(joiner.id, MessageKind.HANDOFF,
                      [(member, None) for member in joiner.leaf_set.members()])
 
     @on_deliver(MessageKind.HANDOFF)
-    def scan(self, net: SimNetwork, node, msg: Message) -> None:
+    def scan(self, node, msg: Message) -> None:
         """A leaf neighbour of the joiner moves the roots the joiner now holds."""
-        self.move_roots(net, node)
-        net.send(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=self)
+        self.move_roots(node)
+        self.net.send(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=self)
 
     def next_target(self, old_root, key: int) -> int | None:
         """The joiner, when it is closer to `key` than the old root is."""
@@ -560,23 +560,23 @@ class RelinquishOp(TransferOp):
         return tried[-1]
 
 
-def handoff_on_join(net: SimNetwork, new_id: int) -> tuple[list[int], list[int]]:
-    """Ask the new node's leaf neighbours to hand over every key it now roots.
+def handoff_on_join(joiner) -> tuple[list[int], list[int]]:
+    """Ask the joiner's leaf neighbours to hand over every key it now roots.
 
     Returns (transferred keys, unresolved keys), each sorted. A neighbour
     that hands a key over keeps it as a pinned RETAINED copy, as every old
     root does under TransferOp's ack rule.
     """
-    op = HandoffOp(new_id)
-    op.run(net, net.node(new_id))
+    op = HandoffOp(joiner.id)
+    op.run(joiner)
     return sorted(key for key, _ in op.transferred), sorted(op.unresolved)
 
 
-def relinquish_roots(net: SimNetwork, node) -> tuple[list[tuple[int, int]], list[int]]:
+def relinquish_roots(leaver) -> tuple[list[tuple[int, int]], list[int]]:
     """Before a graceful departure, move every ROOT entry to its next root,
     chosen as the leaf member closest to the key; the leaver keeps each moved
     key as a RETAINED copy until it departs. Returns ((key, new root) pairs
     in the order their acks arrived, unresolved keys)."""
     op = RelinquishOp()
-    op.run(net, node)
+    op.run(leaver)
     return op.transferred, sorted(op.unresolved)

@@ -204,7 +204,7 @@ def stabilize(net) -> int:
                         changed = True
             for member in node.leaf_set.members():
                 peer = net.nodes.get(member)
-                if peer is not None and node.learn_live(net, peer.leaf_set.members()):
+                if peer is not None and node.learn_live(peer.leaf_set.members()):
                     changed = True
         rounds += 1
         if not changed:

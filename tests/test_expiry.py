@@ -83,7 +83,7 @@ def start_lookup(net, client: int, name: str) -> None:
     """Leave a lookup in flight, so that the next advance carries it and its
     reply path caches the payload between boundaries."""
     op = net.new_op(store.LookupOp(derive_key(name), name))
-    op.advance(net, net.nodes[client])
+    op.advance(net.nodes[client])
 
 
 def lookup_past_an_expired_trail(monkeypatch, cache_on_lookup: bool):
@@ -99,9 +99,9 @@ def lookup_past_an_expired_trail(monkeypatch, cache_on_lookup: bool):
     original = simnet._DELIVER[MessageKind.FETCH_REPLY]
     on_reply = []
 
-    def deliver(op, net, node, msg):
+    def deliver(op, node, msg):
         before = node.store.get(key)
-        original(op, net, node, msg)
+        original(op, node, msg)
         on_reply.append((before, node.store.get(key)))
 
     monkeypatch.setitem(simnet._DELIVER, MessageKind.FETCH_REPLY, deliver)

@@ -165,7 +165,7 @@ def test_a_second_handler_for_a_kind_is_refused(register, table, monkeypatch):
     monkeypatch.setattr(simnet, table, handlers)
     before = dict(handlers)
     with pytest.raises(ValueError, match="^FETCH is handled by LookupOp.fetch_"):
-        register(MessageKind.FETCH)(lambda op, net, node, msg: None)
+        register(MessageKind.FETCH)(lambda op, node, msg: None)
     with pytest.raises(ValueError, match="^LOOKUP is handled by RoutedOp.advance"):
         type("LookupAgain", (simnet.RoutedOp,), {"message": MessageKind.LOOKUP})
     assert handlers == before

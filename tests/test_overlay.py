@@ -14,8 +14,9 @@ from peerdeploy.errors import (
     PublishFailedError,
     RoutingFailureError,
 )
-from peerdeploy.ids import derive_key
+from peerdeploy.ids import DIGIT_BITS, DIGITS, RADIX, derive_key, shared_prefix_len
 from peerdeploy.overlay import OverlayNode
+from peerdeploy.routing import HALF_LEAF
 from peerdeploy.simnet import NodeStatus, SimNetwork
 from peerdeploy.store import ComponentPayload, LookupOp, PublishOp, Role
 from oracles import RING, oracle_root, stabilize
@@ -46,6 +47,21 @@ def test_dead_bootstrap_rejected():
     net.fail(42)
     with pytest.raises(BootstrapUnreachableError):
         join(net, 17, 42)
+
+
+@pytest.mark.parametrize("bootstrap", ["departed", "unknown"])
+def test_a_join_through_a_departed_or_unknown_bootstrap_sends_nothing(bootstrap):
+    net, names = build_network(8, seed=5)
+    contact = names["n1"] if bootstrap == "departed" else 12345
+    if bootstrap == "departed":
+        net.fail(contact)
+    assert contact not in net.live_ids()
+    sent = dict(net.metrics.sent)
+    new_id = derive_key("newcomer")
+    with pytest.raises(BootstrapUnreachableError, match="is not live"):
+        join(net, new_id, contact)
+    assert net.metrics.sent == sent
+    assert new_id not in net.nodes
 
 
 def test_duplicate_id_rejected():
@@ -202,7 +218,7 @@ def test_repair_refills_from_the_table_once_the_whole_leaf_set_is_gone():
     for member in members:
         net.fail(member)
     for member in members:
-        node.repair(net, member)
+        node.repair(member)
     net.run_until_quiescent()
     refilled = node.leaf_set.members()
     assert len(refilled) == 8
@@ -235,7 +251,7 @@ def test_every_walk_fails_with_its_own_error_when_it_comes_back(make, error):
     join(net, b, a)
     net.nodes[a].leaf_set.remove(b)
     op = net.new_op(make(key))
-    op.advance(net, net.nodes[a])
+    op.advance(net.nodes[a])
     for _ in range(100):
         if op.done:
             break
@@ -244,24 +260,54 @@ def test_every_walk_fails_with_its_own_error_when_it_comes_back(make, error):
     assert op.path == [a, b]
 
 
+def test_a_node_shows_its_name_and_status():
+    net, names = build_network(2)
+    assert repr(net.nodes[names["n0"]]) == "OverlayNode(n0, LIVE)"
+
+
+def test_learn_live_says_whether_the_routing_state_changed():
+    net, names = build_network(64, seed=3)
+    node = net.nodes[names["n0"]]
+    leaf, table = node.leaf_set, node.routing_table
+    # A leaf member that the table does not hold: it changes the leaf set alone.
+    member = next(m for m in leaf.members() if m not in table.entries())
+    assert node.forget(member) is True
+    assert node.forget(member) is False
+    assert node.learn_live([member]) is True
+    assert node.learn_live([member]) is False
+    # A live id beyond both full leaf sides, whose table cell holds another
+    # id, changes nothing.
+    assert len(leaf.left) == len(leaf.right) == HALF_LEAF
+
+    def cell(c):
+        r = shared_prefix_len(node.id, c)
+        return table.rows[r].get((c >> (DIGIT_BITS * (DIGITS - 1 - r))) & (RADIX - 1))
+
+    outside = [c for c in net.live_ids()
+               if c != node.id and not leaf.in_range(c) and cell(c) not in (None, c)]
+    assert outside
+    for contact in outside:
+        assert node.learn(contact) is False
+
+
 # -- the learn memo
 
 
 class AlwaysLearns(OverlayNode):
     """Reference node: every observed live contact goes to learn."""
 
-    def observe(self, net, contact):
-        peer = net.nodes.get(contact)
+    def observe(self, contact):
+        peer = self.net.nodes.get(contact)
         return (contact != self.id and peer is not None
                 and peer.status is NodeStatus.LIVE and self.learn(contact))
 
 
 def _network_around(cls, owner, pool):
     net = SimNetwork(seed=0)
-    node = cls(owner)
+    node = cls(net, owner)
     net.register(node)
     for contact in pool:
-        peer = OverlayNode(contact)
+        peer = OverlayNode(net, contact)
         net.register(peer)
         net.set_status(peer, NodeStatus.LIVE)
     return net, node
@@ -291,12 +337,12 @@ def test_the_learn_memo_changes_no_routing_state(pool, steps):
                 each.set_status(each.nodes[contact], STATUSES[j % 3])
             continue
         if verb == "observe":
-            got, want = node.observe(net, contact), ref.observe(ref_net, contact)
+            got, want = node.observe(contact), ref.observe(contact)
         elif verb == "learn_live":
             offered = pool[i % len(pool):][:j % 4 + 1]
-            got, want = node.learn_live(net, offered), ref.learn_live(ref_net, offered)
+            got, want = node.learn_live(offered), ref.learn_live(offered)
         elif verb == "repair":
-            got, want = node.repair(net, contact), ref.repair(ref_net, contact)
+            got, want = node.repair(contact), ref.repair(contact)
         else:
             got, want = getattr(node, verb)(contact), getattr(ref, verb)(contact)
         assert got == want, (verb, contact)

@@ -701,6 +701,17 @@ def test_every_synthesized_payload_dumps_4096_bytes(tmp_path):
     assert [n["bytes"] for n in nodes] == [4096 * count for count in held]
 
 
+def test_a_random_id_that_is_taken_is_drawn_again(monkeypatch):
+    runner = ScenarioRunner(parse_scenario("create 2\n"), seed=4, random_ids=True)
+    twin = random.Random()
+    twin.setstate(runner.net.rng.getstate())
+    first, second = twin.getrandbits(128), twin.getrandbits(128)
+    draws = [first, first, second]  # n1's first draw is n0's id
+    monkeypatch.setattr(runner.net.rng, "getrandbits", lambda bits: draws.pop(0))
+    assert runner.run().exit_code == 0
+    assert runner.names == {"n0": first, "n1": second} and not draws
+
+
 def test_workload_replica_sample_matches_replica_count():
     # 40 requests leave both caches and payload-less trails behind
     runner = ScenarioRunner(parse_scenario("create 48\nworkload zipf 48 40 40 1.0\n"), seed=5)

@@ -188,7 +188,7 @@ def record_timeouts(monkeypatch, kind):
     """Record (clock, receiver) for each timeout of `kind`."""
     seen = []
     monkeypatch.setitem(simnet._TIMEOUT, kind,
-                        lambda op, net, node, msg: seen.append((net.clock, msg.to_id)))
+                        lambda op, node, msg: seen.append((node.net.clock, msg.to_id)))
     return seen
 
 
@@ -225,6 +225,18 @@ def test_message_to_a_departed_node_times_out_at_its_deadline(quiet_ring, monkey
     net.run_until_quiescent()
     assert seen == [(msg.deadline, receiver)]
     assert net.metrics.timeouts == {"REPAIR": 1}
+
+
+def test_events_due_at_the_same_time_run_in_send_order(quiet_ring, monkeypatch):
+    net, sender, first, second, _ = quiet_ring
+    net.fail(first)
+    net.fail(second)
+    seen = record_timeouts(monkeypatch, MessageKind.REPAIR)
+    to_first = net.send(sender, first, MessageKind.REPAIR)
+    to_second = net.send(sender, second, MessageKind.REPAIR)
+    assert to_first.deadline == to_second.deadline
+    net.run_until_quiescent()
+    assert seen[:2] == [(to_first.deadline, first), (to_first.deadline, second)]
 
 
 def test_receiver_that_dies_in_flight_times_out_at_the_later_of_deadline_and_clock(
@@ -316,7 +328,7 @@ def test_ops_that_overlap_all_end_and_count():
 class SendsNothing(simnet.Operation):
     kind = "silent"
 
-    def start(self, net, node):
+    def start(self, node):
         pass
 
 
@@ -324,7 +336,7 @@ def test_an_op_left_open_by_an_empty_queue_fails_as_a_stall():
     net, names = build_network(4, seed=0)
     op = SendsNothing()
     with pytest.raises(LivelockSuspectedError, match="silent stalled"):
-        op.run(net, net.nodes[names["n0"]])
+        op.run(net.nodes[names["n0"]])
     assert op.done and isinstance(op.error, LivelockSuspectedError)
     assert not net.ops
 

@@ -295,6 +295,20 @@ def test_lookup_deletes_a_trail_whose_holders_answer_empty():
     assert middle.get(key) is None
 
 
+def test_a_trail_that_names_no_other_holder_sends_no_fetch():
+    net, names = build_network(16, seed=2)
+    publish(net, names["n0"], "self.jar", payload_of("self"))
+    key = derive_key("self.jar")
+    junction = next(nid for nid in net.live_ids() if net.nodes[nid].store.get(key) is None)
+    net.nodes[junction].store.put(key, "self.jar", Role.TRAIL, None, origin=None,
+                                  root_hint=junction, now=net.clock)
+    sent = dict(net.metrics.sent)
+    payload, served_by, _ = lookup(net, junction, "self.jar")
+    assert payload == payload_of("self") and served_by != junction
+    assert net.metrics.sent.get("FETCH", 0) == sent.get("FETCH", 0)
+    assert net.nodes[junction].store.get(key) is None  # the stale trail went
+
+
 # -- eviction
 
 
@@ -491,7 +505,7 @@ def test_remove_reaches_the_copy_a_handoff_retained():
 
 def test_handoff_on_a_lone_node_has_no_neighbour_to_ask():
     net, names = build_network(1)
-    assert handoff_on_join(net, names["n0"]) == ([], [])
+    assert handoff_on_join(net.nodes[names["n0"]]) == ([], [])
     assert not net.ops
 
 
@@ -515,7 +529,7 @@ def test_relinquish_leaves_one_root_per_moved_key():
 
     leaver = max(live, key=lambda nid: (roots(nid), -nid))
     held = roots(leaver)
-    transferred, unresolved = relinquish_roots(net, net.nodes[leaver])
+    transferred, unresolved = relinquish_roots(net.nodes[leaver])
     assert held and len(transferred) == held and not unresolved
     for key, new_root in transferred:
         holders = [nid for nid in net.live_ids()
