@@ -19,7 +19,6 @@ from .simnet import (
     RoutedOp,
     SimNetwork,
     on_deliver,
-    on_timeout,
 )
 from .store import NodeStore, handoff_on_join, relinquish_roots
 
@@ -182,19 +181,11 @@ class JoinOp(RoutedOp):
     def reply_home(self, joiner: OverlayNode, data: dict) -> None:
         joiner.learn_live(sorted(self.candidates))
         self.announced = joiner.known_contacts()
-        self.fan_out(joiner.id, MessageKind.ANNOUNCE,
-                     [(contact, None) for contact in self.announced])
-
-    @on_deliver(MessageKind.ANNOUNCE)
-    def adopt_joiner(self, node: OverlayNode, msg: Message) -> None:
-        # The sender is still JOINING, so passive observation skipped it; an
-        # announcement is the explicit instruction to adopt it.
-        node.learn(msg.from_id)
-        self.net.send(node.id, msg.from_id, MessageKind.ANNOUNCE_ACK, op=self)
-
-    @on_timeout(MessageKind.ANNOUNCE_ACK)
-    def joiner_lost(self, node: OverlayNode, msg: Message) -> None:
-        self.fail(self.failure("lost the joiner before its ANNOUNCE_ACK"))
+        # One-way, as in Pastry: `run` drains the queue, so every
+        # announcement has landed or timed out before `join` goes on.
+        for contact in self.announced:
+            self.net.send(joiner.id, contact, MessageKind.ANNOUNCE)
+        self.complete(None)
 
     def failure(self, reason: str) -> Exception:
         if len(self.path) == 1:
@@ -212,8 +203,8 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
     The joiner hands its join request to the bootstrap, which routes it
     toward the new id; every node it crosses contributes routing rows, the
     terminal contributes its leaf set. The joiner then announces itself to
-    everyone it learned about, and finally its new leaf neighbours hand over
-    the keys it now roots.
+    everyone it learned about, with no ack, and finally its two ring
+    neighbours hand over the keys it now roots.
     """
     if bootstrap is None:
         if net.live_ids():
@@ -226,6 +217,8 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
     op = JoinOp(new_id, bootstrap)
     try:
         op.run(node)
+        if net.reachable(new_id) is None:
+            raise op.failure("lost the joiner during its announce round")
     except Exception:
         # The id never became LIVE; leave it departed so stale references
         # aimed at it clean up through the normal timeout path.
@@ -271,6 +264,13 @@ def leave(net: SimNetwork, node_id: int, graceful: bool = True) -> LeaveReport:
         transferred, unresolved = [], []
     net.metrics.record_op("leave")
     return LeaveReport(node_id, graceful, transferred, unresolved)
+
+
+@on_deliver(MessageKind.ANNOUNCE)
+def _announce_deliver(op: None, node: OverlayNode, msg: Message) -> None:
+    # The sender is still JOINING, so passive observation skipped it; an
+    # announcement is the explicit instruction to adopt it.
+    node.learn(msg.from_id)
 
 
 @on_deliver(MessageKind.GOODBYE)

@@ -41,7 +41,6 @@ class MessageKind(Enum):
     JOIN = "JOIN"
     JOIN_REPLY = "JOIN_REPLY"
     ANNOUNCE = "ANNOUNCE"
-    ANNOUNCE_ACK = "ANNOUNCE_ACK"
     ROUTE_STEP = "ROUTE_STEP"
     PUBLISH = "PUBLISH"
     PUBLISH_ACK = "PUBLISH_ACK"
@@ -172,14 +171,10 @@ class Operation:
         if self.pending == 0:
             self.complete(None)
 
-    # The answers to a join's announcements and to a handoff's neighbour
-    # scans. A silent node counts as answered: a dead contact needs no
-    # announcement and a dead neighbour has nothing to hand over; a joiner
-    # that died leaves every key it was sent to time out, unresolved, at its
-    # old root.
-    @on_deliver(MessageKind.ANNOUNCE_ACK)
+    # The answers to a handoff's neighbour scans. A silent node counts as
+    # answered: a dead neighbour has nothing to hand over; a joiner that died
+    # leaves every key it was sent to time out, unresolved, at its old root.
     @on_deliver(MessageKind.HANDOFF_DONE)
-    @on_timeout(MessageKind.ANNOUNCE)
     @on_timeout(MessageKind.HANDOFF)
     @on_timeout(MessageKind.HANDOFF_DONE)
     def answered(self, node, msg: Message) -> None:

@@ -525,12 +525,15 @@ class HandoffOp(TransferOp):
         self.new_id = new_id
 
     def start(self, joiner) -> None:
+        # Once every key sits at its root, only the joiner's nearest leaf
+        # member on each side can hold a ROOT that the joiner now owns.
+        leaf = joiner.leaf_set
         self.fan_out(joiner.id, MessageKind.HANDOFF,
-                     [(member, None) for member in joiner.leaf_set.members()])
+                     [(member, None) for member in sorted(set(leaf.left[:1] + leaf.right[:1]))])
 
     @on_deliver(MessageKind.HANDOFF)
     def scan(self, node, msg: Message) -> None:
-        """A leaf neighbour of the joiner moves the roots the joiner now holds."""
+        """A ring neighbour of the joiner moves the roots the joiner now holds."""
         self.move_roots(node)
         self.net.send(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=self)
 
@@ -561,7 +564,7 @@ class RelinquishOp(TransferOp):
 
 
 def handoff_on_join(joiner) -> tuple[list[int], list[int]]:
-    """Ask the joiner's leaf neighbours to hand over every key it now roots.
+    """Ask the joiner's two ring neighbours to hand over every key it now roots.
 
     Returns (transferred keys, unresolved keys), each sorted. A neighbour
     that hands a key over keeps it as a pinned RETAINED copy, as every old

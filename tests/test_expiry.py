@@ -13,6 +13,7 @@ from peerdeploy.errors import PeerDeployError
 from peerdeploy.ids import derive_key
 from peerdeploy.simnet import MessageKind, SimNetwork
 from peerdeploy.store import ComponentPayload, NodeStore, Role, StoreConfig
+import pins
 from oracles import check_store, oracle_root
 
 
@@ -283,7 +284,8 @@ def pinned_only_network(nodes: int = 16):
         # published from its own root, so no trail is left on the way
         publish(net, oracle_root(live, derive_key(name)), name, payload_of(name))
     entries = [e for node in net.nodes.values() for e in node.store.entries.values()]
-    assert len(entries) == 8 and all(e.pinned for e in entries)
+    assert all(e.pinned for e in entries)
+    pins.check("expiry", "pinned_only_entries", len(entries))
     return net
 
 

@@ -1,18 +1,26 @@
 """Golden metrics documents: fixed-seed scenario runs compared byte for byte.
 
 Each case replays a scenario under tests/golden/ and compares its canonical
-metrics document with the committed file next to it. A change that is meant
-to keep behaviour must leave every document identical. A change that is meant
-to alter behaviour regenerates them with
+metrics document with the committed file next to it. A second test compares
+the committed output of tools/fingerprints.py, bar its perfbench lines, with
+what the checkout prints now. A change that is meant to keep behaviour must
+leave every document, every fingerprint and every pin in pins.json
+identical. A change that is meant to alter behaviour regenerates all three
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which rewrites every document and prints one `<document>: <dotted.path>:
-old → new` line per leaf that moved, and nothing when none did. The change
-says in its description which fields moved and why.
+which rewrites every document, fingerprints.txt and pins.json, and prints one
+`<document>: <dotted.path>: old → new` line per leaf that moved, one
+`fingerprints.txt: - old` / `+ new` pair per line that moved, and nothing
+when none did. The change says in its description which fields moved and
+why.
 """
 
+import contextlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +28,13 @@ import pytest
 from peerdeploy.scenario import run_scenario
 from peerdeploy.simnet import check_document
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+import pins
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+sys.path.insert(0, str(ROOT / "tools"))
+
+import fingerprints  # noqa: E402
 
 # (scenario file, seed override or None for the file's own, random ids)
 CASES = [
@@ -85,6 +99,31 @@ def test_moved_leaves_names_each_changed_leaf_once():
     assert moved_leaves(new, new) == []
 
 
+def test_fingerprints_match_the_committed_lines():
+    committed = (ROOT / fingerprints.COMMITTED).read_text(encoding="utf-8").splitlines()
+    assert len(committed) == 49
+    # The perfbench lines take twice as long as the rest together;
+    # `python3 tools/fingerprints.py --check` compares those too.
+    assert list(fingerprints.lines(ROOT, bench=False)) == [
+        line for line in committed if not line.startswith("perfbench ")]
+
+
+def repin() -> list[str]:
+    """Run the suite with pins recording, rewrite pins.json, and return its
+    moved leaves; raise if any test fails, since a failing test records
+    nothing."""
+    pins.recording = {}
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output):
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(GOLDEN.parent)])
+    if code != 0:
+        raise SystemExit(output.getvalue() + "pins.json not rewritten: the suite failed")
+    text = pins.dumps(pins.recording)
+    moved = moved_leaves(pins.PATH.read_text(encoding="utf-8"), text)
+    pins.PATH.write_text(text, encoding="utf-8")
+    return moved
+
+
 if __name__ == "__main__":
     for case in CASES:
         path = golden_path(*case)
@@ -95,3 +134,10 @@ if __name__ == "__main__":
             for line in moved_leaves(path.read_text(encoding="utf-8"), text):
                 print(f"{path.name}: {line}")
         path.write_text(text, encoding="utf-8")
+    committed = ROOT / fingerprints.COMMITTED
+    measured = list(fingerprints.lines(ROOT))
+    for line in fingerprints.diff(committed.read_text(encoding="utf-8").splitlines(), measured):
+        print(f"fingerprints.txt: {line}")
+    committed.write_text("".join(f"{line}\n" for line in measured), encoding="utf-8")
+    for line in repin():
+        print(f"pins.json: {line}")

@@ -6,9 +6,11 @@ oracles.py, both on organically grown networks and on synthetic state.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from peerdeploy.ids import circular_distance, shared_prefix_len
+from peerdeploy.overlay import route
 from peerdeploy.routing import (
     HALF_LEAF,
     LeafSet,
@@ -16,6 +18,7 @@ from peerdeploy.routing import (
     next_hop_from_state,
 )
 from peerdeploy.scenario import build_network
+import pins
 from oracles import (
     ReferenceLeafSet,
     oracle_digit,
@@ -297,3 +300,19 @@ def test_forwarding_chains_are_loop_free():
             current = nxt
         assert len(seen) <= 40
         assert current == oracle_root(live, key)
+
+
+@pytest.mark.parametrize("nodes", [256, 1024])
+def test_route_hop_histogram_is_pinned(nodes):
+    """How a join fills the routing state decides how far a route goes. These
+    histograms, pinned in pins.json's "route_hops" section, hold that part
+    of a join's outcome fixed when a change means to make joins cheaper."""
+    net, _ = build_network(nodes, seed=1)
+    live = net.live_ids()
+    rng = random.Random(1)
+    histogram: dict[int, int] = {}
+    for _ in range(2000):
+        start = rng.choice(live)
+        hops = len(route(net, start, rng.getrandbits(128))) - 1
+        histogram[hops] = histogram.get(hops, 0) + 1
+    pins.check("route_hops", str(nodes), dict(sorted(histogram.items())))

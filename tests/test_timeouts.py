@@ -20,6 +20,7 @@ from peerdeploy.errors import (
 from peerdeploy.ids import derive_key, to_hex
 from peerdeploy.simnet import Message, MessageKind, NodeStatus, SimConfig
 from peerdeploy.store import ComponentPayload, Role
+import pins
 from oracles import oracle_root
 from test_expiry import start_lookup
 
@@ -36,6 +37,9 @@ def walk(net, start: int, key: int) -> list[int]:
     return path
 
 
+# (messages sent, timeouts, events processed) since the network was built,
+# pinned per test in pins.json's "timeouts" section. A change that moves one
+# of these figures changes behaviour and has to say why.
 def counts(net):
     m = net.metrics
     return dict(m.sent), dict(m.timeouts), m.events_processed
@@ -61,6 +65,20 @@ def kill_on_delivery(monkeypatch, net, kind: MessageKind, victim, nth: int = 1,
     monkeypatch.setitem(simnet._DELIVER, kind, wrapped)
 
 
+def kill_after_first_send(monkeypatch, net, kind: MessageKind, victim) -> None:
+    """Fail `victim` once the first message of `kind` is on its way: the
+    message is in flight, whatever the latencies of other messages."""
+    original = net.send
+
+    def wrapped(from_id, to_id, sent_kind, *args, **kwargs):
+        msg = original(from_id, to_id, sent_kind, *args, **kwargs)
+        if sent_kind is kind and net.reachable(victim) is not None:
+            net.fail(victim)
+        return msg
+
+    monkeypatch.setattr(net, "send", wrapped)
+
+
 # -- route, publish, lookup, remove
 
 
@@ -73,7 +91,7 @@ def test_route_fails_on_its_first_timeout():
     with pytest.raises(RoutingFailureError) as err:
         route(net, names["n0"], key)
     assert err.value.partial_path == path[:1]
-    assert counts(net) == PINNED["route_timeout"]
+    pins.check("timeouts", "route_timeout", counts(net))
 
 
 def test_route_fails_when_the_sender_of_a_lost_step_has_died(monkeypatch):
@@ -89,7 +107,7 @@ def test_route_fails_when_the_sender_of_a_lost_step_has_died(monkeypatch):
         route(net, names["n0"], key)
     assert err.value.partial_path == path[:2]
     assert not net.ops
-    assert counts(net) == PINNED["route_sender_dead"]
+    pins.check("timeouts", "route_sender_dead", counts(net))
 
 
 def test_publish_reroutes_around_a_silently_dead_hop():
@@ -102,7 +120,7 @@ def test_publish_reroutes_around_a_silently_dead_hop():
     assert path[1] not in trail.path
     assert trail.root == oracle_root(net.live_ids(), key)
     assert net.metrics.timeouts["PUBLISH"] == 1
-    assert counts(net) == PINNED["publish_reroute"]
+    pins.check("timeouts", "publish_reroute", counts(net))
 
 
 def test_publish_ack_skips_a_reverse_path_node_that_dies(monkeypatch):
@@ -116,7 +134,7 @@ def test_publish_ack_skips_a_reverse_path_node_that_dies(monkeypatch):
     assert net.nodes[source].store.get(key).role is Role.SOURCE
     assert net.nodes[path[2]].store.get(key).role is Role.TRAIL
     assert net.metrics.timeouts["PUBLISH_ACK"] == 1
-    assert counts(net) == PINNED["publish_ack_skip"]
+    pins.check("timeouts", "publish_ack_skip", counts(net))
 
 
 def test_publish_fails_when_its_source_dies_during_the_ack(monkeypatch):
@@ -128,7 +146,7 @@ def test_publish_fails_when_its_source_dies_during_the_ack(monkeypatch):
     with pytest.raises(PublishFailedError):
         publish(net, source, "x0.jar", payload_of("x0.jar"))
     assert not net.ops
-    assert counts(net) == PINNED["publish_source_dies"]
+    pins.check("timeouts", "publish_source_dies", counts(net))
 
 
 def test_lookup_reply_skips_a_reverse_path_node_that_dies(monkeypatch):
@@ -144,7 +162,7 @@ def test_lookup_reply_skips_a_reverse_path_node_that_dies(monkeypatch):
     assert (served_by, hops) == (path[-1], 3)
     assert net.nodes[path[2]].store.get(key).role is Role.CACHE
     assert net.metrics.timeouts["LOOKUP_REPLY"] == 1
-    assert counts(net) == PINNED["lookup_reply_skip"]
+    pins.check("timeouts", "lookup_reply_skip", counts(net))
 
 
 def test_lookup_fails_when_its_client_dies_during_the_reply(monkeypatch):
@@ -157,7 +175,7 @@ def test_lookup_fails_when_its_client_dies_during_the_reply(monkeypatch):
     with pytest.raises(LookupFailedError):
         lookup(net, client, "x0.jar")
     assert not net.ops
-    assert counts(net) == PINNED["lookup_client_dies"]
+    pins.check("timeouts", "lookup_client_dies", counts(net))
 
 
 def test_lookup_fails_when_its_whole_reply_path_dies(monkeypatch):
@@ -174,7 +192,7 @@ def test_lookup_fails_when_its_whole_reply_path_dies(monkeypatch):
     with pytest.raises(LookupFailedError, match="lost its reply path"):
         lookup(net, client, "x0.jar")
     assert not net.ops
-    assert counts(net) == PINNED["lookup_reply_path_lost"]
+    pins.check("timeouts", "lookup_reply_path_lost", counts(net))
 
 
 @pytest.mark.parametrize("case", ["reply_lost", "fetch_lost"])
@@ -196,7 +214,7 @@ def test_lookup_fails_when_its_junction_dies_during_a_fetch(monkeypatch, case):
     with pytest.raises(LookupFailedError, match="lost its junction during a fetch"):
         lookup(net, client, "x0.jar")
     assert not net.ops
-    assert counts(net) == PINNED[f"lookup_junction_{case}"]
+    pins.check("timeouts", f"lookup_junction_{case}", counts(net))
 
 
 def test_a_fetch_with_no_holder_left_serves_the_copy_that_reached_the_junction(monkeypatch):
@@ -233,7 +251,7 @@ def test_remove_retries_after_a_timeout():
     assert net.nodes[trail.root].store.get(key) is None
     assert net.nodes[source].store.get(key) is None
     assert net.metrics.timeouts["REMOVE"] == 1
-    assert counts(net) == PINNED["remove_retry"]
+    pins.check("timeouts", "remove_retry", counts(net))
 
 
 # -- join
@@ -250,7 +268,7 @@ def test_join_reroutes_around_a_dead_hop_past_the_bootstrap():
     assert report.path[0] == bootstrap and hop not in report.path
     assert net.nodes[new_id].status is NodeStatus.LIVE
     assert net.metrics.timeouts["JOIN"] == 1
-    assert counts(net) == PINNED["join_reroute"]
+    pins.check("timeouts", "join_reroute", counts(net))
 
 
 def test_join_exhausts_its_retries_on_the_routed_path():
@@ -262,20 +280,18 @@ def test_join_exhausts_its_retries_on_the_routed_path():
         join(net, new_id, bootstrap, name="late")
     assert err.value.partial_path == [bootstrap]
     assert net.nodes[new_id].status is NodeStatus.DEPARTED
-    assert counts(net) == PINNED["join_exhausted"]
+    pins.check("timeouts", "join_exhausted", counts(net))
 
 
 def test_join_recontacts_a_dead_bootstrap_until_it_gives_up(monkeypatch):
     net, names = build_network(64, seed=4)
     bootstrap = net.live_ids()[0]
-    # A repair request already in flight lands before the join request does;
-    # the bootstrap dies at that moment.
-    net.send(names["n2"], names["n3"], MessageKind.REPAIR)
-    kill_on_delivery(monkeypatch, net, MessageKind.REPAIR, lambda msg: bootstrap)
+    # The bootstrap dies while the joiner's first join request is in flight.
+    kill_after_first_send(monkeypatch, net, MessageKind.JOIN, bootstrap)
     with pytest.raises(BootstrapUnreachableError):
         join(net, derive_key("x8.jar"), bootstrap, name="late")
     assert net.metrics.sent["JOIN"] - net.metrics.delivered["JOIN"] == net.config.retries + 1
-    assert counts(net) == PINNED["join_bootstrap_dead"]
+    pins.check("timeouts", "join_bootstrap_dead", counts(net))
 
 
 # -- the texts an exhausted retry rule writes
@@ -294,8 +310,7 @@ def test_route_to_a_dead_first_hop_fails_after_0_retries():
 def test_join_to_a_dead_bootstrap_fails_after_3_retries(monkeypatch):
     net, names = build_network(64, seed=4)
     bootstrap = net.live_ids()[0]
-    net.send(names["n2"], names["n3"], MessageKind.REPAIR)
-    kill_on_delivery(monkeypatch, net, MessageKind.REPAIR, lambda msg: bootstrap)
+    kill_after_first_send(monkeypatch, net, MessageKind.JOIN, bootstrap)
     with pytest.raises(BootstrapUnreachableError) as err:
         join(net, derive_key("x8.jar"), bootstrap, name="late")
     assert str(err.value) == (f"bootstrap {to_hex(bootstrap)} never answered: "
@@ -315,14 +330,14 @@ def test_handoff_transfer_is_resent_once(monkeypatch):
         publish(net, names[f"n{i % 32}"], f"h{i}.jar", payload_of(f"h{i}.jar"))
     new_id = HANDOFF_RESEND_ID
     bootstrap = net.live_ids()[0]
-    # The joiner dies once its last leaf neighbour reported its scan, while a
-    # root transfer toward it is still in flight.
+    # The joiner dies once the last of its two ring neighbours reported its
+    # scan, while a root transfer toward it is still in flight.
     kill_on_delivery(monkeypatch, net, MessageKind.HANDOFF_DONE, lambda msg: new_id,
-                     nth=8, after=True)
+                     nth=2, after=True)
     report = join(net, new_id, bootstrap, name="late")
     assert report.unresolved
     assert net.metrics.timeouts["TRANSFER"] == 2 * len(report.unresolved)
-    assert counts(net) == PINNED["handoff_resend"]
+    pins.check("timeouts", "handoff_resend", counts(net))
 
 
 def test_handoff_counts_a_key_whose_ack_times_out_as_transferred(monkeypatch):
@@ -336,7 +351,7 @@ def test_handoff_counts_a_key_whose_ack_times_out_as_transferred(monkeypatch):
     report = join(net, new_id, net.live_ids()[0], name="late")
     assert len(report.transferred) == 2 and not report.unresolved
     assert net.metrics.timeouts["TRANSFER_ACK"] == 2
-    assert counts(net) == PINNED["handoff_ack_lost"]
+    pins.check("timeouts", "handoff_ack_lost", counts(net))
 
 
 def test_relinquish_transfer_moves_on_to_the_next_target():
@@ -351,7 +366,7 @@ def test_relinquish_transfer_moves_on_to_the_next_target():
     assert report.transferred == [(key, second_choice)]
     assert net.nodes[second_choice].store.get(key).role is Role.ROOT
     assert net.metrics.timeouts["TRANSFER"] == 1
-    assert counts(net) == PINNED["relinquish_next_target"]
+    pins.check("timeouts", "relinquish_next_target", counts(net))
 
 
 def test_relinquish_gives_up_after_three_targets():
@@ -367,90 +382,5 @@ def test_relinquish_gives_up_after_three_targets():
     assert report.transferred == [] and report.unresolved == [key]
     assert net.metrics.sent["TRANSFER"] == 3
     assert net.metrics.timeouts["TRANSFER"] == 3
-    assert counts(net) == PINNED["relinquish_gives_up"]
+    pins.check("timeouts", "relinquish_gives_up", counts(net))
 
-
-# (messages sent, timeouts, events processed) per test. A change that moves
-# one of these figures changes behaviour and has to say why.
-PINNED = {
-    "handoff_ack_lost": (
-        {"ANNOUNCE": 395, "ANNOUNCE_ACK": 395, "HANDOFF": 228, "HANDOFF_DONE": 228,
-         "JOIN": 59, "JOIN_REPLY": 32, "PUBLISH": 55, "PUBLISH_ACK": 55, "REPAIR": 2,
-         "REPAIR_REPLY": 2, "TRANSFER": 2, "TRANSFER_ACK": 2},
-        {"TRANSFER_ACK": 2}, 1455),
-    "handoff_resend": (
-        {"ANNOUNCE": 395, "ANNOUNCE_ACK": 395, "HANDOFF": 228, "HANDOFF_DONE": 228,
-         "JOIN": 59, "JOIN_REPLY": 32, "PUBLISH": 55, "PUBLISH_ACK": 55, "REPAIR": 2,
-         "REPAIR_REPLY": 2, "TRANSFER": 3, "TRANSFER_ACK": 1},
-        {"TRANSFER": 2}, 1456),
-    "join_bootstrap_dead": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 142, "JOIN_REPLY": 63, "REPAIR": 1, "REPAIR_REPLY": 1},
-        {"JOIN": 4}, 3232),
-    "join_exhausted": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 140, "JOIN_REPLY": 63},
-        {"JOIN": 1}, 3227),
-    "join_reroute": (
-        {"ANNOUNCE": 1057, "ANNOUNCE_ACK": 1057, "HANDOFF": 484, "HANDOFF_DONE": 484,
-         "JOIN": 142, "JOIN_REPLY": 64},
-        {"JOIN": 1}, 3288),
-    "lookup_client_dies": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 2, "LOOKUP_REPLY": 2},
-        {"LOOKUP_REPLY": 1}, 3229),
-    "lookup_junction_fetch_lost": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 1, "FETCH": 1, "PUBLISH": 2,
-         "PUBLISH_ACK": 2},
-        {"FETCH": 1}, 3231),
-    "lookup_junction_reply_lost": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 1, "FETCH": 1, "FETCH_REPLY": 1,
-         "PUBLISH": 2, "PUBLISH_ACK": 2, "REPAIR": 2, "REPAIR_REPLY": 2},
-        {"FETCH_REPLY": 1}, 3236),
-    "lookup_reply_path_lost": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 2, "LOOKUP_REPLY": 2},
-        {"LOOKUP_REPLY": 1}, 3229),
-    "lookup_reply_skip": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "LOOKUP": 3, "LOOKUP_REPLY": 3},
-        {"LOOKUP_REPLY": 1}, 3231),
-    "publish_ack_skip": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 3, "PUBLISH_ACK": 3},
-        {"PUBLISH_ACK": 1}, 3231),
-    "publish_reroute": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 3, "PUBLISH_ACK": 2},
-        {"PUBLISH": 1}, 3230),
-    "publish_source_dies": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 2, "PUBLISH_ACK": 2},
-        {"PUBLISH_ACK": 1}, 3229),
-    "relinquish_gives_up": (
-        {"ANNOUNCE": 377, "ANNOUNCE_ACK": 377, "GOODBYE": 16, "HANDOFF": 220,
-         "HANDOFF_DONE": 220, "JOIN": 56, "JOIN_REPLY": 31, "PUBLISH": 2,
-         "PUBLISH_ACK": 2, "REPAIR": 6, "REPAIR_REPLY": 6, "TRANSFER": 3},
-        {"TRANSFER": 3}, 1316),
-    "relinquish_next_target": (
-        {"ANNOUNCE": 377, "ANNOUNCE_ACK": 377, "GOODBYE": 16, "HANDOFF": 220,
-         "HANDOFF_DONE": 220, "JOIN": 56, "JOIN_REPLY": 31, "PUBLISH": 2,
-         "PUBLISH_ACK": 2, "REPAIR": 2, "REPAIR_REPLY": 2, "TRANSFER": 2,
-         "TRANSFER_ACK": 1},
-        {"TRANSFER": 1}, 1308),
-    "remove_retry": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "PUBLISH": 2, "PUBLISH_ACK": 2, "REMOVE": 3,
-         "REMOVE_REPLY": 1},
-        {"REMOVE": 1}, 3233),
-    "route_sender_dead": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "ROUTE_STEP": 2},
-        {"ROUTE_STEP": 1}, 3227),
-    "route_timeout": (
-        {"ANNOUNCE": 1036, "ANNOUNCE_ACK": 1036, "HANDOFF": 476, "HANDOFF_DONE": 476,
-         "JOIN": 138, "JOIN_REPLY": 63, "ROUTE_STEP": 1},
-        {"ROUTE_STEP": 1}, 3226),
-}

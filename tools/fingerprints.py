@@ -1,6 +1,7 @@
 """Print the outputs a behaviour-preserving change must leave untouched.
 
     python3 tools/fingerprints.py [CHECKOUT] > fingerprints.txt
+    python3 tools/fingerprints.py --check [CHECKOUT]
 
 One line per run: the sha1 of `peerdeploy run demos/sample.scenario` at
 seeds 42, 1 and 7, with hashed and with random ids; the sha1 of the metrics
@@ -17,13 +18,16 @@ imports), which pins install order; then for every perfbench workload at
 seeds 201 and 305 the `perfbench/run.py --trace 1` fingerprint, failed count
 and every per-layer metric that is not a timing. CHECKOUT defaults to the
 checkout this script sits in. Run it in two checkouts and diff the outputs:
-an empty diff means the two behave alike on these runs.
+an empty diff means the two behave alike on these runs. With --check it
+compares every line with the checkout's committed tests/golden/fingerprints.txt,
+prints each line that moved as `- old` / `+ new`, and exits 1 if any did.
 Uses only the standard library; perfbench runs as a subprocess, unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -40,6 +44,9 @@ STATS_DOCUMENTS = tuple(f"tests/golden/{name}.json" for name in (
     "churn_fail", "every_verb", "every_verb.random-ids", "faults", "handoff.random-ids",
     "sample", "sample.seed1", "sample.seed7", "zipf_advance"))
 BENCH_SEEDS = (201, 305)
+# The committed output, which `--check` compares every line with and the
+# golden regeneration (`PYTHONPATH=src python tests/test_golden.py`) rewrites.
+COMMITTED = "tests/golden/fingerprints.txt"
 # Runs the CLI from the checkout's own sources, whatever else is installed.
 CLI = ("import sys; sys.path.insert(0, {src!r}); from peerdeploy.cli import main; "
        "sys.exit(main())")
@@ -193,21 +200,48 @@ def bench_line(root: Path, workload: str, seed: int) -> str:
             f"metrics {json.dumps(layers, sort_keys=True)}")
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+def lines(root: Path, bench: bool = True):
+    """Every fingerprint line of `root`, in order; the perfbench lines come
+    last and only with `bench`."""
     for seed in SCENARIO_SEEDS:
         for random_ids in (False, True):
-            print(scenario_line(root, seed, random_ids), flush=True)
-    print(workload_line(root), flush=True)
+            yield scenario_line(root, seed, random_ids)
+    yield workload_line(root)
     for name in INVALID:
-        print(invalid_line(root, name), flush=True)
+        yield invalid_line(root, name)
     for document in STATS_DOCUMENTS:
-        print(stats_line(root, document), flush=True)
-    print(resolve_line(root), flush=True)
-    for workload in WORKLOADS:
-        for seed in BENCH_SEEDS:
-            print(bench_line(root, workload, seed), flush=True)
-    return 0
+        yield stats_line(root, document)
+    yield resolve_line(root)
+    if bench:
+        for workload in WORKLOADS:
+            for seed in BENCH_SEEDS:
+                yield bench_line(root, workload, seed)
+
+
+def diff(committed: list[str], measured: list[str]) -> list[str]:
+    """`- old` and `+ new` for each line that moved, by position; a line that
+    only one side has reads `-` on the other."""
+    out = []
+    for old, new in itertools.zip_longest(committed, measured, fillvalue="-"):
+        if old != new:
+            out += [f"- {old}", f"+ {new}"]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    check = "--check" in argv
+    argv = [arg for arg in argv if arg != "--check"]
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    if not check:
+        for line in lines(root):
+            print(line, flush=True)
+        return 0
+    committed = (root / COMMITTED).read_text(encoding="utf-8").splitlines()
+    moved = diff(committed, list(lines(root)))
+    for line in moved:
+        print(line)
+    print(f"{len(committed)} committed lines, {len(moved) // 2} moved")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
