@@ -187,6 +187,9 @@ class JoinOp(RoutedOp):
             self.net.send(joiner.id, contact, MessageKind.ANNOUNCE)
         self.complete(None)
 
+    def record(self, metrics) -> None:
+        """Nothing: `join` counts the join once the drain shows whether the joiner lives."""
+
     def failure(self, reason: str) -> Exception:
         if len(self.path) == 1:
             return BootstrapUnreachableError(
@@ -223,7 +226,9 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
         # The id never became LIVE; leave it departed so stale references
         # aimed at it clean up through the normal timeout path.
         net.set_status(node, NodeStatus.DEPARTED)
+        net.metrics.record_op("join", failed=True)
         raise
+    net.metrics.record_op("join", hops=op.hops())
     net.set_status(node, NodeStatus.LIVE)
     # The first node has no neighbour to take keys from.
     transferred, unresolved = handoff_on_join(node) if bootstrap is not None else ([], [])

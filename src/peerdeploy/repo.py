@@ -108,7 +108,7 @@ class RepositoryIndex:
         self._by_name: dict[str, ComponentDescriptor] = {}
         self._exporters: dict[str, set[str]] = {}
         self._providers: dict[str, Optional[ComponentDescriptor]] = {}
-        self._resolved: dict[tuple[str, frozenset[str]], list[InstallGroup]] = {}
+        self._resolved: dict[str, list[InstallGroup]] = {}
         for descriptor in entries:
             self.add(descriptor)
 
@@ -265,8 +265,7 @@ class InstallGroup:
     cycle: bool
 
 
-def resolve(index: RepositoryIndex, name: str,
-            base_exports: Iterable[str] = ()) -> list[InstallGroup]:
+def resolve(index: RepositoryIndex, name: str) -> list[InstallGroup]:
     """Dependency-closed install order for one bundle.
 
     Providers come before dependents; mutually importing bundles come out
@@ -274,10 +273,9 @@ def resolve(index: RepositoryIndex, name: str,
     deterministic so resolve() replays identically. The index memoizes each
     order; every call returns a list of its own, and errors are not kept.
     """
-    base = frozenset(base_exports)
     memo = index._resolved
-    if (name, base) in memo:
-        return list(memo[name, base])
+    if name in memo:
+        return list(memo[name])
     if name not in index:
         raise UnknownBundleError(f"{name!r} is not in the repository index")
 
@@ -291,8 +289,8 @@ def resolve(index: RepositoryIndex, name: str,
         assert descriptor is not None
         wanted: set[str] = set()
         for package in descriptor.imports:
-            if package in descriptor.exports or package in base:
-                continue  # self-provided or platform-provided
+            if package in descriptor.exports:
+                continue  # self-provided
             provider = index.provider(package)
             if provider is None:
                 raise UnresolvableError(
@@ -303,7 +301,7 @@ def resolve(index: RepositoryIndex, name: str,
         providers[current] = wanted
         worklist.extend(sorted(wanted - providers.keys(), reverse=True))
 
-    order = memo[name, base] = _order_groups(_condense(providers), providers)
+    order = memo[name] = _order_groups(_condense(providers), providers)
     return list(order)
 
 
@@ -386,11 +384,9 @@ class LifecycleState(Enum):
 class GatewayState:
     """Installed-bundle map for the gateway running on one overlay node."""
 
-    def __init__(self, node_id: int, index: RepositoryIndex | None = None,
-                 base_exports: Iterable[str] = ()):
+    def __init__(self, node_id: int, index: RepositoryIndex):
         self.node_id = node_id
-        self.index = index if index is not None else RepositoryIndex()
-        self.base_exports = frozenset(base_exports)
+        self.index = index
         self.installed: dict[str, LifecycleState] = {}
         self.artifacts: dict[str, ComponentPayload] = {}
 
@@ -398,7 +394,7 @@ class GatewayState:
         return self.installed.get(name)
 
     def _exports_besides(self, excluded: str | None = None) -> set[str]:
-        available = set(self.base_exports)
+        available: set[str] = set()
         for name in self.installed:
             if name == excluded:
                 continue
@@ -421,7 +417,7 @@ def install(gw: GatewayState, net: SimNetwork, uri_text: str) -> InstallReport:
     scheme, bundle = parse_uri(uri_text)
     if scheme != "p2p":
         raise UnsupportedUriError(f"cannot install from {scheme!r} URIs, only p2p://")
-    order = resolve(gw.index, bundle, gw.base_exports)
+    order = resolve(gw.index, bundle)
     newly: list[str] = []
     skipped: list[str] = []
     for group in order:

@@ -171,15 +171,6 @@ class Operation:
         if self.pending == 0:
             self.complete(None)
 
-    # The answers to a handoff's neighbour scans. A silent node counts as
-    # answered: a dead neighbour has nothing to hand over; a joiner that died
-    # leaves every key it was sent to time out, unresolved, at its old root.
-    @on_deliver(MessageKind.HANDOFF_DONE)
-    @on_timeout(MessageKind.HANDOFF)
-    @on_timeout(MessageKind.HANDOFF_DONE)
-    def answered(self, node, msg: Message) -> None:
-        self.settle()
-
     def settle(self) -> None:
         self.pending -= 1
         if self.pending == 0:

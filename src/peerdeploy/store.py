@@ -3,9 +3,9 @@
 Publishing routes the payload from its source to the key's root and, on the
 acknowledgement walking back, leaves a key/location association (TRAIL) on
 every strictly intermediate node. Lookups short-circuit at the first node on
-their path holding any entry (the junction); with caching on, the payload is
-replicated along the reverse lookup path, which is what makes popular
-components accumulate replicas.
+their path holding any entry (the junction), and the payload is cached along
+the reverse lookup path, which is what makes popular components accumulate
+replicas.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class StoreEntry:
 class StoreConfig:
     cache_capacity: int = 64
     ttl: int = 1000
-    cache_on_lookup: bool = True
 
     def __post_init__(self):
         if self.cache_capacity < 0:
@@ -310,9 +309,8 @@ class LookupOp(RoutedOp):
 
     def reply_at(self, node, data: dict) -> None:
         # A CACHE copy names no holder: only a TRAIL's locations are read.
-        if node.store.config.cache_on_lookup:
-            node.store.put(self.key, self.name, Role.CACHE, data["payload"],
-                           origin=None, root_hint=None, now=self.net.clock)
+        node.store.put(self.key, self.name, Role.CACHE, data["payload"],
+                       origin=None, root_hint=None, now=self.net.clock)
 
     def reply_home(self, node, data: dict) -> None:
         self.complete((data["payload"], self.path[-1], len(self.path) - 1))
@@ -360,15 +358,11 @@ class LookupOp(RoutedOp):
         if payload is None:
             self.fetch_next(node)
             return
-        # One write: a CACHE copy when caching is on, else the trail again if it expired.
+        # One write: a CACHE copy, unless a payload reached the junction meanwhile.
         entry = node.store.get(self.key)
-        if node.store.config.cache_on_lookup and (entry is None or entry.payload is None):
+        if entry is None or entry.payload is None:
             entry = node.store.put(self.key, self.name, Role.CACHE, payload, None, None,
                                    self.net.clock)
-        elif entry is None:
-            entry = node.store.put(self.key, self.name, Role.TRAIL, None, None, None,
-                                   self.net.clock)
-        # Serve from the junction whether or not it kept a copy.
         self.serve(node, entry, payload)
 
     @on_timeout(MessageKind.FETCH_REPLY)
@@ -537,6 +531,15 @@ class HandoffOp(TransferOp):
         self.move_roots(node)
         self.net.send(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=self)
 
+    # A silent node counts as answered: a dead neighbour has nothing to hand
+    # over; a joiner that died leaves every key it was sent to time out,
+    # unresolved, at its old root.
+    @on_deliver(MessageKind.HANDOFF_DONE)
+    @on_timeout(MessageKind.HANDOFF)
+    @on_timeout(MessageKind.HANDOFF_DONE)
+    def answered(self, node, msg: Message) -> None:
+        self.settle()
+
     def next_target(self, old_root, key: int) -> int | None:
         """The joiner, when it is closer to `key` than the old root is."""
         joiner = self.new_id
@@ -544,23 +547,15 @@ class HandoffOp(TransferOp):
 
 
 class RelinquishOp(TransferOp):
-    """Each try goes to the closest leaf member of the leaver not yet tried
-    for the key, chosen when the try is sent."""
+    """Each try goes to the leaver's leaf member closest to the key. A lost
+    TRANSFER's target has departed, and the leaver's repair dropped it first."""
 
     kind = "relinquish"
     TRIES = 3
 
-    def __init__(self):
-        super().__init__()
-        self.tried: dict[int, list[int]] = {}
-
     def next_target(self, leaver, key: int) -> int | None:
-        tried = self.tried.setdefault(key, [])
-        members = [m for m in leaver.leaf_set.members() if m not in tried]
-        if not members:
-            return None
-        tried.append(ring_root(members, key))
-        return tried[-1]
+        members = leaver.leaf_set.members()
+        return ring_root(members, key) if members else None
 
 
 def handoff_on_join(joiner) -> tuple[list[int], list[int]]:

@@ -248,14 +248,13 @@ def check_store(store) -> None:
 # dependency resolution checked after the fact
 
 
-def check_resolution(descriptors: dict, requested: str, groups,
-                     base_exports=()) -> list[str]:
+def check_resolution(descriptors: dict, requested: str, groups) -> list[str]:
     """Validate a resolved install order. descriptors maps name -> object
     with .imports/.exports. Returns a list of violation strings, empty when
     the order is sound."""
     problems: list[str] = []
     emitted: list[str] = []
-    exports_seen = set(base_exports)
+    exports_seen: set[str] = set()
     all_names = [m for g in groups for m in g.members]
     if len(all_names) != len(set(all_names)):
         problems.append("a bundle appears in more than one group")
@@ -282,11 +281,11 @@ def check_resolution(descriptors: dict, requested: str, groups,
         emitted.extend(group.members)
 
     # closure: every import of every emitted bundle has some provider among
-    # emitted bundles, the bundle itself, or the base exports
+    # emitted bundles or the bundle itself
     for member in emitted:
         desc = descriptors[member]
         for package in desc.imports:
-            if package in set(desc.exports) or package in set(base_exports):
+            if package in set(desc.exports):
                 continue
             if not any(package in descriptors[other].exports for other in emitted):
                 problems.append(f"{member} import {package} has no provider at all")

@@ -87,13 +87,12 @@ def start_lookup(net, client: int, name: str) -> None:
     op.advance(net.nodes[client])
 
 
-def lookup_past_an_expired_trail(monkeypatch, cache_on_lookup: bool):
+def lookup_past_an_expired_trail(monkeypatch):
     """Look f1.jar up from n6: the lookup stops at a TRAIL and fetches, and the
     sweep at the next boundary evicts that TRAIL before the payload comes
     back. Returns, per FETCH_REPLY, the junction's entry for the key before
     and after the reply (None where it holds none)."""
-    config = StoreConfig(ttl=100, cache_on_lookup=cache_on_lookup)
-    net, names = build_network(32, seed=0, store_config=config)
+    net, names = build_network(32, seed=0, store_config=StoreConfig(ttl=100))
     for i in range(2):
         publish(net, names[f"n{i}"], f"f{i}.jar", payload_of(f"f{i}.jar"))
     key = derive_key("f1.jar")
@@ -117,17 +116,38 @@ def lookup_past_an_expired_trail(monkeypatch, cache_on_lookup: bool):
 def test_a_fetch_reply_serves_from_a_junction_whose_trail_expired_meanwhile(monkeypatch):
     """The junction takes the reply all the same: it keeps a CACHE copy and
     serves from it."""
-    on_reply = lookup_past_an_expired_trail(monkeypatch, cache_on_lookup=True)
+    on_reply = lookup_past_an_expired_trail(monkeypatch)
     ((before, after),) = on_reply
     assert before is None
     assert (after.role, after.payload, after.hits) == (Role.CACHE, payload_of("f1.jar"), 1)
 
 
-def test_without_caching_a_fetch_reply_puts_the_expired_trail_back(monkeypatch):
-    on_reply = lookup_past_an_expired_trail(monkeypatch, cache_on_lookup=False)
-    ((before, after),) = on_reply
-    assert before is None
-    assert (after.role, after.payload, after.hits) == (Role.TRAIL, None, 1)
+def test_the_first_boundary_follows_the_time_of_the_next_event_not_its_sequence():
+    """Many sends at one clock value push the sequence number of the event at
+    the head of the queue far past its time. The publish in flight then leaves
+    a TRAIL that expires long before the boundary that sequence number would
+    name, and `advance` must evict it as a sweep at every boundary does."""
+    nets = []
+    for _ in range(2):
+        net, _ = build_network(4, seed=1, store_config=StoreConfig(ttl=1))
+        key = derive_key("far.jar")
+        root = oracle_root(net.live_ids(), key)
+        source, middle, other = [n for n in net.live_ids() if n != root]
+        # The source forgets all but the middle node, so the publish takes two hops.
+        for node_id in (other, root):
+            net.nodes[source].forget(node_id)
+        for _ in range(2000):
+            net.send(source, 12345, MessageKind.REPAIR)  # to no node: times out at +500
+        op = net.new_op(store.PublishOp(key, "far.jar", payload_of("far.jar")))
+        op.advance(net.nodes[source])
+        assert op.path == [source] and net._queue[0][1] > net.clock + 1000
+        nets.append((net, op))
+    (net, op), (reference, _) = nets
+    net.advance(1000)
+    reference_advance(reference, 1000)
+    assert op.done and len(op.path) == 3 and op.path[1] == middle
+    assert net.metrics.evictions == 1
+    assert state(net) == state(reference)
 
 
 def script(seed: int, nodes: int, names: int, steps: int) -> list[tuple]:
@@ -186,8 +206,7 @@ def apply(net, action: tuple, names: list[str], advance, sweep) -> str:
         elif kind == "leave" and len(live) > 8:
             leave(net, live[action[1] % len(live)], graceful=True)
         elif kind == "swap":
-            config = StoreConfig(ttl=action[1], cache_capacity=action[2],
-                                 cache_on_lookup=net.nodes[live[0]].store.config.cache_on_lookup)
+            config = StoreConfig(ttl=action[1], cache_capacity=action[2])
             for node_id in live:
                 net.nodes[node_id].store.config = config
         elif kind == "edit":
@@ -210,8 +229,7 @@ def state(net) -> tuple:
 @pytest.mark.parametrize("config", [
     StoreConfig(cache_capacity=2),
     StoreConfig(),
-    StoreConfig(cache_on_lookup=False),
-], ids=["capacity2", "default", "no_cache"])
+], ids=["capacity2", "default"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_advance_evicts_like_a_sweep_at_every_boundary(config, seed):
     nets = [build_network(64, seed=seed, store_config=dataclasses.replace(config))[0]

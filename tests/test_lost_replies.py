@@ -36,10 +36,16 @@ def published_network():
 def test_join_fails_when_the_joiner_dies_during_its_announce_round(monkeypatch):
     net, _ = published_network()
     before, handoffs = root_holders(net), net.metrics.sent["HANDOFF"]
+    metrics = net.metrics
+    histogram = dict(metrics.hop_histograms["join"])
     new_id = HANDOFF_RESEND_ID
     kill_on_delivery(monkeypatch, net, MessageKind.ANNOUNCE, lambda msg: msg.from_id)
     with pytest.raises(RoutingFailureError, match="lost the joiner during its announce round"):
         join(net, new_id, net.live_ids()[0], name="late")
+    # Counted once, as a failure, with no hops.
+    assert metrics.op_counts["join"] == 33
+    assert metrics.op_failures.get("join", 0) == 1
+    assert metrics.hop_histograms["join"] == histogram
     assert not net.ops
     assert net.nodes[new_id].status is NodeStatus.DEPARTED
     assert net.metrics.sent["HANDOFF"] == handoffs

@@ -148,6 +148,8 @@ def test_parse_index_empty_and_comments():
     assert len(parse_index("")) == 0
     assert len(parse_index("# generated_at: 3\n")) == 0
     assert parse_index("# generated_at: 3\n").generated_at == 3
+    # A file of comments alone, with no newline at its end.
+    assert parse_index("# generated_at: 3").generated_at == 3
 
 
 def test_parse_index_reports_line_and_field():
@@ -284,12 +286,6 @@ def test_resolve_unknown_bundle():
         resolve(RepositoryIndex(), "nope.jar")
 
 
-def test_resolve_base_exports_short_circuit():
-    index = make_index(desc("app.jar", imports=("system",)))
-    groups = resolve(index, "app.jar", base_exports=("system",))
-    assert [m for g in groups for m in g.members] == ["app.jar"]
-
-
 def test_resolve_random_graphs_against_checker():
     rng = random.Random(9)
     for trial in range(60):
@@ -367,14 +363,6 @@ def test_resolve_raises_again_on_a_repeated_call():
             resolve(index, "nope.jar")
         with pytest.raises(UnresolvableError):
             resolve(index, "lonely.jar")
-
-
-def test_resolve_keeps_an_order_per_base_exports():
-    index = make_index(desc("app.jar", imports=("system",)),
-                       desc("sys.jar", exports=("system",)))
-    for _ in range(2):
-        assert members(resolve(index, "app.jar")) == ["sys.jar", "app.jar"]
-        assert members(resolve(index, "app.jar", base_exports=("system",))) == ["app.jar"]
 
 
 # -- install and lifecycle over the network

@@ -148,9 +148,6 @@ def test_lookup_serves_from_first_entry_holder_on_path():
     net, _ = build_network(64, seed=5)
     live = net.live_ids()
     rng = random.Random(8)
-    quiet = StoreConfig(cache_on_lookup=False)
-    for nid in live:
-        net.nodes[nid].store.config = quiet  # freeze state between lookups
     for i in range(10):
         name = f"首{i}.jar"
         publish(net, live[rng.randrange(len(live))], name, payload_of("x"))
