@@ -137,7 +137,9 @@ class JoinReport:
 
 class JoinOp(RoutedOp):
     """Routes toward the joiner's own id; the key is the joiner. The joiner,
-    path[0], knows no one yet and hands the request to its bootstrap."""
+    path[0], knows no one yet and hands the request to its bootstrap. Once
+    the reply is home, the joiner announces itself to its leaf members and
+    to the contacts within one row of its deepest, and the op completes."""
 
     kind = "join"
     message = MessageKind.JOIN
@@ -180,7 +182,17 @@ class JoinOp(RoutedOp):
 
     def reply_home(self, joiner: OverlayNode, data: dict) -> None:
         joiner.learn_live(sorted(self.candidates))
-        self.announced = joiner.known_contacts()
+        contacts = joiner.known_contacts()
+        # A contact that shares a prefix of p digits with the joiner could
+        # only take it into its row p, and a shallow row's cell is as good
+        # as always taken: so announce to the leaf members, which need the
+        # joiner to route correctly, and to the contacts within one row of
+        # the deepest.
+        shared = [shared_prefix_len(contact, self.key) for contact in contacts]
+        floor = max(shared, default=0) - 1
+        leaf = joiner.leaf_set.members()
+        self.announced = [contact for contact, p in zip(contacts, shared)
+                          if p >= floor or contact in leaf]
         # One-way, as in Pastry: `run` drains the queue, so every
         # announcement has landed or timed out before `join` goes on.
         for contact in self.announced:
@@ -205,9 +217,11 @@ def join(net: SimNetwork, new_id: int, bootstrap: int | None,
 
     The joiner hands its join request to the bootstrap, which routes it
     toward the new id; every node it crosses contributes routing rows, the
-    terminal contributes its leaf set. The joiner then announces itself to
-    everyone it learned about, with no ack, and finally its two ring
-    neighbours hand over the keys it now roots.
+    terminal contributes its leaf set. The joiner then announces itself,
+    with no ack, to its leaf members and to the contacts that share at
+    most one digit less with it than its deepest contact does; the others
+    almost always hold a node already in the cell it would take. Finally
+    its two ring neighbours hand over the keys it now roots.
     """
     if bootstrap is None:
         if net.live_ids():

@@ -53,7 +53,6 @@ class MessageKind(Enum):
     TRANSFER = "TRANSFER"
     TRANSFER_ACK = "TRANSFER_ACK"
     HANDOFF = "HANDOFF"
-    HANDOFF_DONE = "HANDOFF_DONE"
     GOODBYE = "GOODBYE"
     REPAIR = "REPAIR"
     REPAIR_REPLY = "REPAIR_REPLY"

@@ -511,6 +511,10 @@ class TransferOp(Operation):
 
 
 class HandoffOp(TransferOp):
+    """A neighbour's scan settles its HANDOFF once its TRANSFERs are out, so
+    only their acks go back to the joiner. A joiner that died leaves every
+    key it was sent to time out, unresolved, at its old root."""
+
     kind = "handoff"
     TRIES = 2
 
@@ -529,14 +533,10 @@ class HandoffOp(TransferOp):
     def scan(self, node, msg: Message) -> None:
         """A ring neighbour of the joiner moves the roots the joiner now holds."""
         self.move_roots(node)
-        self.net.send(node.id, msg.from_id, MessageKind.HANDOFF_DONE, op=self)
+        self.settle()
 
-    # A silent node counts as answered: a dead neighbour has nothing to hand
-    # over; a joiner that died leaves every key it was sent to time out,
-    # unresolved, at its old root.
-    @on_deliver(MessageKind.HANDOFF_DONE)
+    # A silent neighbour counts as answered: a dead one has nothing to hand over.
     @on_timeout(MessageKind.HANDOFF)
-    @on_timeout(MessageKind.HANDOFF_DONE)
     def answered(self, node, msg: Message) -> None:
         self.settle()
 

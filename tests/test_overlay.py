@@ -19,7 +19,7 @@ from peerdeploy.overlay import OverlayNode
 from peerdeploy.routing import HALF_LEAF
 from peerdeploy.simnet import NodeStatus, SimNetwork
 from peerdeploy.store import ComponentPayload, LookupOp, PublishOp, Role
-from oracles import RING, oracle_root, stabilize
+from oracles import RING, oracle_prefix_len, oracle_root, stabilize
 
 
 def test_first_node_joins_empty_network():
@@ -78,6 +78,30 @@ def test_join_report_carries_route():
     assert len(report.path) >= 1
     assert len(report.announced) >= 1
     assert net.nodes[7].status is NodeStatus.LIVE
+
+
+def test_a_join_announces_to_its_leaf_and_its_two_deepest_rows():
+    """A contact two or more rows shallower than the joiner's deepest would
+    only take the joiner into a cell that is as good as always taken, so
+    the joiner announces itself to its leaf members and to the contacts
+    that share at least one digit less than the deepest one does."""
+    net, _ = build_network(256, seed=3)
+    sent = net.metrics.sent["ANNOUNCE"]
+    new_id = derive_key("latecomer12")
+    report = join(net, new_id, net.live_ids()[0], name="latecomer12")
+    joiner = net.nodes[new_id]
+    contacts = joiner.known_contacts()
+    depth = max(oracle_prefix_len(contact, new_id) for contact in contacts)
+    leaf = set(joiner.leaf_set.members())
+    assert report.announced == [
+        contact for contact in contacts
+        if contact in leaf or oracle_prefix_len(contact, new_id) >= depth - 1]
+    assert net.metrics.sent["ANNOUNCE"] - sent == len(report.announced)
+    # This joiner knows a contact of each sort the rule tells apart: a
+    # leaf member below the cut, and table contacts at it and below it.
+    sorts = {(oracle_prefix_len(contact, new_id) - (depth - 1), contact in leaf)
+             for contact in contacts}
+    assert {(-1, True), (0, False), (-1, False)} <= sorts
 
 
 def test_leaf_sets_match_ring_neighbours():

@@ -4,6 +4,7 @@ next_hop is compared against a hex-string restatement of the same rules in
 oracles.py, both on organically grown networks and on synthetic state.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -316,3 +317,20 @@ def test_route_hop_histogram_is_pinned(nodes):
         hops = len(route(net, start, rng.getrandbits(128))) - 1
         histogram[hops] = histogram.get(hops, 0) + 1
     pins.check("route_hops", str(nodes), dict(sorted(histogram.items())))
+
+
+@pytest.mark.parametrize("nodes", [256, 1024])
+def test_build_is_pinned(nodes):
+    """Every node's leaf set and table after a build, as one digest, and the
+    messages the build took. A change that makes joins cheaper moves
+    "build_messages" in pins.json and leaves "build_state" as it is."""
+    net, _ = build_network(nodes, seed=1)
+    digest = hashlib.sha1()
+    for node_id in net.live_ids():
+        node = net.nodes[node_id]
+        digest.update(repr((node_id, node.leaf_set.left, node.leaf_set.right,
+                            [sorted(row.items()) for row in node.routing_table.rows])).encode())
+    pins.check("build_state", str(nodes), digest.hexdigest())
+    pins.check("build_messages", str(nodes),
+               {"sent": dict(sorted(net.metrics.sent.items())),
+                "events_processed": net.metrics.events_processed})

@@ -319,8 +319,8 @@ def test_join_to_a_dead_bootstrap_fails_after_3_retries(monkeypatch):
 
 # -- root transfer
 
-# A joiner id whose handoff leaves a root transfer in flight after the last
-# leaf neighbour has reported its scan (32 nodes, seed 4, 40 bundles).
+# A joiner id whose handoff leaves a root transfer in flight once the second
+# of its two ring neighbours has scanned (32 nodes, seed 4, 40 bundles).
 HANDOFF_RESEND_ID = 0xad45f23d3b1a11df587fd2803bab6c39
 
 
@@ -330,9 +330,9 @@ def test_handoff_transfer_is_resent_once(monkeypatch):
         publish(net, names[f"n{i % 32}"], f"h{i}.jar", payload_of(f"h{i}.jar"))
     new_id = HANDOFF_RESEND_ID
     bootstrap = net.live_ids()[0]
-    # The joiner dies once the last of its two ring neighbours reported its
-    # scan, while a root transfer toward it is still in flight.
-    kill_on_delivery(monkeypatch, net, MessageKind.HANDOFF_DONE, lambda msg: new_id,
+    # The joiner dies once the second of its two ring neighbours has scanned,
+    # while a root transfer toward it is still in flight.
+    kill_on_delivery(monkeypatch, net, MessageKind.HANDOFF, lambda msg: new_id,
                      nth=2, after=True)
     report = join(net, new_id, bootstrap, name="late")
     assert report.unresolved
