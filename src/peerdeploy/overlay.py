@@ -109,15 +109,14 @@ class OverlayNode:
 class RouteOp(RoutedOp):
     kind = "route"
     message = MessageKind.ROUTE_STEP
-    TRIES = 1  # the caller decides whether to retry
 
     def at_root(self, node: OverlayNode) -> None:
         self.complete(list(self.path))
 
 
 def route(net: SimNetwork, start: int, k: int) -> list[int]:
-    """Follow next_hop from start until some node names itself. The endpoint
-    is the key's root. A mid-route timeout raises with the partial path."""
+    """Follow next_hop from start until some node names itself, the key's
+    root. A dead hop is routed around; spent retries raise with the partial path."""
     return RouteOp(k).run(net.live_node(start))
 
 

@@ -125,11 +125,10 @@ class Operation:
     completes it.
 
     The one retry rule: a message of the op that is lost may go again while
-    fewer than TRIES messages about its key were lost (None: one more than
-    SimConfig.retries). The count is per key, whichever node sent them."""
+    no more than SimConfig.retries messages about its key were lost. The
+    count is per key, whichever node sent them."""
 
     kind = "op"
-    TRIES: int | None = None
 
     def __init__(self):
         self.net: SimNetwork | None = None  # set by SimNetwork.new_op
@@ -151,14 +150,11 @@ class Operation:
             raise self.error
         return self.result
 
-    def tries(self) -> int:
-        return self.net.config.retries + 1 if self.TRIES is None else self.TRIES
-
     def may_retry(self, key: int) -> bool:
         """Count one more loss for `key`; True while the op may send it again."""
         lost = self.lost = self.lost or {}
         lost[key] = lost.get(key, 0) + 1
-        return lost[key] < self.tries()
+        return lost[key] <= self.net.config.retries
 
     def fan_out(self, sender: int, kind: MessageKind,
                 sends: list[tuple[int, dict[str, Any] | None]]) -> None:
@@ -258,7 +254,7 @@ class RoutedOp(Operation):
             self.fail(self.failure("lost a path node"))
         elif not self.may_retry(self.key):
             self.fail(self.failure(f"timed out at {ids.to_hex(msg.to_id)} "
-                                   f"after {self.tries() - 1} retries"))
+                                   f"after {self.net.config.retries} retries"))
         else:
             self.advance(sender)
 
@@ -378,10 +374,10 @@ class Metrics:
 
 
 # Every field of the metrics document. A type is a leaf: an int is never a
-# bool, and a float may be written as an int. A dict is an object with
-# exactly those fields, except that a dict keyed by `str` (any text) or by
-# `int` (decimal digits) is an object whose keys are data. A one-item list is
-# a list whose items all have that shape.
+# bool, a float may be written as an int, and no number is negative. A dict
+# is an object with exactly those fields, except that a dict keyed by `str`
+# (any text) or by `int` (decimal digits) is an object whose keys are data. A
+# one-item list is a list whose items all have that shape.
 _COUNTS = {str: int}
 DOCUMENT_SHAPE: dict[str, Any] = {
     "clock": int, "seed": int, "live_nodes": int,
@@ -409,6 +405,8 @@ def check_document(value: Any, shape: Any = DOCUMENT_SHAPE, where: str = "docume
     if not isinstance(value, (int, float) if kind is float else kind) \
             or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{where} is not {_KINDS[kind]}")
+    if kind in (int, float) and value < 0:
+        raise ValueError(f"{where} is negative")
     if kind is list:
         for i, item in enumerate(value):
             check_document(item, shape[0], f"{where}[{i}]")

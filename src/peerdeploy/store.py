@@ -513,10 +513,9 @@ class TransferOp(Operation):
 class HandoffOp(TransferOp):
     """A neighbour's scan settles its HANDOFF once its TRANSFERs are out, so
     only their acks go back to the joiner. A joiner that died leaves every
-    key it was sent to time out, unresolved, at its old root."""
+    key it was sent to time out retries + 1 times, unresolved at its old root."""
 
     kind = "handoff"
-    TRIES = 2
 
     def __init__(self, new_id: int):
         super().__init__()
@@ -547,11 +546,10 @@ class HandoffOp(TransferOp):
 
 
 class RelinquishOp(TransferOp):
-    """Each try goes to the leaver's leaf member closest to the key. A lost
-    TRANSFER's target has departed, and the leaver's repair dropped it first."""
+    """Each of a key's retries + 1 tries goes to the leaver's leaf member closest
+    to it. A lost TRANSFER's target has departed; the leaver's repair dropped it."""
 
     kind = "relinquish"
-    TRIES = 3
 
     def next_target(self, leaver, key: int) -> int | None:
         members = leaver.leaf_set.members()

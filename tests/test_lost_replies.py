@@ -82,8 +82,8 @@ def test_handoff_settles_when_the_joiner_dies_during_its_scan(monkeypatch):
     assert net.nodes[new_id].status is NodeStatus.DEPARTED
     # The keys the joiner would have rooted stay with their old roots.
     assert (report.transferred, report.unresolved) == ([], handed_over)
-    # Each of those keys was sent to the dead joiner twice, and timed out twice.
-    assert net.metrics.timeouts == {"TRANSFER": 2 * len(handed_over)}
+    # Each of those keys was sent to the dead joiner retries + 1 times, and timed out each time.
+    assert net.metrics.timeouts == {"TRANSFER": (net.config.retries + 1) * len(handed_over)}
     assert root_holders(net) == before
 
 

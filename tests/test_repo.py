@@ -129,6 +129,7 @@ def test_index_serialization_is_stable():
     text = serialize_index(index)
     assert text == serialize_index(roundtrip(index))
     assert text.startswith("# generated_at: 5\n")
+    assert serialize_index(RepositoryIndex()) == "# generated_at: 0\n"
     # records come out name-sorted, each with the full fixed field order
     assert text.index("name: a.jar") < text.index("name: z.jar")
     for field in ("name:", "version:", "digest:", "size:", "start:",
@@ -571,6 +572,24 @@ def test_publish_local_index_conflict():
     other = payload_of("two")
     with pytest.raises(VersionConflictError):
         publish_local(gw, net, desc("c.jar", payload=other), other)
+
+
+def test_publish_local_checks_the_index_its_gateways_share():
+    # The runner's gateways share one index, so one gateway's entry stops
+    # another from publishing different bytes under that name, before any
+    # message is sent.
+    payload = payload_of("one")
+    net, names = build_network(4, seed=26)
+    index = RepositoryIndex()
+    first, second = (GatewayState(names[n], index=index) for n in ("n0", "n1"))
+    publish_local(first, net, desc("c.jar", payload=payload), payload)
+    sent, published = dict(net.metrics.sent), net.metrics.op_counts["publish"]
+    other = payload_of("two")
+    with pytest.raises(VersionConflictError, match="index already lists"):
+        publish_local(second, net, desc("c.jar", payload=other), other)
+    assert net.metrics.sent == sent
+    assert net.metrics.op_counts["publish"] == published
+    publish_local(second, net, desc("c.jar", payload=payload), payload)
 
 
 def test_publish_local_sets_source_uri():

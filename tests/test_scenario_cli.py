@@ -625,6 +625,18 @@ def test_cli_stats_rejects_malformed_documents(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_stats_rejects_a_negative_count(tmp_path, capsys):
+    document = json.loads((GOLDEN / "sample.json").read_text())
+    kind = sorted(document["operations"])[0]
+    document["operations"][kind]["hops"]["histogram"] = {"1": -5}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(document))
+    assert main(["stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed metrics document" in err
+    assert f"document.operations.{kind}.hops.histogram.1 is negative" in err
+
+
 @pytest.mark.parametrize("histogram,p50,p90,p99", [
     ({0: 50, 1: 30, 2: 15, 9: 5}, 0, 2, 9),  # skewed: a long thin tail
     ({3: 7}, 3, 3, 3),

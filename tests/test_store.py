@@ -17,7 +17,7 @@ from peerdeploy.errors import (
 )
 from peerdeploy.ids import derive_key
 from peerdeploy.overlay import LeaveReport, route
-from peerdeploy.simnet import SimNetwork
+from peerdeploy.simnet import SimConfig, SimNetwork
 from peerdeploy.store import (
     ComponentPayload,
     NodeStore,
@@ -583,7 +583,7 @@ def test_failed_publish_is_counted():
 
 
 def test_failed_route_and_remove_are_counted():
-    net, names = build_network(16, seed=3)
+    net, names = build_network(16, seed=3, sim_config=SimConfig(retries=0))
     trail = publish(net, names["n1"], "x.jar", payload_of("one"))
     net.nodes[trail.root].store.delete(trail.key)
     with pytest.raises(NotFoundError):

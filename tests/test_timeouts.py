@@ -79,18 +79,33 @@ def kill_after_first_send(monkeypatch, net, kind: MessageKind, victim) -> None:
     monkeypatch.setattr(net, "send", wrapped)
 
 
+def kill_every_target(monkeypatch, net, kind: MessageKind) -> None:
+    """Fail the target of each message of `kind` as it is sent, so every
+    copy is lost."""
+    original = net.send
+
+    def wrapped(from_id, to_id, sent_kind, *args, **kwargs):
+        msg = original(from_id, to_id, sent_kind, *args, **kwargs)
+        if sent_kind is kind and net.reachable(to_id) is not None:
+            net.fail(to_id)
+        return msg
+
+    monkeypatch.setattr(net, "send", wrapped)
+
+
 # -- route, publish, lookup, remove
 
 
-def test_route_fails_on_its_first_timeout():
+def test_route_goes_around_a_dead_hop():
     net, names = build_network(64, seed=4)
     key = derive_key("x0.jar")
     path = walk(net, names["n0"], key)
     assert len(path) == 3
     net.fail(path[1])
-    with pytest.raises(RoutingFailureError) as err:
-        route(net, names["n0"], key)
-    assert err.value.partial_path == path[:1]
+    around = route(net, names["n0"], key)
+    assert len(around) == 3 and around[0] == path[0] and around[-1] == path[-1]
+    assert path[1] not in around
+    assert net.metrics.timeouts == {"ROUTE_STEP": 1}
     pins.check("timeouts", "route_timeout", counts(net))
 
 
@@ -298,7 +313,7 @@ def test_join_recontacts_a_dead_bootstrap_until_it_gives_up(monkeypatch):
 
 
 def test_route_to_a_dead_first_hop_fails_after_0_retries():
-    net, names = build_network(64, seed=4)
+    net, names = build_network(64, seed=4, sim_config=SimConfig(retries=0))
     key = derive_key("x0.jar")
     hop = walk(net, names["n0"], key)[1]
     net.fail(hop)
@@ -324,7 +339,7 @@ def test_join_to_a_dead_bootstrap_fails_after_3_retries(monkeypatch):
 HANDOFF_RESEND_ID = 0xad45f23d3b1a11df587fd2803bab6c39
 
 
-def test_handoff_transfer_is_resent_once(monkeypatch):
+def test_handoff_transfer_is_resent_to_a_dead_joiner(monkeypatch):
     net, names = build_network(32, seed=4)
     for i in range(40):
         publish(net, names[f"n{i % 32}"], f"h{i}.jar", payload_of(f"h{i}.jar"))
@@ -336,7 +351,7 @@ def test_handoff_transfer_is_resent_once(monkeypatch):
                      nth=2, after=True)
     report = join(net, new_id, bootstrap, name="late")
     assert report.unresolved
-    assert net.metrics.timeouts["TRANSFER"] == 2 * len(report.unresolved)
+    assert net.metrics.timeouts["TRANSFER"] == (net.config.retries + 1) * len(report.unresolved)
     pins.check("timeouts", "handoff_resend", counts(net))
 
 
@@ -369,18 +384,85 @@ def test_relinquish_transfer_moves_on_to_the_next_target():
     pins.check("timeouts", "relinquish_next_target", counts(net))
 
 
-def test_relinquish_gives_up_after_three_targets():
+def test_relinquish_gives_up_after_retries_plus_one_targets():
     net, names = build_network(32, seed=4)
     trail = publish(net, names["n5"], "r.jar", payload_of("r.jar"))
     root, key = trail.root, trail.key
     members = net.nodes[root].leaf_set.members()
-    for _ in range(3):
+    tries = net.config.retries + 1
+    for _ in range(tries):
         closest = oracle_root(members, key)
         net.fail(closest)
         members.remove(closest)
     report = leave(net, root)
     assert report.transferred == [] and report.unresolved == [key]
-    assert net.metrics.sent["TRANSFER"] == 3
-    assert net.metrics.timeouts["TRANSFER"] == 3
+    assert net.metrics.sent["TRANSFER"] == tries
+    assert net.metrics.timeouts["TRANSFER"] == tries
     pins.check("timeouts", "relinquish_gives_up", counts(net))
 
+
+# -- the one retry budget
+
+BUDGET_KEY = derive_key("x.jar")
+
+
+def away_from_root(net) -> int:
+    """A live node that is not the root of BUDGET_KEY."""
+    return next(n for n in net.live_ids() if net.nodes[n].next_hop(BUDGET_KEY) != n)
+
+
+def raises(error, call):
+    def case(net):
+        with pytest.raises(error):
+            call(net)
+    return case
+
+
+def withdraw(net):
+    source = away_from_root(net)
+    publish(net, source, "x.jar", payload_of("x.jar"))
+    remove(net, source, "x.jar")
+
+
+def hand_off_to_a_dead_joiner(net):
+    publish(net, net.live_ids()[0], "x.jar", payload_of("x.jar"))
+    # The joiner's id is the key, so the joiner roots it.
+    report = join(net, BUDGET_KEY, net.live_ids()[0], name="late")
+    assert report.unresolved == [BUDGET_KEY]
+
+
+def relinquish_to_dead_members(net):
+    root = publish(net, net.live_ids()[0], "x.jar", payload_of("x.jar")).root
+    assert leave(net, root).unresolved == [BUDGET_KEY]
+
+
+# op -> (the kind whose every copy is lost, a call in which the op gives up)
+BUDGET_CASES = {
+    "route": (MessageKind.ROUTE_STEP, raises(
+        RoutingFailureError, lambda net: route(net, away_from_root(net), BUDGET_KEY))),
+    "join": (MessageKind.JOIN, raises(
+        BootstrapUnreachableError, lambda net: join(net, BUDGET_KEY, net.live_ids()[0]))),
+    "publish": (MessageKind.PUBLISH, raises(
+        PublishFailedError,
+        lambda net: publish(net, away_from_root(net), "x.jar", payload_of("x.jar")))),
+    "lookup": (MessageKind.LOOKUP, raises(
+        LookupFailedError, lambda net: lookup(net, away_from_root(net), "x.jar"))),
+    "remove": (MessageKind.REMOVE, raises(RoutingFailureError, withdraw)),
+    "handoff": (MessageKind.TRANSFER, hand_off_to_a_dead_joiner),
+    "relinquish": (MessageKind.TRANSFER, relinquish_to_dead_members),
+}
+
+
+@pytest.mark.parametrize("retries", [0, 2])
+@pytest.mark.parametrize("op", list(BUDGET_CASES))
+def test_every_op_sends_a_lost_message_retries_plus_one_times(monkeypatch, op, retries):
+    """SimConfig.retries is the one budget: when every copy of an op's
+    message about its key is lost, the op sends retries + 1, then gives up."""
+    net, _ = build_network(32, seed=4, sim_config=SimConfig(retries=retries))
+    kind, give_up = BUDGET_CASES[op]
+    sent, lost = net.metrics.sent.get(kind.value, 0), net.metrics.timeouts.get(kind.value, 0)
+    kill_every_target(monkeypatch, net, kind)
+    give_up(net)
+    assert net.metrics.sent[kind.value] - sent == retries + 1
+    assert net.metrics.timeouts[kind.value] - lost == retries + 1
+    assert not net.ops

@@ -14,6 +14,12 @@ stale   Joins mixed with graceful departures, for seeds 1-10: build 250
         and runs 40 lookups, each from a random live node (drawn first) of a
         random name. It prints the lookups, their failures by error type and
         the LOOKUP timeouts. About 2 s.
+
+orphan  Roots lost to abrupt failures, for seeds 1-10: build 256 nodes and
+        publish o0.jar ... o199.jar, each from a random live node; fail the
+        8 lowest live ids that hold a ROOT entry; then run 140 lookups, each
+        from a random live node (drawn first) of the sorted names whose ROOT
+        those 8 held, in turn. It prints the same counts as stale. About 1 s.
 """
 
 from __future__ import annotations
@@ -27,37 +33,83 @@ from pathlib import Path
 SEEDS = range(1, 11)
 
 
-def stale() -> str:
-    from peerdeploy import build_network, join, leave, lookup, publish
-    from peerdeploy.errors import PeerDeployError
-    from peerdeploy.ids import derive_key
+class Lookups:
+    """Lookups run by a probe, their failures by error type, and the LOOKUP
+    timeouts of each network it counted."""
+
+    def __init__(self):
+        self.count, self.failures, self.timeouts = 0, Counter(), 0
+
+    def run(self, net, client: int, name: str) -> None:
+        from peerdeploy import lookup
+        from peerdeploy.errors import PeerDeployError
+
+        self.count += 1
+        try:
+            lookup(net, client, name)
+        except PeerDeployError as error:
+            self.failures[type(error).__name__] += 1
+
+    def count_timeouts(self, net) -> None:
+        self.timeouts += net.metrics.timeouts.get("LOOKUP", 0)
+
+    def line(self, probe: str) -> str:
+        failed = ", ".join(f"{kind} {count}" for kind, count in sorted(self.failures.items()))
+        return (f"{probe}: {self.count} lookups, failed {sum(self.failures.values())}"
+                f"{f' ({failed})' if failed else ''}, LOOKUP timeouts {self.timeouts}")
+
+
+def published(count: int, seed: int, names: list[str]):
+    """A network of `count` nodes, each name published from a random live
+    node, and the Random that drew them."""
+    from peerdeploy import build_network, publish
     from peerdeploy.store import ComponentPayload
 
-    lookups, failures, timeouts = 0, Counter(), 0
+    net, _ = build_network(count, seed)
+    rng = random.Random(seed)
+    for name in names:
+        publish(net, rng.choice(net.live_ids()), name, ComponentPayload.from_bytes(name.encode()))
+    return net, rng
+
+
+def stale() -> str:
+    from peerdeploy import join, leave
+    from peerdeploy.ids import derive_key
+
+    lookups = Lookups()
     for seed in SEEDS:
-        net, _ = build_network(250, seed)
-        rng = random.Random(seed)
         names = [f"s{i}.jar" for i in range(100)]
-        for name in names:
-            publish(net, rng.choice(net.live_ids()), name,
-                    ComponentPayload.from_bytes(name.encode()))
+        net, rng = published(250, seed, names)
         for r in range(60):
             join(net, derive_key(f"j{seed}-{r}"), net.live_ids()[0])
             leave(net, rng.choice(net.live_ids()[1:]))
             for _ in range(40):
-                client, name = rng.choice(net.live_ids()), rng.choice(names)
-                lookups += 1
-                try:
-                    lookup(net, client, name)
-                except PeerDeployError as error:
-                    failures[type(error).__name__] += 1
-        timeouts += net.metrics.timeouts.get("LOOKUP", 0)
-    failed = ", ".join(f"{kind} {count}" for kind, count in sorted(failures.items()))
-    return (f"stale: {lookups} lookups, failed {sum(failures.values())}"
-            f"{f' ({failed})' if failed else ''}, LOOKUP timeouts {timeouts}")
+                client = rng.choice(net.live_ids())
+                lookups.run(net, client, rng.choice(names))
+        lookups.count_timeouts(net)
+    return lookups.line("stale")
 
 
-PROBES = [stale]
+def orphan() -> str:
+    from peerdeploy.store import Role
+
+    lookups = Lookups()
+    for seed in SEEDS:
+        net, rng = published(256, seed, [f"o{i}.jar" for i in range(200)])
+        holders = [n for n in net.live_ids()
+                   if any(e.role is Role.ROOT for e in net.nodes[n].store.entries.values())][:8]
+        orphaned = sorted(e.name for n in holders
+                          for e in net.nodes[n].store.entries.values() if e.role is Role.ROOT)
+        for n in holders:
+            net.fail(n)
+        for i in range(140):
+            client = rng.choice(net.live_ids())
+            lookups.run(net, client, orphaned[i % len(orphaned)])
+        lookups.count_timeouts(net)
+    return lookups.line("orphan")
+
+
+PROBES = [stale, orphan]
 
 
 def main() -> None:
