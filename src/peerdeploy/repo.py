@@ -14,7 +14,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import store as _store
 from .errors import (
@@ -103,14 +103,11 @@ class RepositoryIndex:
     writer, clears both memos.
     """
 
-    def __init__(self, entries: Iterable[ComponentDescriptor] = (), generated_at: int = 0):
-        self.generated_at = generated_at
+    def __init__(self):
         self._by_name: dict[str, ComponentDescriptor] = {}
         self._exporters: dict[str, set[str]] = {}
         self._providers: dict[str, Optional[ComponentDescriptor]] = {}
         self._resolved: dict[str, list[InstallGroup]] = {}
-        for descriptor in entries:
-            self.add(descriptor)
 
     def add(self, descriptor: ComponentDescriptor) -> None:
         self._providers.clear()
@@ -129,14 +126,8 @@ class RepositoryIndex:
     def get(self, name: str) -> Optional[ComponentDescriptor]:
         return self._by_name.get(name)
 
-    def entries(self) -> list[ComponentDescriptor]:
-        return [self._by_name[name] for name in sorted(self._by_name)]
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self._by_name)
 
     def provider(self, package: str) -> Optional[ComponentDescriptor]:
         """The exporter of `package` with the highest version, then the smallest name."""
@@ -153,17 +144,6 @@ class RepositoryIndex:
 # descriptor file format
 
 INDEX_FIELDS = ("name", "version", "digest", "size", "start", "imports", "exports", "uri")
-
-
-def serialize_index(index: RepositoryIndex) -> str:
-    """Byte-deterministic text form: entries sorted by name, fixed key order."""
-    lines = [f"# generated_at: {index.generated_at}"]
-    for d in index.entries():
-        values = (d.name, d.version, d.digest, d.size, d.start_entry or "",
-                  ",".join(d.imports), ",".join(d.exports), d.source_uri)
-        lines.append("")
-        lines.extend(f"{field}: {value}" for field, value in zip(INDEX_FIELDS, values))
-    return "\n".join(lines) + "\n"
 
 
 def _parse_packages(value: str, field: str) -> tuple[str, ...]:
@@ -188,16 +168,11 @@ def parse_index(text: str) -> RepositoryIndex:
     of the field it names.
     """
     lines = text.split("\n")
-    generated_at = 0
     pos = 0
     while pos < len(lines) and lines[pos].startswith("#"):
-        comment = lines[pos][1:].strip()
-        if comment.startswith("generated_at:"):
-            generated_at = _parse_count(comment.partition(":")[2].strip(),
-                                        pos + 1, "generated_at")
         pos += 1
 
-    index = RepositoryIndex(generated_at=generated_at)
+    index = RepositoryIndex()
     while True:
         while pos < len(lines) and not lines[pos]:
             pos += 1

@@ -50,6 +50,7 @@ class MessageKind(Enum):
     FETCH_REPLY = "FETCH_REPLY"
     REMOVE = "REMOVE"
     REMOVE_REPLY = "REMOVE_REPLY"
+    DROP = "DROP"
     TRANSFER = "TRANSFER"
     TRANSFER_ACK = "TRANSFER_ACK"
     HANDOFF = "HANDOFF"
@@ -122,7 +123,7 @@ class Operation:
     `complete` or `fail`: both call `end`, which drops it from `net.ops` (the
     open ops) and counts it. An op awaits answers only through `fan_out`,
     which adds them to `pending`; `settle` takes one answer off, and the last
-    completes it.
+    completes it with `result`.
 
     The one retry rule: a message of the op that is lost may go again while
     no more than SimConfig.retries messages about its key were lost. The
@@ -169,7 +170,7 @@ class Operation:
     def settle(self) -> None:
         self.pending -= 1
         if self.pending == 0:
-            self.complete(None)
+            self.complete(self.result)
 
     def complete(self, result: Any) -> None:
         self.result = result

@@ -1,6 +1,7 @@
 """Key-addressed component storage with trail deposition and path caching.
 
-Publishing routes the payload from its source to the key's root and, on the
+Publishing routes the payload from its source to the key's root, which
+sends a pinned RETAINED copy on to the key's heir, and, on the
 acknowledgement walking back, leaves a key/location association (TRAIL) on
 every strictly intermediate node. Lookups short-circuit at the first node on
 their path holding any entry (the junction), and the payload is cached along
@@ -227,8 +228,18 @@ class PublishOp(RoutedOp):
             self.fail(VersionConflictError(
                 f"{self.name!r} already published with different content"))
             return
+        source = self.path[0]
         root.store.put(self.key, self.name, Role.ROOT, self.payload,
-                       origin=self.path[0], root_hint=root.id, now=self.net.clock)
+                       origin=source, root_hint=root.id, now=self.net.clock)
+        # The heir, the next-closest id, gets the key's second pinned copy,
+        # unless it is the source, which holds the SOURCE. The op awaits that
+        # copy and its reply walk.
+        members = root.leaf_set.members()
+        heir = ring_root(members, self.key) if members else source
+        copy = {"key": self.key, "name": self.name, "payload": self.payload,
+                "origin": source, "role": Role.RETAINED}
+        self.pending += 1
+        self.fan_out(root.id, MessageKind.TRANSFER, [(heir, copy)] if heir != source else [])
         self.reply_from(root, {})
 
     def reply_at(self, node, data: dict) -> None:
@@ -241,7 +252,8 @@ class PublishOp(RoutedOp):
         if len(self.path) > 1:
             node.store.put(self.key, self.name, Role.SOURCE, self.payload,
                            origin=source, root_hint=root, now=self.net.clock)
-        self.complete(PublishTrail(self.key, source, root, list(self.path)))
+        self.result = PublishTrail(self.key, source, root, list(self.path))
+        self.settle()
 
     def failure(self, reason: str) -> Exception:
         return PublishFailedError(f"publish of {self.name!r} {reason}")
@@ -398,13 +410,32 @@ class RemoveOp(RoutedOp):
             self.fail(NotFoundError(f"{self.name!r} has no root entry to remove"))
             return
         root.store.delete(self.key)
+        # The key's RETAINED copies sit at former roots and at the heir, all
+        # of them leaf members of the root. The op awaits each DROP and the reply.
+        self.pending += 1
+        self.fan_out(root.id, MessageKind.DROP, [(member, None)
+                                                 for member in root.leaf_set.members()
+                                                 if member != self.path[0]])
         self.reply_from(root, {})
+
+    @on_deliver(MessageKind.DROP)
+    def drop_retained(self, node, msg: Message) -> None:
+        entry = node.store.get(self.key)
+        if entry is not None and entry.role is Role.RETAINED:
+            node.store.delete(self.key)
+        self.settle()
+
+    # A dead leaf member holds nothing to drop.
+    @on_timeout(MessageKind.DROP)
+    def drop_lost(self, root, msg: Message) -> None:
+        self.settle()
 
     def reply_home(self, node, data: dict) -> None:
         # Root confirmed the deletion; drop the requester's own pinned copy too so
         # the name actually disappears once trails and caches age out.
         node.store.delete(self.key)
-        self.complete(RemovalReport(self.name, self.key, node.id, self.path[-1]))
+        self.result = RemovalReport(self.name, self.key, node.id, self.path[-1])
+        self.settle()
 
     def failure(self, reason: str) -> Exception:
         return RoutingFailureError(f"removal of {self.name!r} {reason}",
@@ -415,8 +446,10 @@ class RemoveOp(RoutedOp):
 
 
 def remove(net: SimNetwork, requester: int, name: str) -> RemovalReport:
-    """Withdraw a published component. Only its publisher may do so; trails
-    and caches are left to expire via TTL rather than chased."""
+    """Withdraw a published component. Only its publisher may do so. The
+    root's entry, the RETAINED copies in the root's leaf set and the
+    publisher's entry go; trails and caches are left to expire via TTL
+    rather than chased."""
     node = net.live_node(requester)
     key = derive_key(name)
     entry = node.store.get(key)
@@ -449,7 +482,9 @@ def replica_count(net: SimNetwork, name: str) -> int:
 
 class TransferOp(Operation):
     """Moves ROOT entries to the node that now roots them: one TRANSFER per
-    key, awaited through `fan_out`. The one ack rule: the old root, if still
+    key, awaited through `fan_out`. A TRANSFER names the role it writes, so
+    a publish sends its heir copy as a RETAINED one, which is neither acked
+    nor sent again. The one ack rule: the old root, if still
     reachable and still the ROOT holder, keeps a pinned RETAINED copy whose
     root_hint names the new root. A TRANSFER that is lost goes again, from
     the same sender, to next_target(sender, key) while the sender is alive
@@ -467,23 +502,33 @@ class TransferOp(Operation):
         for key in sorted(node.store.entries):
             entry = node.store.entries[key]
             if entry.role is Role.ROOT and (target := self.next_target(node, key)) is not None:
-                sends.append((target, {"key": key, "name": entry.name,
-                                       "payload": entry.payload, "origin": entry.origin}))
+                sends.append((target, {"key": key, "name": entry.name, "payload": entry.payload,
+                                       "origin": entry.origin, "role": Role.ROOT}))
         self.fan_out(node.id, MessageKind.TRANSFER, sends)
 
     start = move_roots  # a relinquish moves the leaver's own roots
 
     @on_deliver(MessageKind.TRANSFER)
     def take_root(self, node, msg: Message) -> None:
+        """Write the role the TRANSFER names. A ROOT is acked; a RETAINED
+        copy settles here, since an ack would demote the sender's ROOT."""
         data = msg.data
-        node.store.put(data["key"], data["name"], Role.ROOT, data["payload"],
-                       origin=data["origin"], root_hint=node.id, now=self.net.clock)
-        self.net.send(node.id, msg.from_id, MessageKind.TRANSFER_ACK, {"key": data["key"]},
-                      op=self)
+        role = data["role"]
+        node.store.put(data["key"], data["name"], role, data["payload"], origin=data["origin"],
+                       root_hint=node.id if role is Role.ROOT else msg.from_id,
+                       now=self.net.clock)
+        if role is Role.RETAINED:
+            self.settle()
+        else:
+            self.net.send(node.id, msg.from_id, MessageKind.TRANSFER_ACK, {"key": data["key"]},
+                          op=self)
 
     @on_timeout(MessageKind.TRANSFER)
     def transfer_lost(self, sender, msg: Message) -> None:
         key = msg.data["key"]
+        if msg.data["role"] is Role.RETAINED:  # the heir is dead: its copy is lost
+            self.settle()
+            return
         target = None
         if self.may_retry(key) and sender is not None:
             target = self.next_target(sender, key)

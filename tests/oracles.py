@@ -313,3 +313,21 @@ def _check_strongly_connected(descriptors: dict, members) -> list[str]:
                 f"group {sorted(member_set)} is not a real cycle: {start} "
                 f"reaches only {sorted(seen)}")
     return problems
+
+
+# --------------------------------------------------------------------------
+# descriptor files, written for parse_index to read
+
+
+def serialize_index(descriptors) -> str:
+    """The text of a descriptor file: a `# generated_at: 0` comment, then
+    each descriptor in name order, as a blank line and its eight fields in
+    their fixed order."""
+    lines = ["# generated_at: 0"]
+    for d in sorted(descriptors, key=lambda d: d.name):
+        values = (d.name, d.version, d.digest, d.size, d.start_entry or "",
+                  ",".join(d.imports), ",".join(d.exports), d.source_uri)
+        lines.append("")
+        lines.extend(f"{field}: {value}" for field, value in zip(
+            ("name", "version", "digest", "size", "start", "imports", "exports", "uri"), values))
+    return "\n".join(lines) + "\n"

@@ -335,7 +335,9 @@ def test_criterion_10_repo_layer():
             descriptors[f"g{i}.jar"] = ComponentDescriptor(
                 name=f"g{i}.jar", version="1.0", digest=payload.digest,
                 size=payload.size, imports=imports, exports=(f"pkg{i}",))
-        index = RepositoryIndex(descriptors.values())
+        index = RepositoryIndex()
+        for descriptor in descriptors.values():
+            index.add(descriptor)
         requested = f"g{rng.randrange(count)}.jar"
         groups = resolve(index, requested)
         emitted = {m for g in groups for m in g.members}

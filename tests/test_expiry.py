@@ -132,7 +132,11 @@ def test_the_first_boundary_follows_the_time_of_the_next_event_not_its_sequence(
         net, _ = build_network(4, seed=1, store_config=StoreConfig(ttl=1))
         key = derive_key("far.jar")
         root = oracle_root(net.live_ids(), key)
-        source, middle, other = [n for n in net.live_ids() if n != root]
+        # The heir takes a pinned copy, so the TRAIL goes to one of the others.
+        other = oracle_root([n for n in net.live_ids() if n != root], key)
+        rest = [n for n in net.live_ids() if n not in (root, other)]
+        middle = oracle_root(rest, key)
+        (source,) = set(rest) - {middle}
         # The source forgets all but the middle node, so the publish takes two hops.
         for node_id in (other, root):
             net.nodes[source].forget(node_id)

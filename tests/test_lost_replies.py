@@ -9,11 +9,11 @@ test_timeouts.py.
 
 import pytest
 
-from peerdeploy import build_network, join, publish, remove, simnet
+from peerdeploy import build_network, join, overlay, publish, remove, simnet
 from peerdeploy.errors import RoutingFailureError
 from peerdeploy.ids import derive_key
 from peerdeploy.simnet import MessageKind, NodeStatus
-from peerdeploy.store import Role
+from peerdeploy.store import Role, handoff_on_join
 from test_timeouts import HANDOFF_RESEND_ID, kill_on_delivery, payload_of, walk
 
 
@@ -85,6 +85,30 @@ def test_handoff_settles_when_the_joiner_dies_during_its_scan(monkeypatch):
     # Each of those keys was sent to the dead joiner retries + 1 times, and timed out each time.
     assert net.metrics.timeouts == {"TRANSFER": (net.config.retries + 1) * len(handed_over)}
     assert root_holders(net) == before
+
+
+def test_handoff_counts_a_neighbour_that_died_before_its_handoff_as_answered(monkeypatch):
+    new_id = HANDOFF_RESEND_ID
+    clean, _ = published_network()
+    handed_over = join(clean, new_id, clean.live_ids()[0], name="late").transferred
+    net, _ = published_network()
+    before = root_holders(net)
+    assert {holder for key in handed_over for holder in before[key]} == {
+        clean.nodes[new_id].leaf_set.left[0]}
+    dead = []
+
+    def fail_the_right_neighbour(joiner):
+        # The joiner is live and has its leaf set; its HANDOFFs are not sent yet.
+        dead.append(joiner.leaf_set.right[0])
+        net.fail(dead[0])
+        return handoff_on_join(joiner)
+
+    monkeypatch.setattr(overlay, "handoff_on_join", fail_the_right_neighbour)
+    report = join(net, new_id, net.live_ids()[0], name="late")
+    assert dead and not net.ops
+    # The left neighbour held every key the joiner now roots and handed them over.
+    assert (report.transferred, report.unresolved) == (handed_over, [])
+    assert net.metrics.timeouts == {"HANDOFF": 1}
 
 
 def test_remove_fails_when_its_requester_dies_before_the_reply(monkeypatch):

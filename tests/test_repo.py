@@ -27,7 +27,6 @@ from peerdeploy.repo import (
     parse_uri,
     publish_local,
     resolve,
-    serialize_index,
     start,
     stop,
     uninstall,
@@ -35,7 +34,7 @@ from peerdeploy.repo import (
     LifecycleState,
 )
 from peerdeploy.store import ComponentPayload
-from oracles import check_resolution
+from oracles import check_resolution, serialize_index
 
 
 def payload_of(text: str) -> ComponentPayload:
@@ -106,30 +105,21 @@ def test_version_ordering():
 # -- index serialization
 
 
-def roundtrip(index: RepositoryIndex) -> RepositoryIndex:
-    return parse_index(serialize_index(index))
-
-
 def test_index_round_trip_preserves_everything():
-    index = RepositoryIndex(generated_at=777)
-    index.add(desc("b.jar", "2.1", imports=("util",), exports=("b",)))
-    index.add(desc("a.jar", "1.0", exports=("util", "extra")))
-    back = roundtrip(index)
-    assert back.generated_at == 777
-    assert len(back) == 2
-    for original in index.entries():
-        parsed = back.get(original.name)
-        assert parsed == original
+    originals = [desc("b.jar", "2.1", imports=("util",), exports=("b",)),
+                 desc("a.jar", "1.0", exports=("util", "extra"))]
+    back = parse_index(serialize_index(originals))
+    assert [back.get(d.name) for d in originals] == originals
+    assert back._by_name.keys() == {"a.jar", "b.jar"}
 
 
 def test_index_serialization_is_stable():
-    index = RepositoryIndex(generated_at=5)
-    index.add(desc("z.jar"))
-    index.add(desc("a.jar"))
-    text = serialize_index(index)
-    assert text == serialize_index(roundtrip(index))
-    assert text.startswith("# generated_at: 5\n")
-    assert serialize_index(RepositoryIndex()) == "# generated_at: 0\n"
+    # parse_index reads back the test helper's text, field for field.
+    originals = [desc("z.jar"), desc("a.jar")]
+    text = serialize_index(originals)
+    index = parse_index(text)
+    assert serialize_index(index.get(d.name) for d in originals) == text
+    assert serialize_index([]) == "# generated_at: 0\n"
     # records come out name-sorted, each with the full fixed field order
     assert text.index("name: a.jar") < text.index("name: z.jar")
     for field in ("name:", "version:", "digest:", "size:", "start:",
@@ -146,17 +136,14 @@ def test_index_add_conflicts_on_different_digest():
 
 
 def test_parse_index_empty_and_comments():
-    assert len(parse_index("")) == 0
-    assert len(parse_index("# generated_at: 3\n")) == 0
-    assert parse_index("# generated_at: 3\n").generated_at == 3
-    # A file of comments alone, with no newline at its end.
-    assert parse_index("# generated_at: 3").generated_at == 3
+    # A `generated_at` line is a comment like any other, whatever follows it.
+    for text in ("", "# generated_at: 3\n", "# generated_at: \u00b2\n# more\n",
+                 "# generated_at: 3"):  # the last one has no newline at its end
+        assert parse_index(text)._by_name == {}
 
 
 def test_parse_index_reports_line_and_field():
-    index = RepositoryIndex()
-    index.add(desc("t.jar", imports=("x",)))
-    text = serialize_index(index)
+    text = serialize_index([desc("t.jar", imports=("x",))])
     # truncate in the middle of the record
     cut = text.split("\n")
     truncated = "\n".join(cut[:5])
@@ -172,9 +159,7 @@ def test_parse_index_reports_line_and_field():
 
 
 def test_parse_index_rejects_out_of_order_fields():
-    index = RepositoryIndex()
-    index.add(desc("o.jar"))
-    lines = serialize_index(index).split("\n")
+    lines = serialize_index([desc("o.jar")]).split("\n")
     record_start = next(i for i, line in enumerate(lines) if line.startswith("name:"))
     lines[record_start], lines[record_start + 1] = lines[record_start + 1], lines[record_start]
     with pytest.raises(IndexParseError) as err:
@@ -188,10 +173,7 @@ def test_parse_index_rejects_out_of_order_fields():
     ("imports", "a,,b"), ("exports", "a,"), ("uri", "p2p://a/b"),
 ])
 def test_parse_index_names_the_line_of_a_bad_descriptor(field, bad):
-    index = RepositoryIndex()
-    index.add(desc("first.jar"))
-    index.add(desc("second.jar"))
-    lines = serialize_index(index).split("\n")
+    lines = serialize_index([desc("first.jar"), desc("second.jar")]).split("\n")
     spoiled = max(i for i, line in enumerate(lines) if line.startswith(f"{field}: "))
     lines[spoiled] = f"{field}: {bad}"
     with pytest.raises(IndexParseError) as err:
@@ -201,9 +183,7 @@ def test_parse_index_names_the_line_of_a_bad_descriptor(field, bad):
 
 
 def test_parse_index_rejects_duplicate_names():
-    index = RepositoryIndex()
-    index.add(desc("d.jar"))
-    text = serialize_index(index)
+    text = serialize_index([desc("d.jar")])
     record = text.split("\n\n", 1)[1]
     with pytest.raises(IndexParseError) as err:
         parse_index(text + "\n" + record)
@@ -222,17 +202,17 @@ def make_index(*descriptors) -> RepositoryIndex:
 
 
 def test_resolve_linear_chain_orders_providers_first():
-    index = make_index(
+    descriptors = [
         desc("app.jar", imports=("svc",)),
         desc("svc.jar", imports=("util",), exports=("svc",)),
         desc("util.jar", exports=("util",)),
-    )
-    groups = resolve(index, "app.jar")
+    ]
+    groups = resolve(make_index(*descriptors), "app.jar")
     order = [m for g in groups for m in g.members]
     assert order.index("util.jar") < order.index("svc.jar") < order.index("app.jar")
     assert all(not g.cycle for g in groups)
     assert not check_resolution(
-        {d.name: d for d in index.entries()}, "app.jar", groups)
+        {d.name: d for d in descriptors}, "app.jar", groups)
 
 
 def test_resolve_prefers_highest_version_then_name():
@@ -254,17 +234,17 @@ def test_resolve_prefers_highest_version_then_name():
 
 
 def test_resolve_cycle_becomes_single_group():
-    index = make_index(
+    descriptors = [
         desc("a.jar", imports=("b",), exports=("a",)),
         desc("b.jar", imports=("a",), exports=("b",)),
         desc("top.jar", imports=("a",)),
-    )
-    groups = resolve(index, "top.jar")
+    ]
+    groups = resolve(make_index(*descriptors), "top.jar")
     cycle_groups = [g for g in groups if g.cycle]
     assert len(cycle_groups) == 1
     assert set(cycle_groups[0].members) == {"a.jar", "b.jar"}
     assert not check_resolution(
-        {d.name: d for d in index.entries()}, "top.jar", groups)
+        {d.name: d for d in descriptors}, "top.jar", groups)
 
 
 def test_resolve_self_export_satisfies_own_import():

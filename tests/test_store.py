@@ -17,7 +17,7 @@ from peerdeploy.errors import (
 )
 from peerdeploy.ids import derive_key
 from peerdeploy.overlay import LeaveReport, route
-from peerdeploy.simnet import SimConfig, SimNetwork
+from peerdeploy.simnet import MessageKind, SimConfig, SimNetwork
 from peerdeploy.store import (
     ComponentPayload,
     NodeStore,
@@ -28,6 +28,7 @@ from peerdeploy.store import (
     relinquish_roots,
 )
 from oracles import check_store, oracle_root, reference_due_at
+from test_timeouts import kill_every_target
 
 
 def payload_of(text: str, repeat: int = 50) -> ComponentPayload:
@@ -58,13 +59,19 @@ def test_publish_deposits_trail_on_every_path_node():
         assert trail.root == oracle_root(net.live_ids(), key)
         for nid in trail.path:
             assert net.nodes[nid].store.get(key) is not None, "hole in the trail"
-        # roles: source keeps payload, intermediates keep the association only
+        # roles: source keeps payload, intermediates keep the association
+        # only, bar the heir, which keeps a pinned copy
+        heir = heir_of(net, key, trail.root)
         assert net.nodes[trail.source].store.get(key).role in (Role.SOURCE, Role.ROOT)
         assert net.nodes[trail.root].store.get(key).role is Role.ROOT
+        if heir != trail.source:
+            entry = net.nodes[heir].store.get(key)
+            assert (entry.role, entry.payload) == (Role.RETAINED, payload_of(name))
+            assert (entry.origin, entry.root_hint) == (trail.source, trail.root)
         for nid in trail.path[1:-1]:
             entry = net.nodes[nid].store.get(key)
-            assert entry.role is Role.TRAIL
-            assert entry.payload is None
+            assert entry.role is (Role.RETAINED if nid == heir else Role.TRAIL)
+            assert (entry.payload is None) == (nid != heir)
             assert (entry.origin, entry.root_hint) == (trail.source, trail.root)
 
 
@@ -201,12 +208,15 @@ def test_lookup_caching_grows_replicas_monotonically():
 def test_lookup_unavailable_when_all_holders_dead_but_trail_survives():
     net, _ = build_network(64, seed=3)
     live = net.live_ids()
-    # need a publish path with an intermediate, so a TRAIL outlives the holders
+    # need a publish path with an intermediate other than the heir, which
+    # holds a payload, so a TRAIL outlives the holders
     chosen = None
     for i in range(60):
         name = f"gone{i}.jar"
+        key = derive_key(name)
+        heir = heir_of(net, key, oracle_root(live, key))
         for publisher in live[:10]:
-            if len(route(net, publisher, derive_key(name))) >= 3:
+            if set(route(net, publisher, key)[1:-1]) - {heir}:
                 chosen = (publisher, name)
                 break
         if chosen:
@@ -306,6 +316,61 @@ def test_a_trail_that_names_no_other_holder_sends_no_fetch():
     assert net.nodes[junction].store.get(key) is None  # the stale trail went
 
 
+# -- the heir's copy: the key's second pinned copy, at the next-closest id
+
+
+def heir_of(net, key: int, root: int) -> int:
+    return oracle_root([n for n in net.live_ids() if n != root], key)
+
+
+def test_the_heir_keeps_a_copy_that_serves_once_the_root_fails():
+    net, names = build_network(64, seed=5)
+    trail = publish(net, names["n3"], "heir.jar", payload_of("heir"))
+    heir = heir_of(net, trail.key, trail.root)
+    assert heir != trail.source
+    entry = net.nodes[heir].store.get(trail.key)
+    assert (entry.role, entry.payload, entry.origin, entry.root_hint) == (
+        Role.RETAINED, payload_of("heir"), trail.source, trail.root)
+    leave(net, trail.root, graceful=False)
+    # No lookup ends not-found at the heir, the key's new root: it serves.
+    served_by = [lookup(net, client, "heir.jar")[1] for client in net.live_ids()]
+    assert heir in served_by
+
+
+def test_a_source_that_is_its_own_root_still_leaves_the_heir_copy():
+    net, _ = build_network(32, seed=4)
+    key = derive_key("self.jar")
+    root = oracle_root(net.live_ids(), key)
+    trail = publish(net, root, "self.jar", payload_of("self"))
+    assert trail.path == [root]
+    assert net.nodes[root].store.get(key).role is Role.ROOT
+    assert net.nodes[heir_of(net, key, root)].store.get(key).role is Role.RETAINED
+    assert net.metrics.delivered["TRANSFER"] == 1 and not net.ops
+
+
+def test_a_dead_heir_settles_the_publish_with_no_resend(monkeypatch):
+    net, names = build_network(32, seed=4)
+    kill_every_target(monkeypatch, net, MessageKind.TRANSFER)
+    trail = publish(net, names["n3"], "x.jar", payload_of("x"))
+    assert net.metrics.sent["TRANSFER"] == 1
+    assert net.metrics.timeouts == {"TRANSFER": 1}
+    assert net.metrics.op_failures.get("publish", 0) == 0 and not net.ops
+    assert net.nodes[trail.root].store.get(trail.key).role is Role.ROOT
+    assert net.nodes[trail.source].store.get(trail.key).role is Role.SOURCE
+
+
+def test_a_remove_after_the_root_fails_drops_the_heir_copy_and_the_source():
+    net, names = build_network(32, seed=4)
+    source = names["n3"]
+    trail = publish(net, source, "x.jar", payload_of("x"))
+    heir = heir_of(net, trail.key, trail.root)
+    leave(net, trail.root, graceful=False)
+    report = remove(net, source, "x.jar")
+    assert (report.requester, report.root) == (source, heir)
+    assert net.nodes[source].store.get(trail.key) is None
+    assert replica_count(net, "x.jar") == 0
+
+
 # -- eviction
 
 
@@ -323,8 +388,8 @@ def test_evict_expires_untouched_cache_and_trail():
     for nid in transient:
         entry = net.nodes[nid].store.get(key)
         assert entry is None, "transient entry outlived its ttl"
-    # pinned entries survive unbounded idle time
-    assert replica_count(net, "ttl.jar") == 2
+    # pinned entries survive unbounded idle time: the source, root and heir copies
+    assert replica_count(net, "ttl.jar") == 3
 
 
 def test_evict_lru_respects_capacity_and_pins():
@@ -480,9 +545,6 @@ def test_join_handoff_moves_root_and_retains_payload():
         assert report.transferred
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="remove leaves the RETAINED copy a join's handoff left at the "
-                   "old root; that copy is pinned, and 4 of the 17 lookups are served")
 def test_remove_reaches_the_copy_a_handoff_retained():
     net, names = build_network(16, seed=18)
     publish(net, names["n2"], "fade.jar", payload_of("fade"))

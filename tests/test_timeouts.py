@@ -394,9 +394,10 @@ def test_relinquish_gives_up_after_retries_plus_one_targets():
         closest = oracle_root(members, key)
         net.fail(closest)
         members.remove(closest)
+    sent = net.metrics.sent["TRANSFER"]  # the publish's copy to the heir
     report = leave(net, root)
     assert report.transferred == [] and report.unresolved == [key]
-    assert net.metrics.sent["TRANSFER"] == tries
+    assert net.metrics.sent["TRANSFER"] - sent == tries
     assert net.metrics.timeouts["TRANSFER"] == tries
     pins.check("timeouts", "relinquish_gives_up", counts(net))
 
@@ -424,32 +425,38 @@ def withdraw(net):
     remove(net, source, "x.jar")
 
 
-def hand_off_to_a_dead_joiner(net):
+def publish_x(net):
+    """Set-up of the transfer cases, before any TRANSFER is lost: the
+    publish sends one of its own, the heir's copy."""
     publish(net, net.live_ids()[0], "x.jar", payload_of("x.jar"))
+
+
+def hand_off_to_a_dead_joiner(net):
     # The joiner's id is the key, so the joiner roots it.
     report = join(net, BUDGET_KEY, net.live_ids()[0], name="late")
     assert report.unresolved == [BUDGET_KEY]
 
 
 def relinquish_to_dead_members(net):
-    root = publish(net, net.live_ids()[0], "x.jar", payload_of("x.jar")).root
+    root = oracle_root(net.live_ids(), BUDGET_KEY)
     assert leave(net, root).unresolved == [BUDGET_KEY]
 
 
-# op -> (the kind whose every copy is lost, a call in which the op gives up)
+# op -> (the kind whose every copy is lost, a call in which the op gives up,
+# and a set-up that runs before the first loss, or None)
 BUDGET_CASES = {
     "route": (MessageKind.ROUTE_STEP, raises(
-        RoutingFailureError, lambda net: route(net, away_from_root(net), BUDGET_KEY))),
+        RoutingFailureError, lambda net: route(net, away_from_root(net), BUDGET_KEY)), None),
     "join": (MessageKind.JOIN, raises(
-        BootstrapUnreachableError, lambda net: join(net, BUDGET_KEY, net.live_ids()[0]))),
+        BootstrapUnreachableError, lambda net: join(net, BUDGET_KEY, net.live_ids()[0])), None),
     "publish": (MessageKind.PUBLISH, raises(
         PublishFailedError,
-        lambda net: publish(net, away_from_root(net), "x.jar", payload_of("x.jar")))),
+        lambda net: publish(net, away_from_root(net), "x.jar", payload_of("x.jar"))), None),
     "lookup": (MessageKind.LOOKUP, raises(
-        LookupFailedError, lambda net: lookup(net, away_from_root(net), "x.jar"))),
-    "remove": (MessageKind.REMOVE, raises(RoutingFailureError, withdraw)),
-    "handoff": (MessageKind.TRANSFER, hand_off_to_a_dead_joiner),
-    "relinquish": (MessageKind.TRANSFER, relinquish_to_dead_members),
+        LookupFailedError, lambda net: lookup(net, away_from_root(net), "x.jar")), None),
+    "remove": (MessageKind.REMOVE, raises(RoutingFailureError, withdraw), None),
+    "handoff": (MessageKind.TRANSFER, hand_off_to_a_dead_joiner, publish_x),
+    "relinquish": (MessageKind.TRANSFER, relinquish_to_dead_members, publish_x),
 }
 
 
@@ -459,7 +466,9 @@ def test_every_op_sends_a_lost_message_retries_plus_one_times(monkeypatch, op, r
     """SimConfig.retries is the one budget: when every copy of an op's
     message about its key is lost, the op sends retries + 1, then gives up."""
     net, _ = build_network(32, seed=4, sim_config=SimConfig(retries=retries))
-    kind, give_up = BUDGET_CASES[op]
+    kind, give_up, setup = BUDGET_CASES[op]
+    if setup is not None:
+        setup(net)
     sent, lost = net.metrics.sent.get(kind.value, 0), net.metrics.timeouts.get(kind.value, 0)
     kill_every_target(monkeypatch, net, kind)
     give_up(net)
